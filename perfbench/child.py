@@ -27,13 +27,13 @@ from . import tracing, workloads
 
 @dataclass
 class Pass:
-    """Timings and check results of whole rounds of a workload's ops."""
+    """Timings and failed ops of whole rounds of a workload's ops."""
 
     round_s: list = field(default_factory=list)
     op_s: list = field(default_factory=list)
     extra_cx: list = field(default_factory=list)  # inserted CX per round
-    raised: int = 0  # ops that raised
-    wrong: list = field(default_factory=list)  # failure messages of checked ops
+    raised: set = field(default_factory=set)  # numbers of ops that raised
+    failed: dict = field(default_factory=dict)  # op number -> failed check
 
     @property
     def attempted(self) -> int:
@@ -72,33 +72,40 @@ def paused(recorders):
             r.paused = False
 
 
-def measure(wl, ops, counter: CompileCounter, recorders, seconds: float | None = None,
-            rounds: int | None = None) -> Pass:
+def measure(wl, ops, counter: CompileCounter, recorders, first_op: int,
+            seconds: float | None = None, rounds: int | None = None) -> Pass:
     """Whole rounds until the timed ops add up to `seconds` (at least one
-    round), or exactly `rounds`. Each output is checked untimed, with the
-    recorders paused so that the checks' own calls into qnz are not counted."""
+    round), or exactly `rounds`. Each output gets the workload's own checks
+    untimed, with the recorders paused so that the checks' own calls into qnz
+    are not counted; checks against the reference come after the run."""
     result = Pass()
     while True:
+        round_first = first_op + result.attempted
         cx_before = counter.extra_cx
         round_s = 0.0
         for index, (label, fn) in enumerate(ops):
+            op = first_op + result.attempted
             t0 = time.perf_counter()
             try:
                 out = fn()
             except Exception:  # an op that raises is counted as failed
                 dt = time.perf_counter() - t0
-                result.raised += 1
+                result.raised.add(op)
                 print(f"{label} raised: {traceback.format_exc()}", file=sys.stderr)
             else:
                 dt = time.perf_counter() - t0
                 with paused(recorders):
-                    msg = wl.check_op(index, out)
+                    msg = wl.check_op(op, index, out)
                 if msg:
-                    result.wrong.append(f"{label}: {msg}")
+                    result.failed[op] = f"{label}: {msg}"
             round_s += dt
             result.op_s.append(dt)
         result.round_s.append(round_s)
         result.extra_cx.append(counter.extra_cx - cx_before)
+        if result.extra_cx[-1] != result.extra_cx[0]:
+            result.failed.setdefault(
+                round_first, f"inserted CX {result.extra_cx[-1]} differ from the first round's"
+            )
         if rounds is not None:
             if len(result.round_s) >= rounds:
                 return result
@@ -131,22 +138,28 @@ def main(argv=None) -> int:
             print(json.dumps({"setup_s": setup_s}))
             return 0
 
-        plain = measure(wl, ops, counter, [counter], seconds=args.seconds)
+        plain = measure(wl, ops, counter, [counter], 0, seconds=args.seconds)
+        # read before the reference checks, whose working set is the benchmark's own
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         passes = [plain]
         if args.trace:
             tracer = tracing.Tracer()
             restore = tracing.install(tracer)
             try:
-                traced = measure(wl, ops, counter, [counter, tracer], rounds=len(plain.round_s))
+                traced = measure(wl, ops, counter, [counter, tracer], plain.attempted,
+                                 rounds=len(plain.round_s))
             finally:
                 restore()
             passes.append(traced)
-        wrong = [m for p in passes for m in p.wrong] + wl.finish()
-        if len(set(plain.extra_cx)) != 1:
-            wrong.append(f"inserted CX differ between rounds: {plain.extra_cx}")
-        for m in wrong:
-            print(f"check failed: {m}", file=sys.stderr)
+        raised, failed = set(), {}
+        for p in passes:
+            raised |= p.raised
+            failed.update(p.failed)
+        counter.paused = True
+        for op, msg in wl.check_reference().items():
+            failed.setdefault(op, msg)
+        for op in sorted(failed):
+            print(f"op {op} failed: {failed[op]}", file=sys.stderr)
 
         if args.trace:
             metrics = tracing.layer_metrics(tracer, len(traced.round_s))
@@ -166,9 +179,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         print(json.dumps({
-            "correct": not wrong,
+            "correct": not failed,
             "attempted": sum(p.attempted for p in passes),
-            "failed": sum(p.raised for p in passes) + len(wrong),
+            "failed": len(raised | set(failed)),
             "metrics": metrics,
         }))
         return 0

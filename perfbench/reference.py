@@ -18,11 +18,6 @@ import itertools
 
 import numpy as np
 
-try:  # sparse storage keeps width-8 circuits cheap; dense is the fallback
-    from scipy import sparse
-except ImportError:  # pragma: no cover - scipy ships with the image
-    sparse = None
-
 _SQ2 = 1.0 / np.sqrt(2.0)
 _T = np.exp(1j * np.pi / 4)
 ONE_QUBIT = {
@@ -66,10 +61,10 @@ def _column(kind: str, axes: tuple[int, ...], n: int, i: int):
     raise ValueError(f"reference evaluator has no matrix for routed gate {kind!r}")
 
 
-def explicit_matrix(ops, n: int):
-    """Matrix of a product of (kind, axes) factors applied left to right."""
+def explicit_matrix(ops, n: int) -> np.ndarray:
+    """Dense matrix of a product of (kind, axes) factors applied left to right."""
     dim = 1 << n
-    rows, cols, vals = [], [], []
+    matrix = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         col = {i: 1.0 + 0j}
         for kind, axes in ops:
@@ -79,15 +74,8 @@ def explicit_matrix(ops, n: int):
                     nxt[r] = nxt.get(r, 0.0) + v * amp
             col = nxt
         for r, v in col.items():
-            if v != 0:
-                rows.append(r)
-                cols.append(i)
-                vals.append(v)
-    if sparse is not None:
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    dense = np.zeros((dim, dim), dtype=complex)
-    dense[rows, cols] = vals
-    return dense
+            matrix[r, i] = v
+    return matrix
 
 
 def pauli_strings(k: int):
@@ -174,7 +162,7 @@ class ReferenceEvaluator:
 
     def _sandwich(self, m, stack: np.ndarray, b: int) -> np.ndarray:
         # every block is Hermitian, so M rho M^dagger = M (M rho)^dagger
-        return m @ self._conj_blocks(np.asarray(m @ stack), b)
+        return m @ self._conj_blocks(m @ stack, b)
 
     def zero_probabilities(self, inputs) -> np.ndarray:
         """Noisy P(read 0...0) for each input, by density-matrix evolution."""
@@ -184,10 +172,10 @@ class ReferenceEvaluator:
         stack = np.einsum("ji,jk->ijk", psi, psi.conj()).reshape(d, b * d)
         for step in self.steps:
             if step[0] == "u":
-                stack = np.asarray(self._sandwich(step[1], stack, b))
+                stack = self._sandwich(step[1], stack, b)
             else:
                 _, p, mats = step
-                acc = sum(np.asarray(self._sandwich(m, stack, b)) for m in mats)
+                acc = sum(self._sandwich(m, stack, b) for m in mats)
                 stack = (1.0 - p) * stack + (p / len(mats)) * acc
         diag = stack.reshape(d, b, d)[np.arange(d), :, np.arange(d)].real  # (D, B)
         return self.read_zero @ diag
@@ -198,7 +186,7 @@ class ReferenceEvaluator:
         psi = self.embed(inputs).T  # (D, B)
         for step in self.steps:
             if step[0] == "u":
-                psi = np.asarray(step[1] @ psi)
+                psi = step[1] @ psi
         idx = np.arange(self.dim)
         mask = np.ones(self.dim, dtype=bool)
         for axis in self.read_axes:

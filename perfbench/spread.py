@@ -1,14 +1,15 @@
-"""Run-to-run spread of every metric, to set and verify the bounds in BENCHMARK.json.
+"""Run-to-run spread of every end-to-end metric, to set and verify the bounds
+in BENCHMARK.json.
 
-    python3 perfbench/spread.py [--workloads a,b] [--seeds 10] [--first-seed 1]
-                                [--sets 1] [--trace 0]
+    python3 perfbench/spread.py [--sets 1]
 
-Runs ``perfbench/run.py`` once per seed and workload, one run at a time, for
-`--sets` consecutive sets of seeds. For each metric it prints the median, the
-quartiles and the spread (Q3 - Q1) / median of each set, as
-``statistics.quantiles(values, n=4)`` gives them, next to the metric's bound;
-with two sets it also prints how much the second median is worse than the
-first. Raw results go to ``perfbench/out/spread-<time>.json``.
+Runs ``perfbench/run.py`` on every workload once per seed, one run at a
+time, for `--sets` consecutive sets of ten seeds (1-10, 11-20, ...). For each
+end-to-end metric it prints the median, the quartiles and the spread
+(Q3 - Q1) / median of each set, as ``statistics.quantiles(values, n=4)``
+gives them, next to the metric's bound; with two sets it also prints how
+much the second median is worse than the first. Raw results go to
+``perfbench/out/spread-<time>.json``.
 """
 from __future__ import annotations
 
@@ -21,12 +22,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS_PER_SET = 10
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, timeout=200,
     )
     if proc.returncode != 0:
@@ -41,43 +43,34 @@ def spread(values: list[float]) -> tuple[float, float, float, float]:
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("--workloads", default=",".join(names))
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--sets", type=int, default=1)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    metrics = spec["per_layer" if args.trace else "end_to_end"]
     raw: dict = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         sets = []
         for s in range(args.sets):
-            seeds = range(args.first_seed + s * args.seeds, args.first_seed + (s + 1) * args.seeds)
-            sets.append([run_once(workload, seed, spec["run_seconds"], args.trace) for seed in seeds])
+            seeds = range(1 + s * SEEDS_PER_SET, 1 + (s + 1) * SEEDS_PER_SET)
+            sets.append([run_once(workload, seed, spec["run_seconds"]) for seed in seeds])
         raw[workload] = sets
-        print(f"\n{workload}: {args.sets} set(s) of {args.seeds} runs")
+        print(f"\n{workload}: {args.sets} set(s) of {SEEDS_PER_SET} runs")
         for i, runs in enumerate(sets):
             shares = sorted({r["failed"] / r["attempted"] for r in runs})
             print(f"  set {i + 1}: correct {all(r['correct'] for r in runs)}, failed share {shares}")
-        for m in metrics:
-            name, bound = m["name"], m.get("bound")
+        for m in spec["end_to_end"]:
+            name, bound = m["name"], m["bound"]
             cells = []
             medians = []
             for runs in sets:
                 med, q1, q3, sp = spread([r["metrics"][name]["value"] for r in runs])
                 medians.append(med)
                 cells.append(f"median {med:.6g} q1 {q1:.6g} q3 {q3:.6g} spread {sp:.4f}")
-            line = f"  {name:32s} " + " | ".join(cells)
-            if bound is not None:
-                line += f" | bound {bound} (a third: {bound / 3:.4f})"
-                if len(medians) > 1 and medians[0]:
-                    worse = (medians[1] - medians[0]) / medians[0]
-                    line += f" | 2nd median worse by {worse:+.4f}"
-            print(line)
+            line = f"  {name:12s} " + " | ".join(cells) + f" | bound {bound} (a third: {bound / 3:.4f})"
+            if len(medians) > 1 and medians[0]:
+                line += f" | 2nd median worse by {(medians[1] - medians[0]) / medians[0]:+.4f}"
+            print(line, flush=True)
     out = ROOT / "perfbench" / "out"
     out.mkdir(exist_ok=True)
     path = out / f"spread-{int(time.time())}.json"

@@ -20,13 +20,18 @@ from perfbench.reference import (  # noqa: E402
     explicit_matrix,
     from_routed,
 )
-from perfbench.workloads import unit_rows, weights_with_flips  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    binomial_pmf,
+    shot_accuracy,
+    unit_rows,
+    weights_with_flips,
+)
 
 P = 0.07
 
 
 def test_cx_matrix_uses_qubit_zero_as_the_high_bit():
-    cx = np.asarray(explicit_matrix([("cx", (0, 1))], 2).todense())
+    cx = explicit_matrix([("cx", (0, 1))], 2)
     assert np.array_equal(cx, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
 
 
@@ -88,3 +93,17 @@ def test_readout_confusion_is_applied_last():
     ev = one_qubit([("h", (0,))], [[("flip", (0,), P)]], readout=[(0, p01, p10)])
     want = (1 - p01) * noisy + p10 * (1 - noisy)
     assert ev.zero_probabilities([[a, b]])[0] == pytest.approx(want, abs=1e-14)
+
+
+def test_shot_accuracy_of_equal_outputs_counts_ties_for_class_zero():
+    # k0 >= k1 for two identical binomials: half of the unequal pairs plus every tie
+    p, shots = 0.3, 16
+    ties = float(binomial_pmf(p, shots) @ binomial_pmf(p, shots))
+    mean, sd = shot_accuracy([p, p], [p, p], [0, 1], shots)
+    right = np.array([(1 + ties) / 2, (1 - ties) / 2])
+    assert mean == pytest.approx(right.mean(), abs=1e-14)
+    assert sd == pytest.approx(np.sqrt((right * (1 - right)).sum()) / 2, abs=1e-14)
+
+
+def test_shot_accuracy_is_certain_for_certain_outputs():
+    assert shot_accuracy([1.0, 0.0], [0.0, 1.0], [0, 1], 8) == (1.0, 0.0)

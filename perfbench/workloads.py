@@ -6,14 +6,18 @@ only those inputs. Seeded draws fix how many -1 entries every weight vector
 has, so every seed asks for the same amount of work and the same number of
 inserted CX; the seed only chooses where the entries sit. Checks compare
 outputs with ``perfbench.reference`` or test properties the method
-guarantees, never against stored output. They run untimed, right after each
-op, so no output has to be kept and peak memory stays the program's own.
+guarantees, never against stored output. They run untimed: checks of
+properties right after each op, and checks against the reference once the
+run is measured, on the few outputs each workload keeps for them. So the
+reference evaluator's working set is not in ``peak_rss_mb``.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,25 @@ def accuracy_band(out0, out1, labels, sigma=0.0) -> tuple[float, float]:
     return right.sum() / n, (right.sum() + (~certain).sum()) / n
 
 
+def binomial_pmf(p: float, shots: int) -> np.ndarray:
+    """P(k of `shots` shots read 0...0) for k = 0..shots."""
+    k = np.arange(shots + 1)
+    return np.array([comb(shots, int(i)) for i in k], dtype=float) * p**k * (1.0 - p) ** (shots - k)
+
+
+def shot_accuracy(out0, out1, labels, shots: int) -> tuple[float, float]:
+    """Mean and standard deviation of the accuracy of a two-neuron model whose
+    outputs are estimated from `shots` independent shots each, predicting
+    class 0 when the first estimate is at least the second."""
+    right = []
+    for p0, p1, label in zip(out0, out1, labels):
+        f0, f1 = binomial_pmf(p0, shots), binomial_pmf(p1, shots)
+        pred0 = float(f0 @ np.cumsum(f1))  # P(k0 >= k1)
+        right.append(pred0 if label == 0 else 1.0 - pred0)
+    right = np.array(right)
+    return right.mean(), np.sqrt((right * (1.0 - right)).sum()) / len(right)
+
+
 def run_cli(argv: list[str]) -> dict:
     """Run one `qnz` subcommand in-process; returns its JSON report."""
     buf = io.StringIO()
@@ -98,14 +121,16 @@ class Workload:
     def ops(self) -> list[tuple[str, object]]:
         raise NotImplementedError
 
-    def check_op(self, index: int, out) -> str | None:
-        """Failure message for the output of op `index` of any round, or None.
-        Called untimed right after the op, so outputs need not be kept."""
+    def check_op(self, op: int, index: int, out) -> str | None:
+        """Failure message of the method's own properties for the output of op
+        number `op` (op `index` of its round), or None. Called untimed right
+        after the op; keeps what the reference checks need."""
         raise NotImplementedError
 
-    def finish(self) -> list[str]:
-        """Failure messages of checks that span ops or rounds; one per failed op."""
-        return []
+    def check_reference(self) -> dict[int, str]:
+        """Failure message per op number, from the outputs kept by check_op,
+        compared with the reference evaluator. Called once the run is measured."""
+        raise NotImplementedError
 
 
 class ReferenceOutputs:
@@ -136,6 +161,7 @@ class TrainDensity(Workload):
         ds = qnn.load_dataset(self.dataset_path)
         self.xs, self.labels = ds.inputs(), ds.labels()
         self.baseline = noiseless_optimum(self.xs, self.labels)
+        self.kept: dict[int, dict] = {}  # reported result per op
         model_path = self.workdir / "baseline.model"
         model_path.write_text(qnn.format_model(qnn.Model(self.baseline)), encoding="utf-8")
         # 65537 covers the 2^16-model space plus the baseline evaluation
@@ -170,10 +196,13 @@ class TrainDensity(Workload):
     def _band(self, neurons):
         return accuracy_band(self.reference(neurons[0]), self.reference(neurons[1]), self.labels)
 
-    def check_op(self, index, out):
+    def check_op(self, op, index, out):
+        self.kept[op] = out
         best, base = out["best_accuracy"], out["baseline_accuracy"]
-        if best < base:
-            return f"best accuracy {best} below baseline {base}"
+        return f"best accuracy {best} below baseline {base}" if best < base else None
+
+    def _reference_failure(self, out) -> str | None:
+        best, base = out["best_accuracy"], out["baseline_accuracy"]
         lo, hi = self._band(self.baseline)
         if not lo <= base <= hi:
             return f"baseline accuracy {base} outside reference [{lo}, {hi}]"
@@ -185,6 +214,10 @@ class TrainDensity(Workload):
             if lo > best:
                 return f"searched model {neurons} scores {lo} > reported best {best}"
         return None
+
+    def check_reference(self):
+        failed = {op: self._reference_failure(out) for op, out in self.kept.items()}
+        return {op: msg for op, msg in failed.items() if msg}
 
 
 class InferTraj(Workload):
@@ -216,8 +249,8 @@ class InferTraj(Workload):
         self.reference = ReferenceOutputs(
             self.xs, topology.load_topology("chain:4"), noise.load_noise(self.noise_path)
         )
-        self.bands: dict = {}  # accuracy band per model, from the reference outputs
         self.first: dict = {}  # first reported accuracy per model
+        self.kept: dict[int, tuple[str, float]] = {}  # (model, accuracy) per op
 
     def _infer(self, label: str, shots: int) -> float:
         argv = [
@@ -236,27 +269,35 @@ class InferTraj(Workload):
             for label in self.models
         ]
 
-    def check_op(self, index, acc):
+    def check_op(self, op, index, acc):
         label = list(self.models)[index]
-        if label not in self.bands:
-            w0, w1 = self.models[label]
-            p0, p1 = self.reference(w0), self.reference(w1)
-            sigma = 5.0 * np.hypot(shot_sigma(p0, self.shots), shot_sigma(p1, self.shots))
-            self.bands[label] = accuracy_band(p0, p1, self.labels, sigma)
-        lo, hi = self.bands[label]
-        if not lo <= acc <= hi:
-            return f"accuracy {acc} outside the 5-sigma band [{lo}, {hi}]"
+        self.kept[op] = (label, acc)
         if self.first.setdefault(label, acc) != acc:
-            return f"accuracy {acc} differs on a repeated seed"
+            return f"accuracy {acc} differs from {self.first[label]} on a repeated seed"
         return None
 
-    def finish(self):
-        # the same seed must give the same accuracy, also in one more call
-        label = next(iter(self.models))
-        acc = self._infer(label, self.shots)
-        if label in self.first and acc != self.first[label]:
-            return [f"{label}: accuracy {acc} differs on a repeated seed"]
-        return []
+    def check_reference(self):
+        limits = {}
+        for label, (w0, w1) in self.models.items():
+            p0, p1 = self.reference(w0), self.reference(w1)
+            sigma = 5.0 * np.hypot(shot_sigma(p0, self.shots), shot_sigma(p1, self.shots))
+            lo, hi = accuracy_band(p0, p1, self.labels, sigma)
+            mean, sd = shot_accuracy(p0, p1, self.labels, self.shots)
+            limits[label] = (lo, hi, mean, sd)
+            print(
+                f"infer-traj {label}: 5-sigma band [{lo:.3f}, {hi:.3f}], "
+                f"binomial accuracy {mean:.3f} +- {sd:.3f}, "
+                f"mean |out0 - out1| {float(np.mean(np.abs(p0 - p1))):.4f}",
+                file=sys.stderr,
+            )
+        failed = {}
+        for op, (label, acc) in self.kept.items():
+            lo, hi, mean, sd = limits[label]
+            if not lo <= acc <= hi:
+                failed[op] = f"{label}: accuracy {acc} outside the 5-sigma band [{lo}, {hi}]"
+            elif abs(acc - mean) > 5.0 * sd:
+                failed[op] = f"{label}: accuracy {acc} more than 5 sigma from {mean:.4f} +- {sd:.4f}"
+        return failed
 
 
 class CompileGrid(Workload):
@@ -292,6 +333,7 @@ class CompileGrid(Workload):
         self.subset = set(subset.tolist())
         self.seen: dict[int, int] = {}
         self.cx_per_block: dict = {}
+        self.kept: dict[int, tuple] = {}  # (weights, routed circuit) per op of the subset
 
     def warm_up(self):
         mapper.compile(bench.complexity_circuit(self.classes["complex"]), self.graph)
@@ -339,23 +381,27 @@ class CompileGrid(Workload):
                 return f"extra_cx {m.stats.extra_cx} is not {ratio} x {blocks} blocks"
         return None
 
-    def check_op(self, index, m):
+    def check_op(self, op, index, m):
         key = hash((m.physical_gates, m.initial_mapping))
         if index in self.seen:  # checked in full once; later rounds must repeat it
             return None if self.seen[index] == key else "compile output differs from the first round"
         self.seen[index] = key
         if index < len(self.weights):
             w = self.weights[index]
-            msg = self._check_routed(qnn.neuron_circuit(w), m)
-            if msg is None and index in self.subset:
-                xs = unit_rows(self.rng, 2, len(w))
-                got = from_routed(m).ideal_zero_probabilities(xs)
-                err = float(np.max(np.abs(got - closed_form(w, xs))))
-                if err > 1e-9:
-                    msg = f"routed circuit output off the closed form by {err:.3g}"
-            return msg
+            if index in self.subset:
+                self.kept[op] = (w, m)
+            return self._check_routed(qnn.neuron_circuit(w), m)
         blocks = list(self.classes.values())[index - len(self.weights)]
         return self._check_routed(bench.complexity_circuit(blocks), m)
+
+    def check_reference(self):
+        failed = {}
+        for op, (w, m) in self.kept.items():
+            xs = unit_rows(self.rng, 2, len(w))
+            err = float(np.max(np.abs(from_routed(m).ideal_zero_probabilities(xs) - closed_form(w, xs))))
+            if err > 1e-9:
+                failed[op] = f"w{len(w)}: routed circuit output off the closed form by {err:.3g}"
+        return failed
 
 
 class EvalWide(Workload):
@@ -375,6 +421,7 @@ class EvalWide(Workload):
         self.noise = noise.load_noise(self.NOISE)
         self.dataset = self._dataset(self.xs)
         self.reference = ReferenceOutputs(self.xs, self.graph, self.noise)
+        self.kept: dict[int, tuple[int, np.ndarray]] = {}  # (op index, outputs) per op
 
     @staticmethod
     def _dataset(xs):
@@ -403,7 +450,11 @@ class EvalWide(Workload):
             for backend in self.BACKENDS
         ]
 
-    def check_op(self, index, out):
+    def check_op(self, op, index, out):
+        self.kept[op] = (index, out)
+        return None if out.shape == (len(self.xs),) else f"{out.shape} outputs for {len(self.xs)} inputs"
+
+    def _reference_failure(self, index, out) -> str | None:
         w, backend = self.weights[index // 2], self.BACKENDS[index % 2]
         exact = self.reference(w)
         if backend == "density":
@@ -411,6 +462,10 @@ class EvalWide(Workload):
             return None if err <= 1e-9 else f"density output off the reference by {err:.3g}"
         z = float(np.max(np.abs(out - exact) / shot_sigma(exact, self.shots)))
         return None if z <= 5.0 else f"trajectory estimate {z:.1f} sigma off the reference"
+
+    def check_reference(self):
+        failed = {op: self._reference_failure(index, out) for op, (index, out) in self.kept.items()}
+        return {op: msg for op, msg in failed.items() if msg}
 
 
 WORKLOADS = {w.name: w for w in (TrainDensity, InferTraj, CompileGrid, EvalWide)}
