@@ -13,9 +13,8 @@ import numpy as np
 
 from .ir import Circuit, Gate, GateKind, expand_to_basis
 from .mapper import compile, naive_route
-from .noise import NoiseModel, bind
-from .qnn import Dataset, Model, neuron_circuit
-from .simulator import DensityProgram, plan_mapped_run
+from .noise import NoiseModel
+from .qnn import Dataset, Model, neuron_circuit, neuron_outputs
 from .topology import CouplingGraph
 
 COMPLEXITY_CLASSES = {"simple": 1, "middle": 3, "complex": 5}
@@ -134,6 +133,7 @@ def _model_accuracy_density(
     """(accuracy, total swaps, compile ms) for one model under one router."""
     swaps = 0
     elapsed = 0.0
+    xs = dataset.inputs()
     outputs = []
     for w in m.neurons:
         circ = neuron_circuit(w)
@@ -144,21 +144,8 @@ def _model_accuracy_density(
             mapped = naive_route(expand_to_basis(circ), g)
         elapsed += (time.perf_counter() - t0) * 1e3
         swaps += mapped.stats.swaps
-        bound = bind(noise, mapped)
-        plan = plan_mapped_run(mapped)
-        dense_bound, pairs = plan.densify_bound(bound)
-        prog = DensityProgram(plan.gates, plan.n, dense_bound, list(plan.measured), pairs)
-        k = mapped.num_computing
-        per_sample = []
-        for x, _ in dataset.samples:
-            dist = prog.distribution(plan.embed(np.asarray(x, dtype=complex)))
-            per_sample.append(dist.get("0" * k, 0.0))
-        outputs.append(np.array(per_sample))
-    if len(outputs) == 1:
-        preds = np.where(outputs[0] >= 0.5, 0, 1)
-    else:
-        preds = np.where(outputs[0] >= outputs[1], 0, 1)
-    acc = float(np.mean(preds == dataset.labels()))
+        outputs.append(neuron_outputs(w, mapped, xs, "density", noise))
+    acc = float(np.mean(m.predict_from_outputs(outputs) == dataset.labels()))
     return acc, swaps, elapsed
 
 

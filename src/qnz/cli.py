@@ -188,7 +188,7 @@ def cmd_infer(args) -> dict:
     t0 = time.perf_counter()
     acc = accuracy(
         model, dataset, backend=backend, noise=noise, graph=graph,
-        shots=args.shots or 0, seed=seed,
+        shots=args.shots or 0, seed=seed, threads=args.threads,
     )
     infer_ms = (time.perf_counter() - t0) * 1e3
     payload = {"accuracy": acc, "samples": len(dataset.samples), "backend": backend}

@@ -47,10 +47,7 @@ class NoiseModel:
             _check_prob(f"readout[{q}].p10", p10)
 
     def readout_for(self, qubit: int) -> tuple[float, float]:
-        for q, p01, p10 in self.readout:
-            if q == qubit:
-                return (p01, p10)
-        return (0.0, 0.0)
+        return lookup_readout(self.readout, (qubit,))[0]
 
     def multiplier_for(self, qubit: int) -> float:
         for q, f in self.qubit_multipliers:
@@ -58,13 +55,14 @@ class NoiseModel:
                 return f
         return 1.0
 
-    def is_zero(self) -> bool:
-        return (
-            self.flip_p == 0.0
-            and self.phase_p == 0.0
-            and self.depol_p == 0.0
-            and all(p01 == 0.0 and p10 == 0.0 for _, p01, p10 in self.readout)
-        )
+
+def lookup_readout(readout, qubits) -> list[tuple[float, float]]:
+    """(p01, p10) per qubit from a readout table; the first entry for a qubit
+    wins and unlisted qubits read clean."""
+    table: dict[int, tuple[float, float]] = {}
+    for q, p01, p10 in readout:
+        table.setdefault(q, (p01, p10))
+    return [table.get(q, (0.0, 0.0)) for q in qubits]
 
 
 def _check_prob(name: str, p) -> None:
@@ -83,12 +81,6 @@ class BoundNoise:
 
     events: tuple[tuple[Event, ...], ...]
     readout: tuple[tuple[int, float, float], ...] = ()
-
-    def readout_for(self, qubit: int) -> tuple[float, float]:
-        for q, p01, p10 in self.readout:
-            if q == qubit:
-                return (p01, p10)
-        return (0.0, 0.0)
 
     @property
     def total_events(self) -> int:

@@ -20,14 +20,18 @@ from .ir import Circuit, Gate, GateKind
 from .mapper import MappedCircuit, compile
 from .noise import NoiseModel, bind
 from .simulator import (
+    DensityProgram,
     derive_seed,
-    run_mapped_density,
-    run_mapped_ideal,
-    run_mapped_trajectories,
+    plan_mapped_run,
+    run_gates_trajectories,
+    total_unitary,
 )
 from .topology import CouplingGraph, linear_chain
 
 BACKENDS = ("ideal", "density", "trajectories")
+# Exhaustive scans (weight tables, pair search) stop at 2^20 points.
+EXHAUSTIVE_CAP_BITS = 20
+EXHAUSTIVE_SPACE_CAP = 2**EXHAUSTIVE_CAP_BITS
 
 
 def check_weights(w) -> tuple[int, ...]:
@@ -134,10 +138,12 @@ class Model:
     def input_length(self) -> int:
         return len(self.neurons[0])
 
-    def predict_from_outputs(self, outputs) -> int:
+    def predict_from_outputs(self, outputs) -> np.ndarray:
+        """Predicted classes from per-neuron outputs, each a scalar or an
+        array over samples (arrays broadcast)."""
         if len(self.neurons) == 1:
-            return 0 if outputs[0] >= 0.5 else 1
-        return 0 if outputs[0] >= outputs[1] else 1
+            return np.where(outputs[0] >= 0.5, 0, 1)
+        return np.where(outputs[0] >= outputs[1], 0, 1)
 
 
 def model(*neurons) -> Model:
@@ -183,17 +189,20 @@ def best_exhaustive_accuracy(dataset: Dataset, n_neurons: int = 2) -> tuple[floa
     Guarded to the same 2^20-point cap as the exhaustive trainer strategy.
     """
     n = dataset.dim
-    if (2**n) ** n_neurons > 2**20:
-        raise ValueError(f"exhaustive space (2^{n})^{n_neurons} exceeds the 2^20 cap")
+    if n * n_neurons > EXHAUSTIVE_CAP_BITS:
+        raise ValueError(
+            f"exhaustive space (2^{n})^{n_neurons} exceeds the 2^{EXHAUSTIVE_CAP_BITS} cap"
+        )
     p = _output_table(dataset)
-    want0 = dataset.labels() == 0
+    labels = dataset.labels()
+    rule = Model(((1,) * n,) * n_neurons)
     if n_neurons == 1:
-        correct = ((p >= 0.5) == want0[None, :]).mean(axis=1)
+        correct = (rule.predict_from_outputs([p]) == labels).mean(axis=1)
         best = int(np.argmax(correct))
         return float(correct[best]), Model((weights_from_code(best, n),))
     best_acc, best_pair = -1.0, (0, 0)
     for i in range(p.shape[0]):
-        acc = ((p[i][None, :] >= p) == want0[None, :]).mean(axis=1)
+        acc = (rule.predict_from_outputs([p[i : i + 1], p]) == labels).mean(axis=1)
         j = int(np.argmax(acc))
         if acc[j] > best_acc:
             best_acc, best_pair = float(acc[j]), (i, j)
@@ -212,6 +221,10 @@ def make_synthetic_dataset(seed: int, n_samples: int, k: int = 3, sigma: float =
     if n_samples < 2:
         raise ValueError("need at least two samples")
     n = 2**k
+    if n > EXHAUSTIVE_CAP_BITS:
+        raise ValueError(
+            f"k={k}: weight space 2^{n} exceeds the 2^{EXHAUSTIVE_CAP_BITS} cap"
+        )
     for attempt in range(64):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         refs = rng.normal(size=(2, n))
@@ -227,57 +240,15 @@ def make_synthetic_dataset(seed: int, n_samples: int, k: int = 3, sigma: float =
         else:
             # pair scan is quadratic in 2^N; a fixed all-ones partner gives a
             # cheap lower bound that is enough for the learnability gate
-            p = _output_table(ds)
-            want0 = ds.labels() == 0
+            p, labels = _output_table(ds), ds.labels()
+            pair = Model(((1,) * n,) * 2)
             acc = max(
-                float(((p >= p[0][None, :]) == want0[None, :]).mean(axis=1).max()),
-                float(((p[0][None, :] >= p) == want0[None, :]).mean(axis=1).max()),
+                float((pair.predict_from_outputs(outputs) == labels).mean(axis=1).max())
+                for outputs in ([p, p[:1]], [p[:1], p])
             )
         if acc >= 0.9:
             return ds
     raise RuntimeError(f"no learnable dataset found for seed {seed}")
-
-
-def neuron_probability(
-    w,
-    x,
-    backend: str = "ideal",
-    noise: NoiseModel | None = None,
-    graph: CouplingGraph | None = None,
-    shots: int = 0,
-    seed: int | None = None,
-    threads: int = 1,
-    mapped: MappedCircuit | None = None,
-) -> float:
-    """P(read 0...0 on the computing qubits) for one neuron on one input.
-
-    Always goes through the compiler, so qubit errors land on the same
-    physical qubits for every weight. `mapped` lets callers reuse a compiled
-    circuit across inputs.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    w = check_weights(w)
-    k = len(w).bit_length() - 1
-    if mapped is None:
-        c = neuron_circuit(w)
-        mapped = compile(c, graph if graph is not None else linear_chain(c.width))
-    init = np.asarray(x, dtype=complex)
-    zeros = "0" * k
-    if backend == "ideal":
-        psi, plan = run_mapped_ideal(mapped, init)
-        from .simulator import born_distribution
-
-        return born_distribution(psi, list(plan.measured)).get(zeros, 0.0)
-    bound = bind(noise if noise is not None else NoiseModel(), mapped)
-    if backend == "density":
-        return run_mapped_density(mapped, bound, init).get(zeros, 0.0)
-    if shots < 1:
-        raise ValueError("trajectories backend needs shots >= 1")
-    if seed is None:
-        raise ValueError("trajectories backend needs a seed")
-    counts = run_mapped_trajectories(mapped, bound, init, shots, seed, threads=threads)
-    return counts.counts.get(zeros, 0) / shots
 
 
 def compile_neuron(w, graph: CouplingGraph | None = None) -> MappedCircuit:
@@ -285,23 +256,82 @@ def compile_neuron(w, graph: CouplingGraph | None = None) -> MappedCircuit:
     return compile(c, graph if graph is not None else linear_chain(c.width))
 
 
-def inference(
-    model: Model,
-    x,
+def _zero_rows(n: int, measured) -> np.ndarray:
+    """Basis indices whose bits on the measured axes are all zero."""
+    idx = np.arange(1 << n)
+    keep = np.ones(idx.size, dtype=bool)
+    for q in measured:
+        keep &= (idx >> (n - 1 - q)) & 1 == 0
+    return np.nonzero(keep)[0]
+
+
+def _untimed(phase: str, fn):
+    return fn()
+
+
+def neuron_outputs(
+    w,
+    mapped: MappedCircuit,
+    xs,
     backend: str = "ideal",
     noise: NoiseModel | None = None,
-    graph: CouplingGraph | None = None,
     shots: int = 0,
     seed: int | None = None,
-) -> int:
-    """Predicted label for one input."""
-    outputs = []
-    for j, w in enumerate(model.neurons):
-        s = derive_seed(seed, j) if seed is not None else None
-        outputs.append(
-            neuron_probability(w, x, backend, noise, graph, shots, s)
-        )
-    return model.predict_from_outputs(outputs)
+    threads: int = 1,
+    timed=_untimed,
+) -> np.ndarray:
+    """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
+    for every input row of `xs`: shape (samples,).
+
+    The one evaluation path of qnz: the noise is bound and the dense run
+    planned once, then every input is scored. Trajectory shots for sample i
+    are seeded by derive_seed(seed, i, code_from_weights(w)), so a (weight,
+    sample) pair draws the same shots in every caller. `timed(phase, fn)`
+    lets a caller time the "bind" and "infer" phases.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "trajectories":
+        if shots < 1:
+            raise ValueError("trajectories backend needs shots >= 1")
+        if seed is None:
+            raise ValueError("trajectories backend needs a seed")
+    bound = None
+    if backend != "ideal":
+        nm = noise if noise is not None else NoiseModel()
+        bound = timed("bind", lambda: bind(nm, mapped))
+    zeros = "0" * mapped.num_computing
+    plan = plan_mapped_run(mapped)
+    dense_bound, pairs = plan.densify_bound(bound)
+    measured = list(plan.measured)
+    xs = np.asarray(xs, dtype=complex)
+
+    def infer() -> np.ndarray:
+        out = np.zeros(len(xs))
+        if backend == "ideal":
+            # only the input varies across samples: one dense unitary,
+            # then P(0...0) = |rows with measured bits 0|^2 per sample
+            t_rows = total_unitary(plan.gates, plan.n)[_zero_rows(plan.n, measured)]
+            for i, x in enumerate(xs):
+                amp = t_rows @ plan.embed(x)
+                out[i] = float(np.real(np.vdot(amp, amp)))
+            return out
+        if backend == "density":
+            prog = DensityProgram(plan.gates, plan.n, dense_bound, measured, pairs)
+            for i, x in enumerate(xs):
+                out[i] = prog.distribution(plan.embed(x)).get(zeros, 0.0)
+            return out
+        code = code_from_weights(w)
+        for i, x in enumerate(xs):
+            counts = run_gates_trajectories(
+                plan.gates, plan.n, dense_bound, plan.embed(x),
+                shots, derive_seed(seed, i, code),
+                measured, readout_pairs=pairs, threads=threads,
+            )
+            out[i] = counts.counts.get(zeros, 0) / shots
+        return out
+
+    return timed("infer", infer)
 
 
 def accuracy(
@@ -312,24 +342,23 @@ def accuracy(
     graph: CouplingGraph | None = None,
     shots: int = 0,
     seed: int | None = None,
+    threads: int = 1,
 ) -> float:
-    """Fraction of correct predictions; deterministic given the seed."""
+    """Fraction of correct predictions; deterministic given the seed.
+
+    Each distinct neuron is compiled and evaluated once over all samples.
+    """
     if not dataset.samples:
         raise ValueError("dataset is empty")
-    mapped = {w: compile_neuron(w, graph) for w in set(model.neurons)}
-    correct = 0
-    for idx, (x, label) in enumerate(dataset.samples):
-        outputs = []
-        for j, w in enumerate(model.neurons):
-            s = derive_seed(seed, idx, j) if seed is not None else None
-            outputs.append(
-                neuron_probability(
-                    w, x, backend, noise, graph, shots, s, mapped=mapped[w]
-                )
-            )
-        if model.predict_from_outputs(outputs) == label:
-            correct += 1
-    return correct / len(dataset.samples)
+    xs = dataset.inputs()
+    outputs = {
+        w: neuron_outputs(
+            w, compile_neuron(w, graph), xs, backend, noise, shots, seed, threads
+        )
+        for w in dict.fromkeys(model.neurons)
+    }
+    preds = model.predict_from_outputs([outputs[w] for w in model.neurons])
+    return float(np.mean(preds == dataset.labels()))
 
 
 # ---------------------------------------------------------------------------

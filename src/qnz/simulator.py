@@ -19,7 +19,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .ir import Circuit, Gate, GateKind
-from .noise import BoundNoise, apply_readout
+from .noise import BoundNoise, apply_readout, lookup_readout
 
 SV_WIDTH_CAP = 20
 DENSITY_WIDTH_CAP = 10
@@ -287,7 +287,7 @@ class DensityProgram:
         self.bound = bound
         self.measured = list(range(n)) if measured is None else list(measured)
         if readout_pairs is None and bound is not None:
-            readout_pairs = [bound.readout_for(q) for q in self.measured]
+            readout_pairs = lookup_readout(bound.readout, self.measured)
         self.readout_pairs = readout_pairs
         self.fast = n <= _FAST_TRAJ_WIDTH
         if self.fast:
@@ -373,11 +373,6 @@ def run_density(
 # Widths up to this use cached prefix unitaries per error site, which turns the
 # common no-error shot into a single table lookup.
 _FAST_TRAJ_WIDTH = 6
-
-
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shot], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _make_shot_rng(seed: int):
@@ -514,11 +509,7 @@ def run_gates_trajectories(
         raise ValueError("shots must be >= 1")
     measured = list(range(n)) if measured is None else list(measured)
     if readout_pairs is None:
-        readout_pairs = (
-            [(0.0, 0.0)] * len(measured)
-            if bound is None
-            else [bound.readout_for(q) for q in measured]
-        )
+        readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
     init = np.asarray(init, dtype=complex).reshape(-1)
     gates = tuple(gates)
     prog = _EventProgram(None if bound is None else bound.events, n)
@@ -662,7 +653,7 @@ class MappedPlan:
             tuple((kind, tuple(to_dense[q] for q in qubits), p) for kind, qubits, p in evs)
             for evs in bound.events
         )
-        pairs = [bound.readout_for(self.physical_of_dense[ax]) for ax in self.measured]
+        pairs = lookup_readout(bound.readout, [self.physical_of_dense[ax] for ax in self.measured])
         return BoundNoise(events=events, readout=bound.readout), pairs
 
 
@@ -690,34 +681,3 @@ def plan_mapped_run(m) -> MappedPlan:
 def run_mapped_ideal(m, logical_init: np.ndarray | None = None) -> tuple[np.ndarray, MappedPlan]:
     plan = plan_mapped_run(m)
     return run_gates_ideal(plan.gates, plan.n, plan.embed(logical_init)), plan
-
-
-def run_mapped_density(m, bound: BoundNoise | None, logical_init: np.ndarray | None = None) -> dict[str, float]:
-    plan = plan_mapped_run(m)
-    dense_bound, pairs = plan.densify_bound(bound)
-    return run_gates_density(
-        plan.gates, plan.n, dense_bound, plan.embed(logical_init), list(plan.measured), pairs
-    )
-
-
-def run_mapped_trajectories(
-    m,
-    bound: BoundNoise | None,
-    logical_init: np.ndarray | None,
-    shots: int,
-    seed: int,
-    threads: int = 1,
-) -> ShotCounts:
-    plan = plan_mapped_run(m)
-    dense_bound, pairs = plan.densify_bound(bound)
-    return run_gates_trajectories(
-        plan.gates,
-        plan.n,
-        dense_bound,
-        plan.embed(logical_init),
-        shots,
-        seed,
-        list(plan.measured),
-        readout_pairs=pairs,
-        threads=threads,
-    )

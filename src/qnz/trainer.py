@@ -18,34 +18,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mapper import compile
-from .noise import NoiseModel, bind
+from .noise import NoiseModel
 from .qnn import (
+    BACKENDS,
+    EXHAUSTIVE_SPACE_CAP,
     Dataset,
     Model,
-    code_from_weights,
     neuron_circuit,
+    neuron_outputs,
     weights_from_code,
 )
-from .simulator import (
-    DensityProgram,
-    derive_seed,
-    plan_mapped_run,
-    run_gates_trajectories,
-    total_unitary,
-)
+from .simulator import derive_seed
 from .topology import CouplingGraph, linear_chain
 
 STRATEGIES = ("exhaustive", "hill_climb", "random_search")
-EXHAUSTIVE_SPACE_CAP = 2**20
-
-
-def _zero_rows(n: int, measured) -> np.ndarray:
-    """Basis indices whose bits on the measured axes are all zero."""
-    idx = np.arange(1 << n)
-    keep = np.ones(idx.size, dtype=bool)
-    for q in measured:
-        keep &= (idx >> (n - 1 - q)) & 1 == 0
-    return np.nonzero(keep)[0]
 
 
 @dataclass(frozen=True)
@@ -65,7 +51,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.backend not in ("ideal", "density", "trajectories"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "trajectories" and self.shots < 1:
             raise ValueError("trajectories backend needs shots >= 1")
@@ -112,9 +98,8 @@ class Evaluator:
         self.cfg = cfg
         c = neuron_circuit(cfg.initial.neurons[0])
         self.graph = cfg.graph if cfg.graph is not None else linear_chain(c.width)
-        self.xs = [np.asarray(x, dtype=complex) for x, _ in cfg.dataset.samples]
+        self.xs = cfg.dataset.inputs()
         self.labels = cfg.dataset.labels()
-        self.k = cfg.initial.input_length.bit_length() - 1
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
         self._accuracy: dict[tuple[tuple[int, ...], ...], float] = {}
         self.cache_hits = 0
@@ -133,39 +118,10 @@ class Evaluator:
         cfg = self.cfg
         circ = self._timed("circ", lambda: neuron_circuit(w))
         mapped = self._timed("map", lambda: compile(circ, self.graph))
-        bound = None
-        if cfg.backend != "ideal":
-            bound = self._timed("bind", lambda: bind(cfg.noise, mapped))
-        zeros = "0" * self.k
-        plan = plan_mapped_run(mapped)
-        dense_bound, pairs = plan.densify_bound(bound)
-        measured = list(plan.measured)
-
-        def infer() -> np.ndarray:
-            out = np.zeros(len(self.xs))
-            if cfg.backend == "ideal":
-                # only the input varies across samples: one dense unitary,
-                # then P(0...0) = |rows with measured bits 0|^2 per sample
-                t_rows = total_unitary(plan.gates, plan.n)[_zero_rows(plan.n, measured)]
-                for i, x in enumerate(self.xs):
-                    amp = t_rows @ plan.embed(x)
-                    out[i] = float(np.real(np.vdot(amp, amp)))
-                return out
-            if cfg.backend == "density":
-                prog = DensityProgram(plan.gates, plan.n, dense_bound, measured, pairs)
-                for i, x in enumerate(self.xs):
-                    out[i] = prog.distribution(plan.embed(x)).get(zeros, 0.0)
-                return out
-            for i, x in enumerate(self.xs):
-                counts = run_gates_trajectories(
-                    plan.gates, plan.n, dense_bound, plan.embed(x),
-                    cfg.shots, derive_seed(cfg.seed, i, code_from_weights(w)),
-                    measured, readout_pairs=pairs, threads=cfg.threads,
-                )
-                out[i] = counts.counts.get(zeros, 0) / cfg.shots
-            return out
-
-        out = self._timed("infer", infer)
+        out = neuron_outputs(
+            w, mapped, self.xs, cfg.backend, cfg.noise, cfg.shots, cfg.seed,
+            cfg.threads, timed=self._timed,
+        )
         self._outputs[w] = out
         return out
 
@@ -175,11 +131,7 @@ class Evaluator:
         if cached is not None:
             self.cache_hits += 1
             return cached
-        outputs = [self.neuron_outputs(w) for w in m.neurons]
-        if len(outputs) == 1:
-            preds = np.where(outputs[0] >= 0.5, 0, 1)
-        else:
-            preds = np.where(outputs[0] >= outputs[1], 0, 1)
+        preds = m.predict_from_outputs([self.neuron_outputs(w) for w in m.neurons])
         acc = float(np.mean(preds == self.labels))
         self._accuracy[key] = acc
         return acc

@@ -155,6 +155,69 @@ class TestInfer:
         assert 0.0 <= report["result"]["accuracy"] <= 1.0
         assert report["result"]["samples"] == 10
 
+    def test_threads_reach_trajectories_and_keep_accuracy(self, workdir, capsys, monkeypatch):
+        import qnz.qnn as qnn_module
+
+        seen = []
+        real = qnn_module.run_gates_trajectories
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qnn_module, "run_gates_trajectories", recording)
+        args = (
+            "infer",
+            "--model", str(workdir / "best.model"),
+            "--dataset", str(workdir / "data.txt"),
+            "--noise", "flip:0.05,phase:0.05,readout:0.05",
+            "--backend", "traj",
+            "--shots", "200",
+            "--seed", "4",
+        )
+        acc = {}
+        for threads in ("1", "2"):
+            seen.clear()
+            code, report, _ = run_cli(capsys, *args, "--threads", threads)
+            assert code == 0
+            assert set(seen) == {int(threads)}
+            acc[threads] = report["result"]["accuracy"]
+        assert acc["1"] == acc["2"]
+
+    def test_one_evaluator_behind_infer_train_and_bench(self, workdir, capsys):
+        # the same 2-neuron model under flip + phase + readout noise, scored
+        # by `qnz infer`, the trainer's Evaluator and `bench --mode compare`
+        from qnz.bench import report_router_comparison
+        from qnz.noise import load_noise
+        from qnz.qnn import load_dataset, load_model
+        from qnz.topology import load_topology
+        from qnz.trainer import Evaluator, TrainConfig
+
+        spec = "flip:0.03,phase:0.02,readout:0.04"
+        code, report, _ = run_cli(
+            capsys,
+            "infer",
+            "--model", str(workdir / "best.model"),
+            "--dataset", str(workdir / "data.txt"),
+            "--noise", spec,
+            "--backend", "density",
+            "--topology", "chain:4",
+            "--seed", "3",
+        )
+        assert code == 0
+        m = load_model(str(workdir / "best.model"))
+        ds = load_dataset(str(workdir / "data.txt"))
+        noise, graph = load_noise(spec), load_topology("chain:4")
+        assert len(m.neurons) == 2 and noise.readout
+        cfg = TrainConfig(
+            strategy="random_search", max_iters=1, seed=3, backend="density",
+            noise=noise, initial=m, dataset=ds, graph=graph,
+        )
+        trained = Evaluator(cfg).model_accuracy(m)
+        rows = report_router_comparison(m, m, graph, noise, ds)
+        (ours_searched,) = [r for r in rows if (r.router, r.model) == ("ours", "searched")]
+        assert report["result"]["accuracy"] == trained == ours_searched.accuracy
+
 
 class TestTrainAndSweep:
     def test_train_reports_incumbent(self, workdir, capsys):

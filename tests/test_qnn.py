@@ -12,13 +12,13 @@ from qnz.qnn import (
     circ_of_weights,
     code_from_weights,
     format_dataset,
+    compile_neuron,
     format_model,
-    inference,
     make_synthetic_dataset,
     model,
     neuron_circuit,
     neuron_output_ideal,
-    neuron_probability,
+    neuron_outputs,
     parse_dataset,
     parse_model,
     weights_from_code,
@@ -122,11 +122,12 @@ class TestNeuronOutput:
         rng = np.random.default_rng(101)
         for code in rng.integers(0, 256, size=8):
             w = weights_from_code(int(code), 8)
-            x = rng.normal(size=8)
-            x /= np.linalg.norm(x)
-            closed = neuron_output_ideal(w, x)
-            circ = neuron_probability(w, x, backend="ideal")
-            assert abs(closed - circ) < 1e-10
+            xs = rng.normal(size=(3, 8))
+            xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+            closed = [neuron_output_ideal(w, x) for x in xs]
+            circ = neuron_outputs(w, compile_neuron(w), xs, backend="ideal")
+            assert circ.shape == (3,)
+            assert np.max(np.abs(closed - circ)) < 1e-10
 
     def test_global_sign_invariance(self):
         rng = np.random.default_rng(55)
@@ -153,6 +154,13 @@ class TestModel:
         m = model([1] * 8)
         assert m.predict_from_outputs([0.5]) == 0
         assert m.predict_from_outputs([0.49]) == 1
+
+    def test_per_sample_arrays(self):
+        out0, out1 = np.array([0.6, 0.4, 0.5]), np.array([0.4, 0.6, 0.5])
+        two = model([1] * 8, [1] * 8)
+        assert two.predict_from_outputs([out0, out1]).tolist() == [0, 1, 0]
+        one = model([1] * 8)
+        assert one.predict_from_outputs([out0]).tolist() == [0, 1, 0]
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -195,17 +203,13 @@ class TestSyntheticDataset:
         with pytest.raises(ValueError):
             make_synthetic_dataset(0, 1)
 
+    def test_weight_space_beyond_cap_rejected(self):
+        # k=5 means 2^32 weight codes; the table must not be built
+        with pytest.raises(ValueError, match="2\\^20 cap"):
+            make_synthetic_dataset(0, 4, k=5)
+
 
 class TestInferenceAndAccuracy:
-    def test_ideal_matches_closed_form_argmax(self):
-        ds = make_synthetic_dataset(3, 16)
-        m = model(weights_from_code(37, 8), weights_from_code(200, 8))
-        for x, _ in ds.samples[:6]:
-            want = m.predict_from_outputs(
-                [neuron_output_ideal(w, x) for w in m.neurons]
-            )
-            assert inference(m, x, backend="ideal") == want
-
     def test_accuracy_matches_closed_form(self):
         ds = make_synthetic_dataset(3, 16)
         _, best = best_exhaustive_accuracy(ds)
@@ -234,6 +238,27 @@ class TestInferenceAndAccuracy:
         dens = accuracy(m, ds, backend="density", noise=nm)
         traj = accuracy(m, ds, backend="trajectories", noise=nm, shots=10_000, seed=5)
         assert abs(dens - traj) <= 0.02 + 1e-9
+
+    def test_binds_once_per_distinct_neuron(self, monkeypatch):
+        import qnz.qnn as qnn_module
+
+        calls = []
+        real_bind = qnn_module.bind
+
+        def counting_bind(noise, mapped):
+            calls.append(mapped.physical_gates)
+            return real_bind(noise, mapped)
+
+        monkeypatch.setattr(qnn_module, "bind", counting_bind)
+        ds = make_synthetic_dataset(3, 10)
+        m = model(weights_from_code(37, 8), weights_from_code(200, 8))
+        accuracy(m, ds, backend="density", noise=NoiseModel(flip_p=0.02))
+        assert len(calls) == 2
+        calls.clear()
+        w = m.neurons[0]
+        accuracy(model(w, w), ds, backend="trajectories",
+                 noise=NoiseModel(flip_p=0.02), shots=8, seed=1)
+        assert len(calls) == 1
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,12 @@ K = GateKind
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
+def _shot_rng(seed: int, shot: int) -> np.random.Generator:
+    """Reference stream of one trajectory shot: a fresh Philox(key=[seed, shot])."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shot], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 class TestRunIdeal:
     def test_h_on_zero(self):
         psi = run_ideal(Circuit(1, 0, (gate(K.H, 0),)))
@@ -223,7 +229,7 @@ class TestRunTrajectories:
     def test_fast_and_walking_paths_bit_identical(self):
         # both shot engines consume the per-shot stream in the same order
         from qnz.ir import expand_to_basis
-        from qnz.simulator import _EventProgram, _make_fast_shot, _make_walking_shot, _shot_rng
+        from qnz.simulator import _EventProgram, _make_fast_shot, _make_walking_shot
 
         c = expand_to_basis(Circuit(3, 1, (gate(K.H, 0), gate(K.H, 1), gate(K.CNZ, 0, 1, 2))))
         nm = NoiseModel(flip_p=0.05, phase_p=0.02, depol_p=0.01)
@@ -236,6 +242,18 @@ class TestRunTrajectories:
         walk = _make_walking_shot(c.gates, n, prog, init, [0, 1, 2], pairs)
         for s in range(200):
             assert fast(_shot_rng(9, s)) == walk(_shot_rng(9, s))
+
+    def test_reused_shot_rng_matches_fresh_philox(self):
+        # the state-reset factory must give each shot the stream of a fresh
+        # Philox(key=[seed, shot]), whatever order shots are asked for in
+        from qnz.simulator import _make_shot_rng
+
+        seed = (1 << 64) - 3
+        at = _make_shot_rng(seed)
+        for shot in (5, 0, 3, 5, 1 << 40, 2):
+            got, ref = at(shot), _shot_rng(seed, shot)
+            assert got.random(7).tolist() == ref.random(7).tolist()
+            assert got.integers(1, 16, size=5).tolist() == ref.integers(1, 16, size=5).tolist()
 
 
 def test_shot_counts_distribution():
