@@ -42,15 +42,15 @@ class BenchRow:
     greedy_swaps: int
 
 
-def _time_repeated(fn, repetitions: int) -> tuple[float, float]:
-    fn()  # warmup
+def _time_samples(fn, repetitions: int) -> np.ndarray:
+    """Wall-clock ms of `repetitions` calls of fn, after one warm-up call."""
+    fn()
     samples = []
     for _ in range(repetitions):
         t0 = time.perf_counter_ns()
         fn()
         samples.append((time.perf_counter_ns() - t0) / 1e6)
-    arr = np.array(samples)
-    return float(np.median(arr)), float(np.percentile(arr, 95))
+    return np.array(samples)
 
 
 def bench_compile(
@@ -62,10 +62,10 @@ def bench_compile(
     rows = []
     for name, circ in circuits.items():
         mapped = compile(circ, g)
-        median, p95 = _time_repeated(lambda c=circ: compile(c, g), repetitions)
+        samples = _time_samples(lambda c=circ: compile(c, g), repetitions)
         expanded = expand_to_basis(circ)
         greedy = naive_route(expanded, g)
-        greedy_median, _ = _time_repeated(lambda c=expanded: naive_route(c, g), repetitions)
+        greedy_samples = _time_samples(lambda c=expanded: naive_route(c, g), repetitions)
         blocks = len(circ.block_boundaries or ()) or sum(
             1 for gt in circ.gates if gt.kind is GateKind.CNZ
         )
@@ -73,12 +73,12 @@ def bench_compile(
             BenchRow(
                 name=name,
                 blocks=blocks,
-                median_ms=median,
-                p95_ms=p95,
+                median_ms=float(np.median(samples)),
+                p95_ms=float(np.percentile(samples, 95)),
                 swaps=mapped.stats.swaps,
                 bridges=mapped.stats.bridges,
                 extra_cx=mapped.stats.extra_cx,
-                greedy_median_ms=greedy_median,
+                greedy_median_ms=float(np.median(greedy_samples)),
                 greedy_swaps=greedy.stats.swaps,
             )
         )
@@ -100,13 +100,7 @@ def latency_scaling(g: CouplingGraph, max_blocks: int = 10, repetitions: int = 4
     points = []
     for blocks in range(1, max_blocks + 1):
         circ = complexity_circuit(blocks)
-        fn = lambda c=circ: compile(c, g)  # noqa: E731
-        fn()  # warmup
-        samples = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter_ns()
-            fn()
-            samples.append((time.perf_counter_ns() - t0) / 1e6)
+        samples = _time_samples(lambda c=circ: compile(c, g), repetitions)
         points.append((blocks, float(np.percentile(samples, 25))))
     xs = np.array([b for b, _ in points], dtype=float)
     ys = np.array([m for _, m in points])

@@ -318,9 +318,7 @@ def neuron_outputs(
             return out
         if backend == "density":
             prog = DensityProgram(plan.gates, plan.n, dense_bound, measured, pairs)
-            for i, x in enumerate(xs):
-                out[i] = prog.distribution(plan.embed(x)).get(zeros, 0.0)
-            return out
+            return prog.probabilities([plan.embed(x) for x in xs])[:, 0]
         code = code_from_weights(w)
         for i, x in enumerate(xs):
             counts = run_gates_trajectories(

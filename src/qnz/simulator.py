@@ -3,8 +3,8 @@ Monte-Carlo trajectories with sampled Pauli insertions.
 
 State-vector convention: qubit 0 is the most significant bit of the amplitude
 index, so a state reshaped to [2]*n has qubit q on axis q. Density matrices
-are held vectorized on 2n axes (row axes 0..n-1, column axes n..2n-1), which
-lets one gate kernel serve both backends.
+are held on 2n axes (row axes 0..n-1, column axes n..2n-1) plus a trailing
+axis of inputs, which lets one gate kernel serve both backends.
 
 Trajectories draw every shot from its own counter-based Philox stream keyed by
 (seed, shot index), so results are bit-identical no matter how shots are
@@ -36,13 +36,6 @@ MAT_1Q = {
     GateKind.T: np.array([[1, 0], [0, _T_PHASE]], dtype=complex),
     GateKind.TDG: np.array([[1, 0], [0, np.conj(_T_PHASE)]], dtype=complex),
 }
-
-_PAULIS = {
-    1: MAT_1Q[GateKind.X],
-    2: MAT_1Q[GateKind.Y],
-    3: MAT_1Q[GateKind.Z],
-}
-
 
 @dataclass(frozen=True)
 class ShotCounts:
@@ -159,16 +152,8 @@ def total_unitary(gates, n: int) -> np.ndarray:
 def born_distribution(state: np.ndarray, measured: list[int] | tuple[int, ...]) -> dict[str, float]:
     """Marginal |amplitude|^2 distribution over the measured qubits, in order."""
     n = int(np.log2(state.size))
-    probs = np.abs(np.asarray(state).reshape([2] * n)) ** 2
-    keep = list(measured)
-    drop = tuple(ax for ax in range(n) if ax not in keep)
-    if drop:
-        probs = probs.sum(axis=drop)
-    remaining = [ax for ax in range(n) if ax in keep]
-    probs = np.transpose(probs, [remaining.index(ax) for ax in keep])
-    flat = probs.reshape(-1)
-    m = len(keep)
-    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(flat) if p > 0.0}
+    probs = np.abs(np.asarray(state).reshape(-1, 1)) ** 2
+    return _outcome_dict(_marginal_distribution(probs, n, measured, None)[0], 0.0)
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
@@ -179,31 +164,32 @@ def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
 # ---------------------------------------------------------------------------
 # Density-matrix backend (exact channel evolution)
 
-
-def _rho_apply_gate(rho: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    rho = apply_kind(rho, g.kind, g.qubits)
-    return apply_kind(rho, g.kind, tuple(q + n for q in g.qubits), conj=True)
+# Inputs evolved together: at most this many complex entries of rho at once.
+_DENSITY_CHUNK = 1 << 16
 
 
 def _rho_apply_pauli(rho: np.ndarray, digits: tuple[int, ...], qubits: tuple[int, ...], n: int) -> np.ndarray:
-    out = rho
-    for d, q in zip(digits, qubits):
-        if d == 0:
-            continue
-        mat = _PAULIS[d]
-        out = _apply_matrix(out, mat, q)
-        out = _apply_matrix(out, mat.conj(), q + n)
-    return out
+    """P rho P^dagger for a Pauli string (1 = X, 2 = Y, 3 = Z) on row/column axes.
+
+    Z and Y parts negate the entries whose row and column bits differ; X and Y
+    parts flip the row and column axes. The signs go on one fresh copy before
+    any flip, because a flip is a view of its input.
+    """
+    signs = [q for d, q in zip(digits, qubits) if d in (2, 3)]
+    flips = [a for d, q in zip(digits, qubits) if d in (1, 2) for a in (q, q + n)]
+    out = rho.copy() if signs else rho
+    for q in signs:
+        out[_idx(out.ndim, {q: 0, q + n: 1})] *= -1
+        out[_idx(out.ndim, {q: 1, q + n: 0})] *= -1
+    return np.flip(out, flips) if flips else out
 
 
 def _rho_apply_event(rho: np.ndarray, event, n: int) -> np.ndarray:
     kind, qubits, p = event
     if kind == "flip":
-        flipped = _rho_apply_pauli(rho.copy(), (1,), qubits, n)
-        return (1.0 - p) * rho + p * flipped
+        return (1.0 - p) * rho + p * _rho_apply_pauli(rho, (1,), qubits, n)
     if kind == "phase":
-        shifted = _rho_apply_pauli(rho.copy(), (3,), qubits, n)
-        return (1.0 - p) * rho + p * shifted
+        return (1.0 - p) * rho + p * _rho_apply_pauli(rho, (3,), qubits, n)
     if kind == "depol":
         k = len(qubits)
         acc = np.zeros_like(rho)
@@ -211,7 +197,7 @@ def _rho_apply_event(rho: np.ndarray, event, n: int) -> np.ndarray:
         for digits in _iproduct(range(4), repeat=k):
             if all(d == 0 for d in digits):
                 continue
-            acc = acc + _rho_apply_pauli(rho.copy(), digits, qubits, n)
+            acc = acc + _rho_apply_pauli(rho, digits, qubits, n)
             count += 1
         return (1.0 - p) * rho + (p / count) * acc
     raise ValueError(f"unknown event kind {kind!r}")  # pragma: no cover
@@ -226,56 +212,33 @@ def _readout_on_distribution(probs: np.ndarray, pairs) -> np.ndarray:
     return probs
 
 
-def _marginal_distribution(diag: np.ndarray, n: int, measured, readout_pairs) -> dict[str, float]:
-    probs = diag.reshape([2] * n)
+def _marginal_distribution(diag: np.ndarray, n: int, measured, readout_pairs) -> np.ndarray:
+    """(batch, 2^m) outcome probabilities over the measured qubits, in order,
+    from (2^n, batch) basis probabilities."""
+    batch = diag.shape[-1]
+    probs = diag.reshape([2] * n + [batch])
     drop = tuple(ax for ax in range(n) if ax not in measured)
     if drop:
         probs = probs.sum(axis=drop)
     remaining = [ax for ax in range(n) if ax in measured]
-    probs = np.transpose(probs, [remaining.index(ax) for ax in measured])
+    probs = np.transpose(probs, [remaining.index(ax) for ax in measured] + [len(measured)])
     if readout_pairs is not None:
         probs = _readout_on_distribution(probs, readout_pairs)
-    flat = probs.reshape(-1)
-    m = len(measured)
-    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(flat) if p > 1e-18}
+    return probs.reshape(-1, batch).T
 
 
-def _conj_pauli_tables(digits: tuple[int, ...], qubits: tuple[int, ...], n: int):
-    """Tables realizing rho -> P rho P^dagger on the vectorized density matrix.
-
-    Row axes carry P, column axes carry P*; each Y on the column side flips
-    the sign (Y* = -Y), leaving a real +-1 phase overall.
-    """
-    dig2 = digits + digits
-    qub2 = tuple(qubits) + tuple(q + n for q in qubits)
-    src, phase = _pauli_tables(dig2, qub2, 2 * n)
-    if sum(1 for d in digits if d == 2) % 2:
-        phase = -phase if phase is not None else -np.ones(1 << (2 * n), dtype=complex)
-    return src, phase
-
-
-def _event_mix_tables(event, n: int):
-    """(p, [(src, phase)...]) for one stochastic event on the vectorized rho."""
-    kind, qubits, p = event
-    if kind == "flip":
-        return p, [_conj_pauli_tables((1,), qubits, n)]
-    if kind == "phase":
-        return p, [_conj_pauli_tables((3,), qubits, n)]
-    k = len(qubits)
-    tables = []
-    for j in range(1, 4**k):
-        digits = tuple((j // 4**pos) % 4 for pos in range(k))
-        tables.append(_conj_pauli_tables(digits, qubits, n))
-    return p, tables
+def _outcome_dict(probs: np.ndarray, floor: float) -> dict[str, float]:
+    """{bitstring: probability} of one outcome row, keeping entries above floor."""
+    m = int(probs.size).bit_length() - 1
+    return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > floor}
 
 
 class DensityProgram:
     """Prepared exact-evolution plan for one (gates, bound noise) pair.
 
-    For widths up to 6 the noiseless stretches between error sites are folded
-    into dense unitaries and the channels into index/phase tables, so repeated
-    runs with different initial states cost a few small matmuls each. Wider
-    circuits fall back to gate-by-gate tensor evolution.
+    The density tensor carries its inputs on a trailing batch axis, shape
+    [2]*2n + [batch], so every gate and channel is applied once per chunk of
+    inputs (at most _DENSITY_CHUNK entries of rho per chunk).
     """
 
     def __init__(self, gates, n: int, bound: BoundNoise | None,
@@ -289,57 +252,32 @@ class DensityProgram:
         if readout_pairs is None and bound is not None:
             readout_pairs = lookup_readout(bound.readout, self.measured)
         self.readout_pairs = readout_pairs
-        self.fast = n <= _FAST_TRAJ_WIDTH
-        if self.fast:
-            self._steps = self._build_steps()
 
-    def _build_steps(self):
-        dim = 1 << self.n
-        steps = []
-        running = np.eye(dim, dtype=complex).reshape([2] * self.n + [dim])
-        dirty = False
-        for i, g in enumerate(self.gates):
-            running = apply_kind(running, g.kind, g.qubits)
-            dirty = True
-            events = self.bound.events[i] if self.bound is not None else ()
-            if events:
-                steps.append(("u", running.reshape(dim, dim).copy()))
-                running = np.eye(dim, dtype=complex).reshape([2] * self.n + [dim])
-                dirty = False
-                for event in events:
-                    steps.append(("mix", *_event_mix_tables(event, self.n)))
-        if dirty:
-            steps.append(("u", running.reshape(dim, dim)))
-        return steps
-
-    def distribution(self, init: np.ndarray | None = None) -> dict[str, float]:
+    def probabilities(self, inits) -> np.ndarray:
+        """(inputs, 2^m) measured-outcome probabilities, after readout, of
+        each input state row of `inits`."""
         n = self.n
-        psi = basis_state(n) if init is None else np.asarray(init, dtype=complex)
-        if self.fast:
-            dim = 1 << n
-            rho = np.outer(psi, psi.conj())
-            for step in self._steps:
-                if step[0] == "u":
-                    u = step[1]
-                    rho = (u @ rho) @ u.conj().T
-                else:
-                    _, p, tables = step
-                    flat = rho.reshape(-1)
-                    acc = np.zeros_like(flat)
-                    for src, phase in tables:
-                        acc += flat[src] if phase is None else phase * flat[src]
-                    rho = ((1.0 - p) * flat + (p / len(tables)) * acc).reshape(dim, dim)
-            diag = rho.diagonal().real.copy()
-        else:
-            rho = np.outer(psi, psi.conj()).reshape([2] * (2 * n))
-            for i, g in enumerate(self.gates):
-                rho = _rho_apply_gate(rho, g, n)
-                if self.bound is not None:
-                    for event in self.bound.events[i]:
-                        rho = _rho_apply_event(rho, event, n)
-            diag = rho.reshape(2**n, 2**n).diagonal().real.copy()
+        psis = np.asarray(inits, dtype=complex).reshape(-1, 1 << n)
+        per = max(1, _DENSITY_CHUNK >> (2 * n))
+        chunks = [self._evolve(psis[lo:lo + per]) for lo in range(0, len(psis), per)]
+        return np.concatenate(chunks) if chunks else np.zeros((0, 1 << len(self.measured)))
+
+    def _evolve(self, psis: np.ndarray) -> np.ndarray:
+        n, batch = self.n, len(psis)
+        rho = (psis.T[:, None, :] * psis.conj().T[None, :, :]).reshape([2] * (2 * n) + [batch])
+        for i, g in enumerate(self.gates):
+            rho = apply_kind(rho, g.kind, g.qubits)
+            rho = apply_kind(rho, g.kind, tuple(q + n for q in g.qubits), conj=True)
+            if self.bound is not None:
+                for event in self.bound.events[i]:
+                    rho = _rho_apply_event(rho, event, n)
+        diag = np.einsum("iib->ib", rho.reshape(1 << n, 1 << n, batch)).real.copy()
         diag[diag < 0] = 0.0
         return _marginal_distribution(diag, n, self.measured, self.readout_pairs)
+
+    def distribution(self, init: np.ndarray | None = None) -> dict[str, float]:
+        psi = basis_state(self.n) if init is None else init
+        return _outcome_dict(self.probabilities([psi])[0], 1e-18)
 
 
 def run_gates_density(

@@ -6,6 +6,7 @@ physical qubits separately, keeping topology purely structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NoChainFound(Exception):
@@ -37,10 +38,17 @@ class CouplingGraph:
             raise ValueError(f"physical index out of range: ({a}, {b})")
         return _norm_edge(a, b) in self.edges
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(
-            {b for a, b in self.edges if a == v} | {a for a, b in self.edges if b == v}
-        )
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[list[int]] = [[] for _ in range(self.num_physical)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(tuple(sorted(nbs)) for nbs in adj)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v, lowest index first (built once per graph)."""
+        return self._adjacency[v]
 
 
 def coupling_graph(num_physical: int, edges) -> CouplingGraph:

@@ -98,6 +98,49 @@ def toffoli_unitary(a: int, b: int, t: int, n: int) -> np.ndarray:
     return gate_unitary(Gate(GateKind.CCX, (a, b, t)), n)
 
 
+def pauli_string(digits, qubits, n: int) -> np.ndarray:
+    """Full-space Pauli string by kron products; digit 1 = X, 2 = Y, 3 = Z."""
+    on = {q: (np.eye(2), MATS[GateKind.X], MATS[GateKind.Y], MATS[GateKind.Z])[d]
+          for d, q in zip(digits, qubits)}
+    full = np.array([[1.0 + 0j]])
+    for q in range(n):
+        full = np.kron(full, on.get(q, np.eye(2)))
+    return full
+
+
+def _event_kraus(kind: str, qubits, p: float, n: int) -> list[np.ndarray]:
+    """Kraus operators of one bound error event on the full space."""
+    if kind == "flip":
+        strings = [(1,)]
+    elif kind == "phase":
+        strings = [(3,)]
+    else:  # depol: every non-identity Pauli string on the gate's qubits
+        k = len(qubits)
+        strings = [tuple((j >> (2 * i)) & 3 for i in range(k)) for j in range(1, 4**k)]
+    ks = [np.sqrt(1.0 - p) * np.eye(2**n)]
+    return ks + [np.sqrt(p / len(strings)) * pauli_string(d, qubits, n) for d in strings]
+
+
+def density_outcome_probabilities(gates, n: int, events, init, measured, readout_pairs) -> np.ndarray:
+    """Measured-outcome probabilities (measured[0] is the most significant bit)
+    after explicit-matrix channel evolution: U rho U^dagger per gate, then each
+    event's Kraus sum, then a kron-built readout confusion matrix."""
+    rho = np.outer(init, np.conj(init))
+    for g, evs in zip(gates, events):
+        u = gate_unitary(g, n)
+        rho = u @ rho @ u.conj().T
+        for kind, qubits, p in evs:
+            rho = sum(k @ rho @ k.conj().T for k in _event_kraus(kind, qubits, p, n))
+    m = len(measured)
+    probs = np.zeros(2**m)
+    for i, p in enumerate(np.real(np.diag(rho))):
+        probs[sum(bit_of(i, q, n) << (m - 1 - j) for j, q in enumerate(measured))] += p
+    confusion = np.array([[1.0]])
+    for p01, p10 in readout_pairs:
+        confusion = np.kron(confusion, [[1.0 - p01, p10], [p01, 1.0 - p10]])
+    return confusion @ probs
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return psi / np.linalg.norm(psi)

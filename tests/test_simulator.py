@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 from qnz.ir import Circuit, Gate, GateKind, gate
-from qnz.noise import BoundNoise, NoiseModel, bind_gates
+from qnz.noise import BoundNoise, NoiseModel, bind_gates, lookup_readout
 from qnz.simulator import (
+    DensityProgram,
     ShotCounts,
     basis_state,
     born_distribution,
     run_density,
+    run_gates_density,
     run_gates_ideal,
     run_ideal,
     run_trajectories,
@@ -16,7 +18,7 @@ from qnz.simulator import (
     total_variation,
 )
 
-from oracle import circuit_unitary, random_state
+from oracle import circuit_unitary, density_outcome_probabilities, random_state
 
 K = GateKind
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -140,6 +142,80 @@ class TestStateHelpers:
     def test_power_of_two(self):
         with pytest.raises(ValueError):
             state_from_amplitudes([1.0, 0.0, 0.0])
+
+
+def _random_density_case(rng: np.random.Generator, n: int):
+    """Every 1-qubit kind, CX/CZ/SWAP and (from width 3) one CCX, shuffled, with
+    flip + phase + depol bound and a readout table on qubits 0 and n-1; the
+    measured subset is reordered and, from width 3, drops one qubit."""
+    gates = [Gate(k, (int(rng.integers(n)),)) for k in (K.X, K.Y, K.Z, K.H, K.S, K.T, K.TDG)]
+    for k in (K.CX, K.CZ, K.SWAP):
+        gates.append(Gate(k, tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+    if n >= 3:
+        gates.append(Gate(K.CCX, tuple(int(q) for q in rng.choice(n, 3, replace=False))))
+    gates = [gates[i] for i in rng.permutation(len(gates))]
+    nm = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.04,
+                    readout=((0, 0.03, 0.08), (n - 1, 0.06, 0.02)))
+    middle = [int(q) for q in rng.permutation(np.arange(1, n - 1))[: max(0, n - 3)]]
+    return gates, bind_gates(nm, gates), [n - 1] + middle + [0]
+
+
+class TestDensityAgainstKraus:
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 8])
+    def test_matches_explicit_channel_evolution(self, n):
+        rng = np.random.default_rng(700 + n)
+        gates, bound, measured = _random_density_case(rng, n)
+        assert {len(g.qubits) for g in gates} == ({1, 2, 3} if n >= 3 else {1, 2})
+        init = random_state(n, rng)
+        got = run_gates_density(gates, n, bound, init, measured)
+        want = density_outcome_probabilities(
+            gates, n, bound.events, init, measured, lookup_readout(bound.readout, measured)
+        )
+        m = len(measured)
+        got_vec = np.array([got.get(format(i, f"0{m}b"), 0.0) for i in range(2**m)])
+        assert np.max(np.abs(got_vec - want)) < 1e-12
+
+
+class TestDensityBatching:
+    @pytest.mark.parametrize("n, inputs, chunks", [(4, 300, 2), (8, 3, 3)])
+    def test_probabilities_match_rowwise_distribution(self, n, inputs, chunks, monkeypatch):
+        rng = np.random.default_rng(40 + n)
+        gates, bound, measured = _random_density_case(rng, n)
+        prog = DensityProgram(gates, n, bound, measured)
+        inits = np.array([random_state(n, rng) for _ in range(inputs)])
+        evolved = []  # inputs per evolved chunk
+        evolve = DensityProgram._evolve
+
+        def counting_evolve(self, psis):
+            evolved.append(len(psis))
+            return evolve(self, psis)
+
+        monkeypatch.setattr(DensityProgram, "_evolve", counting_evolve)
+        probs = prog.probabilities(inits)
+        assert len(evolved) == chunks and sum(evolved) == inputs
+        m = len(measured)
+        assert probs.shape == (inputs, 2**m)
+        for row, init in zip(probs, inits):
+            d = prog.distribution(init)
+            want = np.array([d.get(format(i, f"0{m}b"), 0.0) for i in range(2**m)])
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_neuron_outputs_are_the_all_zeros_column(self):
+        from qnz.qnn import compile_neuron, neuron_outputs
+        from qnz.simulator import plan_mapped_run
+        from qnz.topology import linear_chain
+
+        rng = np.random.default_rng(8)
+        w = (1, -1, -1, 1, 1, 1, -1, 1)
+        mapped = compile_neuron(w, linear_chain(4))
+        nm = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((1, 0.04, 0.02),))
+        xs = rng.normal(size=(20, 8))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        plan = plan_mapped_run(mapped)
+        bound, pairs = plan.densify_bound(bind_gates(nm, mapped.physical_gates))
+        prog = DensityProgram(plan.gates, plan.n, bound, plan.measured, pairs)
+        want = prog.probabilities([plan.embed(x) for x in xs])[:, 0]
+        assert np.array_equal(neuron_outputs(w, mapped, xs, "density", nm), want)
 
 
 class TestRunDensity:
