@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ir import Gate, GateKind
 
 FLIP_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.CCX})
@@ -151,21 +153,15 @@ def bind(noise: NoiseModel, m) -> BoundNoise:
     return bind_gates(noise, m.physical_gates)
 
 
-def apply_readout(bits: tuple[int, ...], pairs, rng) -> tuple[int, ...]:
-    """Flip each measured bit independently per its (p01, p10) pair.
+def apply_readout(bits: np.ndarray, pairs, uniforms: np.ndarray) -> np.ndarray:
+    """Readout-corrupted copy of a (shots, m) array of measured bits.
 
-    `pairs[i]` is the rate pair for the qubit measured at bit position i; the
-    rng is consulted only when a rate is nonzero, so zero-noise runs stay
-    bit-identical to ideal sampling.
+    `pairs[j]` is the (p01, p10) pair of the qubit measured in column j: a 0
+    there reads 1 when its uniform in `uniforms` is below p01, and a 1 reads
+    0 when it is below p10.
     """
-    out = []
-    for b, (p01, p10) in zip(bits, pairs):
-        if b == 0 and p01 > 0.0:
-            b = 1 if rng.random() < p01 else 0
-        elif b == 1 and p10 > 0.0:
-            b = 0 if rng.random() < p10 else 1
-        out.append(b)
-    return tuple(out)
+    p01, p10 = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return bits ^ (uniforms < np.where(bits == 1, p10, p01))
 
 
 def _as_prob(path: str, value) -> float:

@@ -23,8 +23,8 @@ from .simulator import (
     DensityProgram,
     derive_seed,
     plan_mapped_run,
-    run_gates_trajectories,
     total_unitary,
+    trajectory_counts,
 )
 from .topology import CouplingGraph, linear_chain
 
@@ -285,9 +285,10 @@ def neuron_outputs(
 
     The one evaluation path of qnz: the noise is bound and the dense run
     planned once, then every input is scored. Trajectory shots for sample i
-    are seeded by derive_seed(seed, i, code_from_weights(w)), so a (weight,
-    sample) pair draws the same shots in every caller. `timed(phase, fn)`
-    lets a caller time the "bind" and "infer" phases.
+    are seeded by derive_seed(seed, i, c), with c the smaller of the codes of
+    w and -w, so a (weight, sample) pair draws the same shots in every
+    caller. `timed(phase, fn)` lets a caller time the "bind" and "infer"
+    phases.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -300,18 +301,17 @@ def neuron_outputs(
     if backend != "ideal":
         nm = noise if noise is not None else NoiseModel()
         bound = timed("bind", lambda: bind(nm, mapped))
-    zeros = "0" * mapped.num_computing
     plan = plan_mapped_run(mapped)
     dense_bound, pairs = plan.densify_bound(bound)
     measured = list(plan.measured)
     xs = np.asarray(xs, dtype=complex)
 
     def infer() -> np.ndarray:
-        out = np.zeros(len(xs))
         if backend == "ideal":
             # only the input varies across samples: one dense unitary,
             # then P(0...0) = |rows with measured bits 0|^2 per sample
             t_rows = total_unitary(plan.gates, plan.n)[_zero_rows(plan.n, measured)]
+            out = np.zeros(len(xs))
             for i, x in enumerate(xs):
                 amp = t_rows @ plan.embed(x)
                 out[i] = float(np.real(np.vdot(amp, amp)))
@@ -319,15 +319,16 @@ def neuron_outputs(
         if backend == "density":
             prog = DensityProgram(plan.gates, plan.n, dense_bound, measured, pairs)
             return prog.probabilities([plan.embed(x) for x in xs])[:, 0]
+        # w and -w compile to one circuit when their -1 counts differ, so
+        # both draw the shots of the sign whose entry 0 is +1
         code = code_from_weights(w)
-        for i, x in enumerate(xs):
-            counts = run_gates_trajectories(
-                plan.gates, plan.n, dense_bound, plan.embed(x),
-                shots, derive_seed(seed, i, code),
-                measured, readout_pairs=pairs, threads=threads,
-            )
-            out[i] = counts.counts.get(zeros, 0) / shots
-        return out
+        code = min(code, code ^ ((1 << len(w)) - 1))
+        counts = trajectory_counts(
+            plan.gates, plan.n, dense_bound, [plan.embed(x) for x in xs],
+            [derive_seed(seed, i, code) for i in range(len(xs))],
+            shots, measured, pairs, threads=threads,
+        )
+        return counts[:, 0] / shots
 
     return timed("infer", infer)
 

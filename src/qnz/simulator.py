@@ -6,9 +6,10 @@ index, so a state reshaped to [2]*n has qubit q on axis q. Density matrices
 are held on 2n axes (row axes 0..n-1, column axes n..2n-1) plus a trailing
 axis of inputs, which lets one gate kernel serve both backends.
 
-Trajectories draw every shot from its own counter-based Philox stream keyed by
-(seed, shot index), so results are bit-identical no matter how shots are
-chunked across workers.
+Trajectories evolve a batch of shots the same way, one shot per trailing-axis
+row, and draw each block of TRAJ_BLOCK shots from its own counter-based Philox
+stream keyed by (seed, block), so results are bit-identical no matter how
+blocks are batched or spread across threads.
 """
 from __future__ import annotations
 
@@ -24,18 +25,11 @@ from .noise import BoundNoise, apply_readout, lookup_readout
 SV_WIDTH_CAP = 20
 DENSITY_WIDTH_CAP = 10
 
-_SQ2 = 1.0 / np.sqrt(2.0)
 _T_PHASE = np.exp(1j * np.pi / 4)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+# Diagonal 1-qubit kinds: the phase on |1>.
+_PHASE_1Q = {GateKind.Z: -1.0, GateKind.S: 1j, GateKind.T: _T_PHASE, GateKind.TDG: np.conj(_T_PHASE)}
 
-MAT_1Q = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, _T_PHASE]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, np.conj(_T_PHASE)]], dtype=complex),
-}
 
 @dataclass(frozen=True)
 class ShotCounts:
@@ -72,11 +66,6 @@ def _idx(n_axes: int, fixed: dict[int, int]) -> tuple:
     return tuple(sel)
 
 
-def _apply_matrix(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
-
-
 def _exchange(arr: np.ndarray, sel_a: tuple, sel_b: tuple) -> None:
     tmp = arr[sel_a].copy()
     arr[sel_a] = arr[sel_b]
@@ -88,11 +77,34 @@ def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: boo
 
     `conj` conjugates the matrix, used for the column side of density tensors.
     All multi-qubit kinds here are real, so only the 1-qubit path honors it.
+    X flips its axis (a view), diagonal kinds scale the |1> slice in place,
+    Y exchanges and phases the slices, and only H multiplies by its matrix.
     """
     na = arr.ndim
-    if kind in MAT_1Q:
-        mat = MAT_1Q[kind]
-        return _apply_matrix(arr, mat.conj() if conj else mat, axes[0])
+    if kind in _PHASE_1Q:
+        # The product is written out so that each term is rounded once, which
+        # gives the bits of the BLAS product np.tensordot computes for these
+        # arrays. numpy's complex multiply fuses terms and rounds otherwise,
+        # and last bits decide ties between circuits of equal output (w and
+        # -w with half the entries -1), so they would move accuracies.
+        ph = np.conj(_PHASE_1Q[kind]) if conj else complex(_PHASE_1Q[kind])
+        one = arr[_idx(na, {axes[0]: 1})]
+        re, im = one.real.copy(), one.imag.copy()
+        one.real = ph.real * re - ph.imag * im
+        one.imag = ph.real * im + ph.imag * re
+        return arr
+    if kind is GateKind.X:
+        return np.flip(arr, axes[0])
+    if kind is GateKind.Y:
+        # Y = [[0, -i], [i, 0]]: exchange the slices, then phase each
+        q = axes[0]
+        _exchange(arr, _idx(na, {q: 0}), _idx(na, {q: 1}))
+        arr[_idx(na, {q: 0})] *= 1j if conj else -1j
+        arr[_idx(na, {q: 1})] *= -1j if conj else 1j
+        return arr
+    if kind is GateKind.H:
+        out = np.tensordot(_H, arr, axes=(1, axes[0]))
+        return np.moveaxis(out, 0, axes[0])
     if kind is GateKind.CX:
         c, t = axes
         _exchange(arr, _idx(na, {c: 1, t: 0}), _idx(na, {c: 1, t: 1}))
@@ -120,16 +132,12 @@ def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: boo
     raise ValueError(f"no unitary for kind {kind}")  # pragma: no cover
 
 
-def _apply_gate_sv(psi: np.ndarray, g: Gate) -> np.ndarray:
-    return apply_kind(psi, g.kind, g.qubits)
-
-
 def run_gates_ideal(gates, n: int, init: np.ndarray | None = None) -> np.ndarray:
     if n > SV_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the state-vector cap of {SV_WIDTH_CAP}")
     psi = (basis_state(n) if init is None else np.array(init, dtype=complex)).reshape([2] * n)
     for g in gates:
-        psi = _apply_gate_sv(psi, g)
+        psi = apply_kind(psi, g.kind, g.qubits)
     return psi.reshape(-1)
 
 
@@ -308,28 +316,12 @@ def run_density(
 # ---------------------------------------------------------------------------
 # Trajectory backend (sampled Pauli insertions)
 
-# Widths up to this use cached prefix unitaries per error site, which turns the
-# common no-error shot into a single table lookup.
-_FAST_TRAJ_WIDTH = 6
-
-
-def _make_shot_rng(seed: int):
-    """Per-worker factory giving the stream of Philox(key=[seed, shot]) for any
-    shot, reusing one generator via state reset (identical streams, less setup)."""
-    seed &= 0xFFFFFFFFFFFFFFFF
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bg)
-    state = bg.state
-
-    def at(shot: int) -> np.random.Generator:
-        state["state"]["key"] = np.array([seed, shot], dtype=np.uint64)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        bg.state = state
-        return gen
-
-    return at
+# Shots per random stream: shot block b of an input draws from Philox(key=[seed, b]).
+TRAJ_BLOCK = 64
+# Trajectories evolved together: at most this many complex amplitudes at once
+# (or one shot, where a single state is larger).
+_TRAJ_CHUNK = 1 << 14
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def derive_seed(*parts: int) -> int:
@@ -337,97 +329,147 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _pauli_tables(digits: tuple[int, ...], qubits: tuple[int, ...], n: int):
-    """(source index array, phase array or None) realizing a Pauli string.
+def _block_draws(seed: int, block: int, size: int, rates, fixed, space, m: int):
+    """All randomness of one shot block, from a fresh Philox(key=[seed, block]).
 
-    P maps |x> to phase(x) |x ^ mask>, so out = phase[src] * psi[src] with
-    src[y] = y ^ mask.
+    Returns (hit shot, hit event, Pauli code) per hit, outcome uniforms and
+    readout uniforms; see trajectory_counts for the draw order.
     """
-    dim = 1 << n
-    idx = np.arange(dim)
-    mask = 0
-    phase = np.ones(dim, dtype=complex)
-    trivial = True
-    for d, q in zip(digits, qubits):
-        bit = 1 << (n - 1 - q)
-        bits = ((idx & bit) != 0).astype(int)
-        if d in (1, 2):
-            mask |= bit
-        if d == 2:
-            phase = phase * (1j * (1 - 2 * bits))
-            trivial = False
-        elif d == 3:
-            phase = phase * (1 - 2 * bits)
-            trivial = False
-    src = idx ^ mask
-    return src, (None if trivial else phase[src])
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed & _U64, block], dtype=np.uint64)))
+    shot, ev = np.nonzero(gen.random((size, rates.size)) < rates)
+    code = fixed[ev]
+    depol = code == 0
+    u = gen.random(np.count_nonzero(depol))
+    code[depol] = 1 + (u * (space[ev[depol]] - 1)).astype(np.int64)
+    return shot, ev, code, gen.random(size), gen.random((size, m))
 
 
-class _EventProgram:
-    """Flattened error events with precomputed Pauli index tables."""
+def _apply_pauli_rows(arr: np.ndarray, qubits, rows: np.ndarray, codes) -> None:
+    """Pauli string `codes[r]` (an int: the same for all rows) on `qubits` of
+    batch row `rows[r]`, in place.
 
-    def __init__(self, events, n: int):
-        self.gate_idx: list[int] = []
-        self.p: list[float] = []
-        self.apply: list = []
-        dim = 1 << n
-        for i, evs in enumerate(events or ()):
-            for kind, qubits, p in evs:
-                self.gate_idx.append(i)
-                self.p.append(p)
-                if kind == "flip":
-                    src, phase = _pauli_tables((1,), qubits, n)
-                    self.apply.append(self._fixed(src, phase))
-                elif kind == "phase":
-                    src, phase = _pauli_tables((3,), qubits, n)
-                    self.apply.append(self._fixed(src, phase))
-                else:  # depol: uniform non-identity Pauli on the gate's qubits
-                    k = len(qubits)
-                    ops = []
-                    for j in range(1, 4**k):
-                        digits = tuple((j // 4**pos) % 4 for pos in range(k))
-                        ops.append(_pauli_tables(digits, qubits, n))
-                    self.apply.append(self._sampled(ops, 4**k))
-        self.p_vec = np.array(self.p) if self.p else np.zeros(0)
-        self.count = len(self.p)
-
-    @staticmethod
-    def _fixed(src, phase):
-        if phase is None:
-            return lambda psi, rng: psi[src]
-        return lambda psi, rng: phase * psi[src]
-
-    @staticmethod
-    def _sampled(ops, space):
-        def fn(psi, rng):
-            src, phase = ops[int(rng.integers(1, space)) - 1]
-            return psi[src] if phase is None else phase * psi[src]
-
-        return fn
+    Digit pos of a code, (code >> 2 pos) & 3, acts on qubits[pos]: 1 = X,
+    2 = Y, 3 = Z. Y is applied as Z then X, which differs from it only by a
+    global phase of the row. The hit rows are gathered once, changed as a
+    dense block and written back.
+    """
+    sub = arr.take(rows, axis=-1)
+    for pos, q in enumerate(qubits):
+        d = (codes >> (2 * pos)) & 3
+        z, x = d >= 2, (d == 1) | (d == 2)
+        one = sub[_idx(sub.ndim, {q: 1})]
+        flipped = sub[_idx(sub.ndim, {q: slice(None, None, -1)})]
+        if isinstance(codes, int):
+            if z:
+                one *= -1
+            if x:
+                sub = flipped
+        else:
+            one *= np.where(z, -1.0, 1.0)
+            sub = np.where(x, flipped, sub)
+    arr[..., rows] = sub
 
 
-def _sample_outcome(cum: np.ndarray, n: int, measured, readout_pairs, rng) -> str:
-    outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    outcome = min(outcome, cum.size - 1)
-    bits = tuple((outcome >> (n - 1 - q)) & 1 for q in measured)
-    bits = apply_readout(bits, readout_pairs, rng)
-    return "".join(str(b) for b in bits)
+def trajectory_counts(
+    gates,
+    n: int,
+    bound: BoundNoise | None,
+    inits,
+    seeds,
+    shots: int,
+    measured: list[int] | None = None,
+    readout_pairs=None,
+    threads: int = 1,
+) -> np.ndarray:
+    """(inputs, 2^m) outcome counts of `shots` noisy shots per input state row
+    of `inits`; row s is drawn from seeds[s].
 
+    Shots come in blocks of TRAJ_BLOCK. Block b of input s draws only from
+    Philox(key=[seeds[s], b]), in this order:
+      1. a (block shots, events) array of uniforms; event e hits a shot when
+         its uniform is below the event's rate;
+      2. one uniform u per depol hit, in (shot, event) order, choosing the
+         non-identity Pauli 1 + floor(u (4^k - 1)) on the event's k qubits;
+      3. one outcome uniform per shot, inverting the cumulative distribution
+         over the measured qubits;
+      4. a (block shots, measured) array of readout uniforms (noise.apply_readout).
+    So a row's counts do not depend on the other rows or on `threads`, which
+    split whole blocks. The shots of up to _TRAJ_CHUNK amplitudes evolve
+    together as one state batch, gate by gate, and each Pauli hit is applied
+    to only the batch rows it hit.
+    """
+    if n > SV_WIDTH_CAP:
+        raise ValueError(f"width {n} exceeds the state-vector cap of {SV_WIDTH_CAP}")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    measured = list(range(n)) if measured is None else list(measured)
+    if readout_pairs is None:
+        readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
+    m = len(measured)
+    psis = np.asarray(inits, dtype=complex).reshape(-1, 1 << n)
+    gates = tuple(gates)
+    events = [(i, kind, qubits, p) for i, evs in enumerate(() if bound is None else bound.events)
+              for kind, qubits, p in evs]
+    gate_of = np.array([i for i, *_ in events], dtype=np.int64)
+    qubits_of = [qubits for _, _, qubits, _ in events]
+    rates = np.array([p for *_, p in events], dtype=float)
+    fixed = np.array([{"flip": 1, "phase": 3}.get(kind, 0) for _, kind, _, _ in events], dtype=np.int64)
+    space = np.array([4 ** len(qubits) for qubits in qubits_of], dtype=np.int64)
 
-def _traj_prefix_tables(gates, n: int, prog: _EventProgram, init: np.ndarray):
-    """Cumulative unitaries at each error site; unitarity gives cheap rewinds."""
-    dim = 1 << n
-    running = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    prefix: dict[int, np.ndarray] = {}
-    want = set(prog.gate_idx)
-    for i, g in enumerate(gates):
-        running = apply_kind(running, g.kind, g.qubits)
-        if i in want:
-            prefix[i] = running.reshape(dim, dim).copy()
-    total = running.reshape(dim, dim)
-    final_nohit = total @ init
-    cum_nohit = np.cumsum(np.abs(final_nohit) ** 2)
-    return prefix, total, cum_nohit
+    def evolve(rows_init: np.ndarray, hit_row, hit_ev, hit_code) -> np.ndarray:
+        """Evolve a batch of shots; returns their (rows, 2^m) outcome CDFs."""
+        batch = len(rows_init)
+        arr = rows_init.T.reshape([2] * n + [batch])
+        order = np.argsort(hit_ev, kind="stable")
+        hit_row, hit_ev, hit_code = hit_row[order], hit_ev[order], hit_code[order]
+        hit_events, starts = np.unique(hit_ev, return_index=True)
+        bounds = list(zip(hit_events.tolist(), starts.tolist(), [*starts[1:].tolist(), hit_ev.size]))
+        k = 0
+        for i, g in enumerate(gates):
+            arr = apply_kind(arr, g.kind, g.qubits)
+            while k < len(bounds) and gate_of[bounds[k][0]] == i:
+                e, lo, hi = bounds[k]
+                codes = int(fixed[e]) or hit_code[lo:hi]  # flip, phase: one Pauli
+                _apply_pauli_rows(arr, qubits_of[e], hit_row[lo:hi], codes)
+                k += 1
+        probs = np.abs(arr.reshape(1 << n, batch)) ** 2
+        return np.cumsum(_marginal_distribution(probs, n, measured, None), axis=1)
+
+    blocks_per = -(-shots // TRAJ_BLOCK)
+    blocks = [(s, b) for s in range(len(psis)) for b in range(blocks_per)]
+    per_batch = max(1, _TRAJ_CHUNK >> n)
+    per_group = max(1, min(per_batch // TRAJ_BLOCK, -(-len(blocks) // max(threads, 1))))
+    shifts = np.arange(m - 1, -1, -1)
+
+    def run_group(group) -> np.ndarray:
+        sizes = [min(TRAJ_BLOCK, shots - b * TRAJ_BLOCK) for _, b in group]
+        draws = [_block_draws(seeds[s], b, size, rates, fixed, space, m)
+                 for (s, b), size in zip(group, sizes)]
+        offsets = np.cumsum([0, *sizes])
+        hit_row = np.concatenate([d[0] + off for d, off in zip(draws, offsets)])
+        hit_ev = np.concatenate([d[1] for d in draws])
+        hit_code = np.concatenate([d[2] for d in draws])
+        u_out = np.concatenate([d[3] for d in draws])
+        u_read = np.concatenate([d[4] for d in draws])
+        source = np.repeat([s for s, _ in group], sizes)
+        outcome = np.empty(offsets[-1], dtype=np.int64)
+        for lo in range(0, offsets[-1], per_batch):
+            hi = min(lo + per_batch, offsets[-1])
+            sel = (hit_row >= lo) & (hit_row < hi)
+            cdf = evolve(psis[source[lo:hi]], hit_row[sel] - lo, hit_ev[sel], hit_code[sel])
+            below = cdf <= u_out[lo:hi, None] * cdf[:, -1:]
+            outcome[lo:hi] = np.minimum(below.sum(axis=1), (1 << m) - 1)
+        bits = apply_readout((outcome[:, None] >> shifts) & 1, readout_pairs, u_read)
+        flat = source * (1 << m) + bits @ (1 << shifts)
+        return np.bincount(flat, minlength=len(psis) << m)
+
+    groups = [blocks[lo:lo + per_group] for lo in range(0, len(blocks), per_group)]
+    if threads <= 1:
+        parts = [run_group(g) for g in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run_group, groups))
+    return sum(parts, np.zeros(len(psis) << m, dtype=np.int64)).reshape(len(psis), 1 << m)
 
 
 def run_gates_trajectories(
@@ -441,88 +483,10 @@ def run_gates_trajectories(
     readout_pairs=None,
     threads: int = 1,
 ) -> ShotCounts:
-    if n > SV_WIDTH_CAP:
-        raise ValueError(f"width {n} exceeds the state-vector cap of {SV_WIDTH_CAP}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    measured = list(range(n)) if measured is None else list(measured)
-    if readout_pairs is None:
-        readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
-    init = np.asarray(init, dtype=complex).reshape(-1)
-    gates = tuple(gates)
-    prog = _EventProgram(None if bound is None else bound.events, n)
-
-    if n <= _FAST_TRAJ_WIDTH:
-        shoot = _make_fast_shot(gates, n, prog, init, measured, readout_pairs)
-    else:
-        shoot = _make_walking_shot(gates, n, prog, init, measured, readout_pairs)
-
-    def run_range(lo: int, hi: int) -> dict[str, int]:
-        rng_at = _make_shot_rng(seed)
-        counts: dict[str, int] = {}
-        for s in range(lo, hi):
-            key = shoot(rng_at(s))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    if threads <= 1:
-        merged = run_range(0, shots)
-    else:
-        chunk = (shots + threads - 1) // threads
-        ranges = [(lo, min(lo + chunk, shots)) for lo in range(0, shots, chunk)]
-        merged = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for counts in pool.map(lambda r: run_range(*r), ranges):
-                for k, v in counts.items():
-                    merged[k] = merged.get(k, 0) + v
-    return ShotCounts(dict(sorted(merged.items())), shots, seed)
-
-
-def _make_fast_shot(gates, n, prog: _EventProgram, init, measured, readout_pairs):
-    prefix, total, cum_nohit = _traj_prefix_tables(gates, n, prog, init)
-
-    def shoot(rng) -> str:
-        hits = ()
-        if prog.count:
-            us = rng.random(prog.count)
-            hits = np.nonzero(us < prog.p_vec)[0]
-        if len(hits) == 0:
-            return _sample_outcome(cum_nohit, n, measured, readout_pairs, rng)
-        psi = init
-        at = None  # gate index whose prefix currently frames psi
-        for e in hits:
-            site = prog.gate_idx[e]
-            if site != at:
-                if at is not None:
-                    psi = prefix[at].conj().T @ psi
-                psi = prefix[site] @ psi
-                at = site
-            psi = prog.apply[e](psi, rng)
-        psi = total @ (prefix[at].conj().T @ psi)
-        cum = np.cumsum(np.abs(psi) ** 2)
-        return _sample_outcome(cum, n, measured, readout_pairs, rng)
-
-    return shoot
-
-
-def _make_walking_shot(gates, n, prog: _EventProgram, init, measured, readout_pairs):
-    # events grouped by gate for the gate-by-gate walk
-    by_gate: dict[int, list[int]] = {}
-    for e, i in enumerate(prog.gate_idx):
-        by_gate.setdefault(i, []).append(e)
-
-    def shoot(rng) -> str:
-        us = rng.random(prog.count) if prog.count else None
-        psi = init.reshape([2] * n).copy()
-        for i, g in enumerate(gates):
-            psi = _apply_gate_sv(psi, g)
-            for e in by_gate.get(i, ()):
-                if us[e] < prog.p_vec[e]:
-                    psi = prog.apply[e](psi.reshape(-1), rng).reshape([2] * n)
-        cum = np.cumsum(np.abs(psi.reshape(-1)) ** 2)
-        return _sample_outcome(cum, n, measured, readout_pairs, rng)
-
-    return shoot
+    """One input's trajectory_counts as a {bitstring: count} view."""
+    row = trajectory_counts(gates, n, bound, [init], [seed], shots, measured, readout_pairs, threads)[0]
+    m = row.size.bit_length() - 1
+    return ShotCounts({format(i, f"0{m}b"): int(c) for i, c in enumerate(row) if c}, shots, seed)
 
 
 def run_trajectories(

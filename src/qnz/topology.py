@@ -105,18 +105,8 @@ class Mapping:
         if any(p < 0 for p in self.physical):
             raise ValueError("physical indices must be nonnegative")
 
-    @property
-    def num_logical(self) -> int:
-        return len(self.physical)
-
     def physical_of(self, logical: int) -> int:
         return self.physical[logical]
-
-    def logical_at(self, physical: int) -> int | None:
-        for l, p in enumerate(self.physical):
-            if p == physical:
-                return l
-        return None
 
     def with_swap(self, pa: int, pb: int) -> "Mapping":
         """Mapping after exchanging the states at physical slots pa and pb."""
@@ -129,10 +119,6 @@ class Mapping:
             else:
                 moved.append(p)
         return Mapping(tuple(moved))
-
-
-def identity_mapping(n: int) -> Mapping:
-    return Mapping(tuple(range(n)))
 
 
 def parse_topology(text: str) -> CouplingGraph:

@@ -159,13 +159,13 @@ class TestInfer:
         import qnz.qnn as qnn_module
 
         seen = []
-        real = qnn_module.run_gates_trajectories
+        real = qnn_module.trajectory_counts
 
         def recording(*args, **kwargs):
             seen.append(kwargs["threads"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(qnn_module, "run_gates_trajectories", recording)
+        monkeypatch.setattr(qnn_module, "trajectory_counts", recording)
         args = (
             "infer",
             "--model", str(workdir / "best.model"),

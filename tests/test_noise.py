@@ -138,22 +138,29 @@ class TestBind:
 class TestApplyReadout:
     def test_identity_at_zero(self):
         rng = np.random.default_rng(0)
-        bits = (0, 1, 1, 0)
-        assert apply_readout(bits, [(0.0, 0.0)] * 4, rng) == bits
+        bits = np.array([[0, 1, 1, 0]])
+        out = apply_readout(bits, [(0.0, 0.0)] * 4, rng.random(bits.shape))
+        assert out.tolist() == bits.tolist()
 
     def test_saturated_flip(self):
         rng = np.random.default_rng(0)
-        assert apply_readout((1,), [(0.0, 1.0)], rng) == (0,)
-        assert apply_readout((0,), [(1.0, 0.0)], rng) == (1,)
+        bits = np.array([[1, 0]])
+        out = apply_readout(bits, [(0.0, 1.0), (1.0, 0.0)], rng.random(bits.shape))
+        assert out.tolist() == [[0, 1]]
 
     def test_monte_carlo_rate(self):
         rng = np.random.default_rng(123)
-        flips = 0
         trials = 100_000
-        for _ in range(trials):
-            (b,) = apply_readout((0,), [(0.1, 0.0)], rng)
-            flips += b
+        bits = np.zeros((trials, 1), dtype=np.int64)
+        flips = apply_readout(bits, [(0.1, 0.0)], rng.random(bits.shape)).sum()
         assert abs(flips / trials - 0.1) < 0.005
+
+    def test_rates_follow_the_true_bit_per_column(self):
+        # column j reads its own pair: p01 for a true 0, p10 for a true 1
+        bits = np.array([[0, 1], [1, 0]])
+        u = np.full(bits.shape, 0.3)
+        out = apply_readout(bits, [(0.5, 0.1), (0.1, 0.5)], u)
+        assert out.tolist() == [[1, 0], [1, 0]]
 
 
 class TestChannelAlgebra:

@@ -236,7 +236,10 @@ class TestInferenceAndAccuracy:
         m = model(weights_from_code(37, 8), weights_from_code(200, 8))
         nm = NoiseModel(flip_p=0.02)
         dens = accuracy(m, ds, backend="density", noise=nm)
-        traj = accuracy(m, ds, backend="trajectories", noise=nm, shots=10_000, seed=5)
+        # 1e5 shots: on samples 0 and 2 the two neurons' outputs differ by
+        # under 1 sigma of 1e4-shot noise, so 1e4 shots leave their
+        # predictions to the draw
+        traj = accuracy(m, ds, backend="trajectories", noise=nm, shots=100_000, seed=5)
         assert abs(dens - traj) <= 0.02 + 1e-9
 
     def test_binds_once_per_distinct_neuron(self, monkeypatch):
@@ -259,6 +262,19 @@ class TestInferenceAndAccuracy:
         accuracy(model(w, w), ds, backend="trajectories",
                  noise=NoiseModel(flip_p=0.02), shots=8, seed=1)
         assert len(calls) == 1
+
+    def test_trajectory_seed_is_sign_canonical(self):
+        # w (3 of 8 entries -1) and -w compile to one circuit, so they draw
+        # the same shots and give identical outputs
+        w = weights_from_code(0b01001010, 8)
+        neg = tuple(-v for v in w)
+        mapped, mapped_neg = compile_neuron(w), compile_neuron(neg)
+        assert mapped.physical_gates == mapped_neg.physical_gates
+        ds = make_synthetic_dataset(3, 10)
+        nm = NoiseModel(flip_p=0.05, phase_p=0.03, readout=((0, 0.02, 0.04),))
+        got = neuron_outputs(w, mapped, ds.inputs(), "trajectories", nm, shots=300, seed=9)
+        want = neuron_outputs(neg, mapped_neg, ds.inputs(), "trajectories", nm, shots=300, seed=9)
+        assert np.array_equal(got, want)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

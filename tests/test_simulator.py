@@ -4,7 +4,10 @@ import pytest
 
 from qnz.ir import Circuit, Gate, GateKind, gate
 from qnz.noise import BoundNoise, NoiseModel, bind_gates, lookup_readout
+from qnz import simulator
 from qnz.simulator import (
+    SV_WIDTH_CAP,
+    TRAJ_BLOCK,
     DensityProgram,
     ShotCounts,
     basis_state,
@@ -16,18 +19,20 @@ from qnz.simulator import (
     run_trajectories,
     state_from_amplitudes,
     total_variation,
+    trajectory_counts,
 )
 
-from oracle import circuit_unitary, density_outcome_probabilities, random_state
+from oracle import (
+    bit_of,
+    circuit_unitary,
+    density_outcome_probabilities,
+    gate_unitary,
+    pauli_string,
+    random_state,
+)
 
 K = GateKind
 INV_SQRT2 = 1 / np.sqrt(2)
-
-
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """Reference stream of one trajectory shot: a fresh Philox(key=[seed, shot])."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shot], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 class TestRunIdeal:
@@ -302,34 +307,109 @@ class TestRunTrajectories:
         counts = run_trajectories(Circuit(1, 0, (gate(K.X, 0),)), b, None, shots=100, seed=3)
         assert counts.counts == {"0": 100}  # saturated p10 flips every 1 to 0
 
-    def test_fast_and_walking_paths_bit_identical(self):
-        # both shot engines consume the per-shot stream in the same order
-        from qnz.ir import expand_to_basis
-        from qnz.simulator import _EventProgram, _make_fast_shot, _make_walking_shot
 
-        c = expand_to_basis(Circuit(3, 1, (gate(K.H, 0), gate(K.H, 1), gate(K.CNZ, 0, 1, 2))))
-        nm = NoiseModel(flip_p=0.05, phase_p=0.02, depol_p=0.01)
-        b = bind_gates(nm, c.gates)
-        n = c.width
-        prog = _EventProgram(b.events, n)
-        init = basis_state(n)
-        pairs = [(0.0, 0.0)] * 3
-        fast = _make_fast_shot(c.gates, n, prog, init, [0, 1, 2], pairs)
-        walk = _make_walking_shot(c.gates, n, prog, init, [0, 1, 2], pairs)
-        for s in range(200):
-            assert fast(_shot_rng(9, s)) == walk(_shot_rng(9, s))
+def _trajectory_case(n: int, inputs: int, seed: int, noise: NoiseModel | None = None):
+    rng = np.random.default_rng(seed)
+    gates, bound, measured = _random_density_case(rng, n)
+    if noise is not None:
+        bound = bind_gates(noise, gates)
+    inits = np.array([random_state(n, rng) for _ in range(inputs)])
+    return gates, bound, measured, inits
 
-    def test_reused_shot_rng_matches_fresh_philox(self):
-        # the state-reset factory must give each shot the stream of a fresh
-        # Philox(key=[seed, shot]), whatever order shots are asked for in
-        from qnz.simulator import _make_shot_rng
 
-        seed = (1 << 64) - 3
-        at = _make_shot_rng(seed)
-        for shot in (5, 0, 3, 5, 1 << 40, 2):
-            got, ref = at(shot), _shot_rng(seed, shot)
-            assert got.random(7).tolist() == ref.random(7).tolist()
-            assert got.integers(1, 16, size=5).tolist() == ref.integers(1, 16, size=5).tolist()
+class TestTrajectoryEngine:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_agrees_with_density(self, n):
+        # flip, phase and depol on 1-, 2- and (from width 3) 3-qubit gates, a
+        # two-qubit readout table; every outcome within 4 sigma of exact
+        gates, bound, measured, inits = _trajectory_case(n, 2, 900 + n)
+        shots = 20_000
+        counts = trajectory_counts(gates, n, bound, inits, [11, 12], shots, measured)
+        exact = DensityProgram(gates, n, bound, measured).probabilities(inits)
+        assert counts.shape == exact.shape and (counts.sum(axis=1) == shots).all()
+        sigma = np.sqrt(exact * (1.0 - exact) / shots)
+        assert (np.abs(counts / shots - exact) <= 4.0 * sigma + 1e-9).all()
+
+    def test_depol_paulis_agree_with_density(self):
+        # between two H layers, Z parts of the depol Paulis flip outcomes:
+        # a wrong X, Y or Z part moves the distribution by many sigma
+        n = 3
+        h = [Gate(K.H, (q,)) for q in range(n)]
+        gates = h + [Gate(K.CX, (0, 1)), Gate(K.CCX, (0, 1, 2)), Gate(K.Y, (2,)), Gate(K.CZ, (1, 2))] + h
+        bound = bind_gates(NoiseModel(depol_p=0.3), gates)
+        inits = np.array([basis_state(n), random_state(n, np.random.default_rng(3))])
+        shots = 20_000
+        counts = trajectory_counts(gates, n, bound, inits, [21, 22], shots)
+        exact = DensityProgram(gates, n, bound).probabilities(inits)
+        sigma = np.sqrt(exact * (1.0 - exact) / shots)
+        assert (np.abs(counts / shots - exact) <= 4.0 * sigma + 1e-9).all()
+
+    def test_rows_independent_of_batch_and_threads(self, monkeypatch):
+        gates, bound, measured, inits = _trajectory_case(4, 3, 31)
+        seeds = [5, 2**64 - 1, 123456789]
+        shots = 150  # two full blocks and a partial one per input
+        batched = trajectory_counts(gates, 4, bound, inits, seeds, shots, measured)
+        for s in range(3):
+            alone = trajectory_counts(gates, 4, bound, inits[s:s + 1], seeds[s:s + 1], shots, measured)
+            assert np.array_equal(alone[0], batched[s])
+        for threads in (2, 3):
+            got = trajectory_counts(gates, 4, bound, inits, seeds, shots, measured, threads=threads)
+            assert np.array_equal(got, batched)
+        # batches smaller than one block split its rows and change nothing
+        monkeypatch.setattr(simulator, "_TRAJ_CHUNK", 16 * 5)
+        assert np.array_equal(trajectory_counts(gates, 4, bound, inits, seeds, shots, measured), batched)
+
+    def test_block_replays_from_its_own_stream(self):
+        # block 1 of a seed, replayed shot by shot from a fresh
+        # Philox(key=[seed, 1]) in the documented draw order, with the
+        # oracle's dense gate and Pauli matrices
+        n, seed, size = 3, 77, 40
+        noise = NoiseModel(flip_p=0.1, phase_p=0.1, depol_p=0.3,
+                           readout=((0, 0.1, 0.2), (n - 1, 0.15, 0.05)))
+        gates, bound, measured, inits = _trajectory_case(n, 1, 52, noise)
+        pairs = lookup_readout(bound.readout, measured)
+        block = TRAJ_BLOCK + size
+        got = (trajectory_counts(gates, n, bound, inits, [seed], block, measured)
+               - trajectory_counts(gates, n, bound, inits, [seed], TRAJ_BLOCK, measured))[0]
+
+        events = [(i, kind, qubits, p) for i, evs in enumerate(bound.events) for kind, qubits, p in evs]
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        hits = gen.random((size, len(events))) < np.array([e[3] for e in events])
+        digits = {}
+        for shot, e in zip(*np.nonzero(hits)):
+            _, kind, qubits, _ = events[e]
+            if kind == "depol":
+                j = 1 + int(gen.random() * (4 ** len(qubits) - 1))
+                digits[shot, e] = [(j >> (2 * pos)) & 3 for pos in range(len(qubits))]
+            else:
+                digits[shot, e] = [1 if kind == "flip" else 3]
+        u_out, u_read = gen.random(size), gen.random((size, len(measured)))
+
+        m = len(measured)
+        want = np.zeros(2**m, dtype=int)
+        for shot in range(size):
+            psi = inits[0]
+            for i, g in enumerate(gates):
+                psi = gate_unitary(g, n) @ psi
+                for e, (gi, _, qubits, _) in enumerate(events):
+                    if gi == i and hits[shot, e]:
+                        psi = pauli_string(digits[shot, e], qubits, n) @ psi
+            probs = np.zeros(2**m)
+            for x, a in enumerate(psi):
+                probs[sum(bit_of(x, q, n) << (m - 1 - j) for j, q in enumerate(measured))] += abs(a) ** 2
+            cum = np.cumsum(probs)
+            out = min(int(np.searchsorted(cum, u_out[shot] * cum[-1], side="right")), 2**m - 1)
+            bits = [(out >> (m - 1 - j)) & 1 for j in range(m)]
+            read = [b ^ (u_read[shot, j] < pairs[j][1 if b else 0]) for j, b in enumerate(bits)]
+            want[sum(b << (m - 1 - j) for j, b in enumerate(read))] += 1
+        assert got.tolist() == want.tolist()
+        assert hits.any() and any(e[1] == "depol" for e in events)
+
+    def test_width_and_shots_validated(self):
+        with pytest.raises(ValueError):
+            trajectory_counts((), SV_WIDTH_CAP + 1, None, [], [], 1)
+        with pytest.raises(ValueError):
+            trajectory_counts((), 1, None, [basis_state(1)], [0], 0)
 
 
 def test_shot_counts_distribution():

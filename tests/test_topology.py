@@ -85,7 +85,6 @@ class TestMapping:
         m = Mapping((0, 1, 2))
         s = m.with_swap(0, 2)
         assert s.physical == (2, 1, 0)
-        assert s.logical_at(0) == 2
         assert m.physical == (0, 1, 2)  # original untouched
 
     def test_swap_into_unoccupied_slot(self):
