@@ -264,6 +264,7 @@ def cmd_train(args) -> dict:
         "evaluations": result.evaluations,
         "cache_hits": result.cache_hits,
         "phase_seconds": result.phase_seconds,
+        "work": result.work,
     }
     outputs = _write(args.out, json.dumps(payload, indent=2) + "\n")
     return {

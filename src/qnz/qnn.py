@@ -19,13 +19,7 @@ import numpy as np
 from .ir import Circuit, Gate, GateKind
 from .mapper import MappedCircuit, compile
 from .noise import NoiseModel, bind
-from .simulator import (
-    DensityProgram,
-    derive_seed,
-    plan_mapped_run,
-    total_unitary,
-    trajectory_counts,
-)
+from .simulator import derive_seed, plan_mapped_run, trajectory_counts, zero_effect
 from .topology import CouplingGraph, linear_chain
 
 BACKENDS = ("ideal", "density", "trajectories")
@@ -256,15 +250,6 @@ def compile_neuron(w, graph: CouplingGraph | None = None) -> MappedCircuit:
     return compile(c, graph if graph is not None else linear_chain(c.width))
 
 
-def _zero_rows(n: int, measured) -> np.ndarray:
-    """Basis indices whose bits on the measured axes are all zero."""
-    idx = np.arange(1 << n)
-    keep = np.ones(idx.size, dtype=bool)
-    for q in measured:
-        keep &= (idx >> (n - 1 - q)) & 1 == 0
-    return np.nonzero(keep)[0]
-
-
 def _untimed(phase: str, fn):
     return fn()
 
@@ -307,18 +292,12 @@ def neuron_outputs(
     xs = np.asarray(xs, dtype=complex)
 
     def infer() -> np.ndarray:
-        if backend == "ideal":
-            # only the input varies across samples: one dense unitary,
-            # then P(0...0) = |rows with measured bits 0|^2 per sample
-            t_rows = total_unitary(plan.gates, plan.n)[_zero_rows(plan.n, measured)]
-            out = np.zeros(len(xs))
-            for i, x in enumerate(xs):
-                amp = t_rows @ plan.embed(x)
-                out[i] = float(np.real(np.vdot(amp, amp)))
-            return out
-        if backend == "density":
-            prog = DensityProgram(plan.gates, plan.n, dense_bound, measured, pairs)
-            return prog.probabilities([plan.embed(x) for x in xs])[:, 0]
+        if backend != "trajectories":
+            # the output is linear in rho: x^dagger V^dagger E V x, with E the
+            # all-zeros effect pulled back once and V the embedding isometry
+            eff = zero_effect(plan.gates, plan.n, dense_bound, measured, pairs)
+            iso = np.array([plan.embed(e) for e in np.eye(xs.shape[1])]).T
+            return np.einsum("si,ij,sj->s", xs.conj(), iso.conj().T @ eff @ iso, xs).real
         # w and -w compile to one circuit when their -1 counts differ, so
         # both draw the shots of the sign whose entry 0 is +1
         code = code_from_weights(w)

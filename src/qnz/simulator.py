@@ -3,8 +3,8 @@ Monte-Carlo trajectories with sampled Pauli insertions.
 
 State-vector convention: qubit 0 is the most significant bit of the amplitude
 index, so a state reshaped to [2]*n has qubit q on axis q. Density matrices
-are held on 2n axes (row axes 0..n-1, column axes n..2n-1) plus a trailing
-axis of inputs, which lets one gate kernel serve both backends.
+and effects are held on 2n axes (row axes 0..n-1, column axes n..2n-1), the
+former plus a trailing axis of inputs, so one gate kernel serves every pass.
 
 Trajectories evolve a batch of shots the same way, one shot per trailing-axis
 row, and draw each block of TRAJ_BLOCK shots from its own counter-based Philox
@@ -286,6 +286,33 @@ class DensityProgram:
     def distribution(self, init: np.ndarray | None = None) -> dict[str, float]:
         psi = basis_state(self.n) if init is None else init
         return _outcome_dict(self.probabilities([psi])[0], 1e-18)
+
+
+def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_pairs=None) -> np.ndarray:
+    """(2^n, 2^n) effect E with Tr(E rho) = P(read 0...0 on `measured`) after
+    the noisy gates act on rho: the readout-folded all-zeros projector pulled
+    back through the circuit (Heisenberg picture), last gate first.
+
+    Every kind here has U^T = +-U (only Y has the minus sign, and it appears
+    on both sides), so U^dagger E U is the forward step with `conj` swapped.
+    The Pauli channels are self-adjoint, so the event step is the forward one.
+    """
+    if n > DENSITY_WIDTH_CAP:
+        raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
+    measured = list(range(n)) if measured is None else list(measured)
+    if readout_pairs is None:
+        readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
+    diag = np.ones([2] * n)
+    for q, (p01, p10) in zip(measured, readout_pairs):
+        diag[_idx(n, {q: 0})] *= 1.0 - p01
+        diag[_idx(n, {q: 1})] *= p10
+    eff = np.diag(diag.reshape(-1).astype(complex)).reshape([2] * (2 * n))
+    for i, g in reversed(list(enumerate(gates))):
+        for event in () if bound is None else bound.events[i]:
+            eff = _rho_apply_event(eff, event, n)
+        eff = apply_kind(eff, g.kind, g.qubits, conj=True)
+        eff = apply_kind(eff, g.kind, tuple(q + n for q in g.qubits))
+    return eff.reshape(1 << n, 1 << n)
 
 
 def run_gates_density(

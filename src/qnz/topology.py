@@ -46,6 +46,20 @@ class CouplingGraph:
             adj[b].append(a)
         return tuple(tuple(sorted(nbs)) for nbs in adj)
 
+    @cached_property
+    def component_sizes(self) -> tuple[int, ...]:
+        """Vertex count of each vertex's connected component."""
+        size = [0] * self.num_physical
+        for root in (v for v in range(self.num_physical) if not size[v]):
+            seen, todo = {root}, [root]
+            while todo:
+                fresh = [nb for nb in self._adjacency[todo.pop()] if nb not in seen]
+                seen.update(fresh)
+                todo += fresh
+            for v in seen:
+                size[v] = len(seen)
+        return tuple(size)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v, lowest index first (built once per graph)."""
         return self._adjacency[v]
@@ -65,28 +79,30 @@ def linear_chain(n: int) -> CouplingGraph:
 def find_chain(g: CouplingGraph, length: int) -> list[int]:
     """Deterministic simple path of `length` vertices: DFS, lowest index first.
 
-    Raises NoChainFound when the graph has no simple path that long.
+    The DFS keeps its own stack, so long chains do not hit Python's recursion
+    limit. Raises NoChainFound when the graph has no simple path that long,
+    at once when no connected component has `length` vertices.
     """
     if length < 1:
         raise ValueError("chain length must be >= 1")
-    if length > g.num_physical:
-        raise NoChainFound(f"need {length} qubits, device has {g.num_physical}")
-
-    def dfs(path: list[int], used: set[int]) -> list[int] | None:
-        if len(path) == length:
-            return path
-        for nxt in g.neighbors(path[-1]):
-            if nxt in used:
-                continue
-            found = dfs(path + [nxt], used | {nxt})
-            if found is not None:
-                return found
-        return None
-
+    largest = max(g.component_sizes, default=0)
+    if length > largest:
+        raise NoChainFound(f"need {length} connected qubits, largest component has {largest}")
     for start in range(g.num_physical):
-        found = dfs([start], {start})
-        if found is not None:
-            return found
+        if g.component_sizes[start] < length:
+            continue
+        path, used, untried = [start], {start}, [iter(g.neighbors(start))]
+        while 0 < len(path) < length:  # untried: neighbors left per path vertex
+            nxt = next((v for v in untried[-1] if v not in used), None)
+            if nxt is None:
+                untried.pop()
+                used.discard(path.pop())
+            else:
+                path.append(nxt)
+                used.add(nxt)
+                untried.append(iter(g.neighbors(nxt)))
+        if path:
+            return path
     raise NoChainFound(f"no simple path of {length} vertices in the coupling graph")
 
 

@@ -84,6 +84,7 @@ class TrainResult:
     phase_seconds: dict[str, float]
     evaluations: int
     cache_hits: int
+    work: dict[str, int]  # routed neurons evaluated, their gates and bound events
 
 
 class Evaluator:
@@ -104,11 +105,14 @@ class Evaluator:
         self._accuracy: dict[tuple[tuple[int, ...], ...], float] = {}
         self.cache_hits = 0
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
+        self.work = {"neurons": 0, "gates": 0, "events": 0}
 
     def _timed(self, phase: str, fn):
         t0 = time.perf_counter()
         out = fn()
         self.phase_seconds[phase] += time.perf_counter() - t0
+        if phase == "bind":
+            self.work["events"] += out.total_events
         return out
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
@@ -122,6 +126,8 @@ class Evaluator:
             w, mapped, self.xs, cfg.backend, cfg.noise, cfg.shots, cfg.seed,
             cfg.threads, timed=self._timed,
         )
+        self.work["neurons"] += 1
+        self.work["gates"] += len(mapped.physical_gates)
         self._outputs[w] = out
         return out
 
@@ -140,14 +146,13 @@ class Evaluator:
 def _proposals_exhaustive(cfg: TrainConfig):
     n = cfg.initial.input_length
     n_neurons = len(cfg.initial.neurons)
+    table = [weights_from_code(c, n) for c in range(2**n)]
     codes = [0] * n_neurons
-    total = cfg.space_size()
-    for flat in range(total):
+    for flat in range(cfg.space_size()):
         v = flat
         for j in range(n_neurons - 1, -1, -1):
-            codes[j] = v % (2**n)
-            v //= 2**n
-        yield Model(tuple(weights_from_code(c, n) for c in codes))
+            v, codes[j] = divmod(v, 2**n)
+        yield Model(tuple(table[c] for c in codes))
 
 
 def _random_model(rng: np.random.Generator, template: Model) -> Model:
@@ -247,6 +252,7 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
         phase_seconds=dict(ev.phase_seconds),
         evaluations=iteration + 1,
         cache_hits=ev.cache_hits,
+        work=dict(ev.work),
     )
 
 

@@ -1,6 +1,8 @@
 """Weight-circuit construction, forward passes, and the synthetic dataset."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnz.ir import GateKind
 from qnz.mapper import compile, initial_interleaved_mapping
@@ -241,6 +243,29 @@ class TestInferenceAndAccuracy:
         # predictions to the draw
         traj = accuracy(m, ds, backend="trajectories", noise=nm, shots=100_000, seed=5)
         assert abs(dens - traj) <= 0.02 + 1e-9
+
+    def test_ideal_equals_zero_noise_density(self):
+        # both exact backends run one adjoint pass; with no noise bound the
+        # passes are the same arithmetic, so every output agrees bit for bit
+        xs = make_synthetic_dataset(3, 10).inputs()
+        g = linear_chain(4)
+        for code in range(256):
+            w = weights_from_code(code, 8)
+            mapped = compile_neuron(w, g)
+            ideal = neuron_outputs(w, mapped, xs, "ideal")
+            assert np.array_equal(ideal, neuron_outputs(w, mapped, xs, "density", NoiseModel()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), data=st.data())
+    def test_ideal_matches_closed_form(self, k, data):
+        n = 2**k
+        w = tuple(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+        x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        if np.linalg.norm(x) < 1e-3:
+            x[0] = 1.0
+        x /= np.linalg.norm(x)
+        got = neuron_outputs(w, compile_neuron(w), x[None, :], "ideal")[0]
+        assert abs(got - neuron_output_ideal(w, x)) <= 1e-12
 
     def test_binds_once_per_distinct_neuron(self, monkeypatch):
         import qnz.qnn as qnn_module

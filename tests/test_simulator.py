@@ -20,6 +20,7 @@ from qnz.simulator import (
     state_from_amplitudes,
     total_variation,
     trajectory_counts,
+    zero_effect,
 )
 
 from oracle import (
@@ -220,7 +221,49 @@ class TestDensityBatching:
         bound, pairs = plan.densify_bound(bind_gates(nm, mapped.physical_gates))
         prog = DensityProgram(plan.gates, plan.n, bound, plan.measured, pairs)
         want = prog.probabilities([plan.embed(x) for x in xs])[:, 0]
-        assert np.array_equal(neuron_outputs(w, mapped, xs, "density", nm), want)
+        # scored by the adjoint pass, checked against the forward engine
+        assert np.max(np.abs(neuron_outputs(w, mapped, xs, "density", nm) - want)) <= 1e-12
+
+
+class TestZeroEffect:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_forward_engine_and_oracle(self, n):
+        """x^dagger E x equals P(0...0) of the explicit-matrix evolution and
+        of DensityProgram, with every gate kind (BRIDGE3 and CNZ included
+        from width 3) and flip, phase and depol on 1-, 2- and 3-qubit gates."""
+        rng = np.random.default_rng(900 + n)
+        gates, _, measured = _random_density_case(rng, n)
+        if n >= 3:
+            gates.append(Gate(K.BRIDGE3, tuple(int(q) for q in rng.choice(n, 3, replace=False))))
+            gates.append(Gate(K.CNZ, tuple(int(q) for q in rng.choice(n, 3, replace=False))))
+            gates = [gates[i] for i in rng.permutation(len(gates))]
+        # H T H on every qubit last, so the effect is complex and a swapped
+        # conj (U E U^dagger in place of U^dagger E U) shows
+        gates += [Gate(k, (q,)) for q in range(n) for k in (K.H, K.T, K.H)]
+        nm = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.04,
+                        readout=((0, 0.03, 0.08), (n - 1, 0.06, 0.02)))
+        bound = bind_gates(nm, gates)
+        pairs = lookup_readout(bound.readout, measured)
+        eff = zero_effect(gates, n, bound, measured, pairs)
+        assert eff.shape == (2**n, 2**n) and np.max(np.abs(eff.imag)) > 1e-3
+        assert np.max(np.abs(eff - eff.conj().T)) < 1e-15
+        inits = np.array([random_state(n, rng) for _ in range(3)])
+        got = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
+        forward = DensityProgram(gates, n, bound, measured, pairs).probabilities(inits)[:, 0]
+        assert np.max(np.abs(got - forward)) <= 1e-12
+        want = density_outcome_probabilities(gates, n, bound.events, inits[0], measured, pairs)[0]
+        assert abs(got[0] - want) <= 1e-12
+
+    def test_noiseless_effect_is_the_pulled_back_projector(self):
+        rng = np.random.default_rng(31)
+        gates, _, measured = _random_density_case(rng, 4)
+        u = circuit_unitary(gates, 4)
+        proj = np.diag([float(all(bit_of(i, q, 4) == 0 for q in measured)) for i in range(16)])
+        assert np.max(np.abs(zero_effect(gates, 4, None, measured) - u.conj().T @ proj @ u)) < 1e-14
+
+    def test_width_cap(self):
+        with pytest.raises(ValueError):
+            zero_effect([], simulator.DENSITY_WIDTH_CAP + 1, None)
 
 
 class TestRunDensity:

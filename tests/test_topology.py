@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qnz.topology import (
@@ -74,6 +76,72 @@ class TestFindChain:
     def test_too_long(self):
         with pytest.raises(NoChainFound):
             find_chain(linear_chain(3), 4)
+
+    def test_long_chain_needs_no_recursion(self):
+        assert find_chain(linear_chain(1200), 1100) == list(range(1100))
+
+    def test_disjoint_grids_raise_at_once(self):
+        # the exhaustive DFS took 7.5 s to give up here
+        g = coupling_graph(50, _grid_edges(5, 5) + _grid_edges(5, 5, offset=25))
+        t0 = time.perf_counter()
+        with pytest.raises(NoChainFound):
+            find_chain(g, 26)
+        assert time.perf_counter() - t0 < 1.0
+        assert g.component_sizes == (25,) * 50
+
+    def test_same_chains_as_recursive_search(self):
+        graphs = [
+            linear_chain(6),
+            coupling_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            coupling_graph(4, [(0, 1), (0, 2), (0, 3)]),
+            coupling_graph(
+                9, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (7, 8), (8, 4)]
+            ),
+            coupling_graph(16, _grid_edges(4, 4)),
+            coupling_graph(18, _grid_edges(3, 3) + _grid_edges(3, 3, offset=9)),
+            coupling_graph(7, [(1, 2), (2, 3), (4, 5)]),
+        ]
+        for g in graphs:
+            for length in range(1, g.num_physical + 1):
+                try:
+                    want = _recursive_find_chain(g, length)
+                except NoChainFound:
+                    with pytest.raises(NoChainFound):
+                        find_chain(g, length)
+                    continue
+                assert find_chain(g, length) == want
+
+
+def _grid_edges(rows: int, cols: int, offset: int = 0) -> list[tuple[int, int]]:
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = offset + r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return edges
+
+
+def _recursive_find_chain(g, length: int) -> list[int]:
+    """The former recursive DFS, lowest index first, kept as a reference."""
+
+    def dfs(path, used):
+        if len(path) == length:
+            return path
+        for nxt in g.neighbors(path[-1]):
+            if nxt not in used:
+                found = dfs(path + [nxt], used | {nxt})
+                if found is not None:
+                    return found
+        return None
+
+    for start in range(g.num_physical):
+        found = dfs([start], {start})
+        if found is not None:
+            return found
+    raise NoChainFound(length)
 
 
 class TestMapping:

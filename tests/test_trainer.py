@@ -1,8 +1,10 @@
 """Search-strategy behavior: incumbent retention, oracle agreement, caching."""
+from dataclasses import replace
+
 import pytest
 
 from qnz.noise import NoiseModel
-from qnz.qnn import best_exhaustive_accuracy, make_synthetic_dataset, model
+from qnz.qnn import best_exhaustive_accuracy, make_synthetic_dataset, model, weights_from_code
 from qnz.trainer import (
     Evaluator,
     TrainConfig,
@@ -151,6 +153,31 @@ class TestDeterminism:
         assert [(e.iteration, e.weights, e.accuracy) for e in a.log] == [
             (e.iteration, e.weights, e.accuracy) for e in b.log
         ]
+
+    def test_work_counters_repeat(self):
+        ds = small_dataset()
+        cfg = base_config(
+            ds, model([1, 1, 1, 1], [1, -1, 1, 1]),
+            strategy="hill_climb", max_iters=40, backend="density",
+            noise=NoiseModel(flip_p=0.02, phase_p=0.01),
+        )
+        a, b = train(cfg), train(cfg)
+        assert a.work == b.work
+        distinct = {w for e in a.log for w in e.weights}
+        assert a.work["neurons"] == len(distinct)
+        assert a.work["gates"] > 0 and a.work["events"] > 0
+        clean = train(replace(cfg, noise=NoiseModel()))
+        assert clean.work["events"] == 0
+        assert clean.work["neurons"] == len({w for e in clean.log for w in e.weights})
+
+    def test_exhaustive_proposals_in_flat_order(self):
+        ds = small_dataset()
+        cfg = base_config(ds, model([1, 1, 1, 1], [1, 1, 1, 1]), max_iters=40)
+        log = train(cfg).log[1:]
+        want = [
+            (weights_from_code(f // 16, 4), weights_from_code(f % 16, 4)) for f in range(40)
+        ]
+        assert [e.weights for e in log] == want
 
     def test_cached_equals_fresh(self):
         ds = small_dataset()
