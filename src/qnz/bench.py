@@ -14,7 +14,7 @@ import numpy as np
 from .ir import Circuit, Gate, GateKind, expand_to_basis
 from .mapper import compile, naive_route
 from .noise import NoiseModel
-from .qnn import Dataset, Model, neuron_circuit, neuron_outputs
+from .qnn import Dataset, Model, accuracies, neuron_circuit, neuron_outputs
 from .topology import CouplingGraph
 
 COMPLEXITY_CLASSES = {"simple": 1, "middle": 3, "complex": 5}
@@ -139,8 +139,7 @@ def _model_accuracy_density(
         elapsed += (time.perf_counter() - t0) * 1e3
         swaps += mapped.stats.swaps
         outputs.append(neuron_outputs(w, mapped, xs, "density", noise))
-    acc = float(np.mean(m.predict_from_outputs(outputs) == dataset.labels()))
-    return acc, swaps, elapsed
+    return float(accuracies(outputs, dataset.labels())), swaps, elapsed
 
 
 def report_router_comparison(

@@ -132,16 +132,39 @@ class Model:
     def input_length(self) -> int:
         return len(self.neurons[0])
 
-    def predict_from_outputs(self, outputs) -> np.ndarray:
+    @staticmethod
+    def predict_from_outputs(outputs) -> np.ndarray:
         """Predicted classes from per-neuron outputs, each a scalar or an
         array over samples (arrays broadcast)."""
-        if len(self.neurons) == 1:
+        if len(outputs) == 1:
             return np.where(outputs[0] >= 0.5, 0, 1)
         return np.where(outputs[0] >= outputs[1], 0, 1)
 
 
 def model(*neurons) -> Model:
     return Model(tuple(check_weights(n) for n in neurons))
+
+
+def accuracies(outputs, labels) -> np.ndarray:
+    """Fraction of correct predictions along the last axis, from one output
+    array per neuron (arrays broadcast) under Model.predict_from_outputs' rule."""
+    return (Model.predict_from_outputs(outputs) == labels).mean(axis=-1)
+
+
+def scan_blocks(row, n: int, n_neurons: int, labels, limit: int):
+    """Accuracies of the first `limit` models in flat code order (the last
+    neuron's code varies fastest), one block per code prefix of the other
+    neurons: yields (prefix, accs), accs[c] scoring the model prefix + (c,).
+
+    `row(code)` is one neuron's outputs over the samples; it is called only
+    for the codes the scan reaches, and every block is one comparison.
+    """
+    size = 2**n
+    total = min(limit, size**n_neurons)
+    last = np.array([row(c) for c in range(min(size, total))])
+    for start in range(0, total, size):
+        prefix = tuple(start // size ** (n_neurons - 1 - j) % size for j in range(n_neurons - 1))
+        yield prefix, accuracies([row(c) for c in prefix] + [last[: total - start]], labels)
 
 
 @dataclass(frozen=True)
@@ -188,21 +211,13 @@ def best_exhaustive_accuracy(dataset: Dataset, n_neurons: int = 2) -> tuple[floa
             f"exhaustive space (2^{n})^{n_neurons} exceeds the 2^{EXHAUSTIVE_CAP_BITS} cap"
         )
     p = _output_table(dataset)
-    labels = dataset.labels()
-    rule = Model(((1,) * n,) * n_neurons)
-    if n_neurons == 1:
-        correct = (rule.predict_from_outputs([p]) == labels).mean(axis=1)
-        best = int(np.argmax(correct))
-        return float(correct[best]), Model((weights_from_code(best, n),))
-    best_acc, best_pair = -1.0, (0, 0)
-    for i in range(p.shape[0]):
-        acc = (rule.predict_from_outputs([p[i : i + 1], p]) == labels).mean(axis=1)
-        j = int(np.argmax(acc))
-        if acc[j] > best_acc:
-            best_acc, best_pair = float(acc[j]), (i, j)
-    return best_acc, Model(
-        (weights_from_code(best_pair[0], n), weights_from_code(best_pair[1], n))
-    )
+    blocks = scan_blocks(p.__getitem__, n, n_neurons, dataset.labels(), len(p) ** n_neurons)
+    best_acc, best = -1.0, ()
+    for prefix, accs in blocks:
+        j = int(np.argmax(accs))  # first maximum of the block
+        if accs[j] > best_acc:
+            best_acc, best = float(accs[j]), prefix + (j,)
+    return best_acc, Model(tuple(weights_from_code(c, n) for c in best))
 
 
 def make_synthetic_dataset(seed: int, n_samples: int, k: int = 3, sigma: float = 0.15) -> Dataset:
@@ -235,11 +250,7 @@ def make_synthetic_dataset(seed: int, n_samples: int, k: int = 3, sigma: float =
             # pair scan is quadratic in 2^N; a fixed all-ones partner gives a
             # cheap lower bound that is enough for the learnability gate
             p, labels = _output_table(ds), ds.labels()
-            pair = Model(((1,) * n,) * 2)
-            acc = max(
-                float((pair.predict_from_outputs(outputs) == labels).mean(axis=1).max())
-                for outputs in ([p, p[:1]], [p[:1], p])
-            )
+            acc = max(float(accuracies(outputs, labels).max()) for outputs in ([p, p[:1]], [p[:1], p]))
         if acc >= 0.9:
             return ds
     raise RuntimeError(f"no learnable dataset found for seed {seed}")
@@ -335,8 +346,7 @@ def accuracy(
         )
         for w in dict.fromkeys(model.neurons)
     }
-    preds = model.predict_from_outputs([outputs[w] for w in model.neurons])
-    return float(np.mean(preds == dataset.labels()))
+    return float(accuracies([outputs[w] for w in model.neurons], dataset.labels()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -176,38 +175,30 @@ def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
 _DENSITY_CHUNK = 1 << 16
 
 
-def _rho_apply_pauli(rho: np.ndarray, digits: tuple[int, ...], qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """P rho P^dagger for a Pauli string (1 = X, 2 = Y, 3 = Z) on row/column axes.
-
-    Z and Y parts negate the entries whose row and column bits differ; X and Y
-    parts flip the row and column axes. The signs go on one fresh copy before
-    any flip, because a flip is a view of its input.
-    """
-    signs = [q for d, q in zip(digits, qubits) if d in (2, 3)]
-    flips = [a for d, q in zip(digits, qubits) if d in (1, 2) for a in (q, q + n)]
-    out = rho.copy() if signs else rho
-    for q in signs:
-        out[_idx(out.ndim, {q: 0, q + n: 1})] *= -1
-        out[_idx(out.ndim, {q: 1, q + n: 0})] *= -1
-    return np.flip(out, flips) if flips else out
-
-
 def _rho_apply_event(rho: np.ndarray, event, n: int) -> np.ndarray:
+    """One bound error event on rho (or, being self-adjoint, on an effect),
+    held on row axes 0..n-1 and column axes n..2n-1."""
     kind, qubits, p = event
-    if kind == "flip":
-        return (1.0 - p) * rho + p * _rho_apply_pauli(rho, (1,), qubits, n)
-    if kind == "phase":
-        return (1.0 - p) * rho + p * _rho_apply_pauli(rho, (3,), qubits, n)
+    if kind == "flip":  # X rho X flips the row and the column axis of the qubit
+        q = qubits[0]
+        return (1.0 - p) * rho + p * np.flip(rho, (q, q + n))
+    if kind == "phase":  # Z rho Z negates the entries whose row and column bits differ
+        q = qubits[0]
+        hit = p * rho
+        hit[_idx(rho.ndim, {q: 0, q + n: 1})] *= -1
+        hit[_idx(rho.ndim, {q: 1, q + n: 0})] *= -1
+        return (1.0 - p) * rho + hit
     if kind == "depol":
-        k = len(qubits)
-        acc = np.zeros_like(rho)
-        count = 0
-        for digits in _iproduct(range(4), repeat=k):
-            if all(d == 0 for d in digits):
-                continue
-            acc = acc + _rho_apply_pauli(rho, digits, qubits, n)
-            count += 1
-        return (1.0 - p) * rho + (p / count) * acc
+        # the 4^k Pauli strings P rho P sum to 4^k I/2^k (x) Tr_k rho, so the
+        # uniform non-identity mix is one partial trace (and self-adjoint)
+        mixed = rho
+        for q in qubits:  # trace row axis q with column axis q + n, put I/2 back
+            zero, one = _idx(rho.ndim, {q: 0, q + n: 0}), _idx(rho.ndim, {q: 1, q + n: 1})
+            half = 0.5 * (mixed[zero] + mixed[one])
+            mixed = np.zeros_like(rho)
+            mixed[zero] = mixed[one] = half
+        lam = p * 4 ** len(qubits) / (4 ** len(qubits) - 1)
+        return (1.0 - lam) * rho + lam * mixed
     raise ValueError(f"unknown event kind {kind!r}")  # pragma: no cover
 
 

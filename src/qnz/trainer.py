@@ -12,6 +12,7 @@ climbing with random restarts, and uniform random search.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 
@@ -24,8 +25,11 @@ from .qnn import (
     EXHAUSTIVE_SPACE_CAP,
     Dataset,
     Model,
+    accuracies,
+    code_from_weights,
     neuron_circuit,
     neuron_outputs,
+    scan_blocks,
     weights_from_code,
 )
 from .simulator import derive_seed
@@ -69,6 +73,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LogEntry:
+    """One scored proposal; entries scored in one block share elapsed_ms."""
+
     iteration: int
     weights: tuple[tuple[int, ...], ...]
     accuracy: float
@@ -77,6 +83,8 @@ class LogEntry:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """`cache_hits` counts log entries whose model was scored earlier in the run."""
+
     best: Model
     best_accuracy: float
     baseline_accuracy: float
@@ -88,7 +96,7 @@ class TrainResult:
 
 
 class Evaluator:
-    """Caches per-neuron sample outputs and whole-model accuracies.
+    """Caches per-neuron sample outputs by weight vector.
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -102,8 +110,6 @@ class Evaluator:
         self.xs = cfg.dataset.inputs()
         self.labels = cfg.dataset.labels()
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
-        self._accuracy: dict[tuple[tuple[int, ...], ...], float] = {}
-        self.cache_hits = 0
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
         self.work = {"neurons": 0, "gates": 0, "events": 0}
 
@@ -132,126 +138,105 @@ class Evaluator:
         return out
 
     def model_accuracy(self, m: Model) -> float:
-        key = m.neurons
-        cached = self._accuracy.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        preds = m.predict_from_outputs([self.neuron_outputs(w) for w in m.neurons])
-        acc = float(np.mean(preds == self.labels))
-        self._accuracy[key] = acc
-        return acc
+        return float(accuracies([self.neuron_outputs(w) for w in m.neurons], self.labels))
 
 
-def _proposals_exhaustive(cfg: TrainConfig):
-    n = cfg.initial.input_length
-    n_neurons = len(cfg.initial.neurons)
-    table = [weights_from_code(c, n) for c in range(2**n)]
-    codes = [0] * n_neurons
-    for flat in range(cfg.space_size()):
-        v = flat
-        for j in range(n_neurons - 1, -1, -1):
-            v, codes[j] = divmod(v, 2**n)
-        yield Model(tuple(table[c] for c in codes))
-
-
-def _random_model(rng: np.random.Generator, template: Model) -> Model:
-    n = template.input_length
-    return Model(
-        tuple(weights_from_code(int(rng.integers(2**n)), n) for _ in template.neurons)
-    )
+def _flips(codes: tuple[int, ...], n: int):
+    """Hill-climb neighbours: each entry of each neuron flipped, in order."""
+    for j, c in enumerate(codes):
+        for i in range(n):
+            yield codes[:j] + (c ^ (1 << (n - 1 - i)),) + codes[j + 1 :]
 
 
 def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
     """Run the four-stage loop under the configured strategy.
 
-    The evaluation log gets one entry per proposal; `log_stream`, when given,
-    receives each entry as it happens. Exhaustive enumeration ignores the
-    convergence patience (stopping early would forfeit the global argmax) but
-    still respects max_iters.
+    Proposals are tuples of weight codes (`weights_from_code`), one per
+    neuron, scored from the evaluator's per-neuron output rows. The log gets
+    one entry per proposal; `log_stream`, when given, receives each entry as
+    it is logged. Exhaustive enumeration scores a block of proposals at once
+    (`scan_blocks`), ignores the convergence patience (stopping early would
+    forfeit the global argmax) but still respects max_iters.
     """
     ev = Evaluator(cfg)
+    n = cfg.initial.input_length
+    weights = functools.cache(lambda c: weights_from_code(c, n))
     log: list[LogEntry] = []
     t_start = time.perf_counter()
 
-    def evaluate(m: Model, iteration: int) -> float:
-        acc = ev.model_accuracy(m)
-        entry = LogEntry(
-            iteration, m.neurons, acc, (time.perf_counter() - t_start) * 1e3
-        )
-        log.append(entry)
-        if log_stream is not None:
-            log_stream(entry)
+    def row(code: int) -> np.ndarray:
+        return ev.neuron_outputs(weights(code))
+
+    def record(proposals, accs) -> None:
+        elapsed = (time.perf_counter() - t_start) * 1e3
+        for codes, acc in zip(proposals, accs):
+            entry = LogEntry(len(log), tuple(map(weights, codes)), acc, elapsed)
+            log.append(entry)
+            if log_stream is not None:
+                log_stream(entry)
+
+    def score(codes: tuple[int, ...]) -> float:
+        acc = float(accuracies([row(c) for c in codes], ev.labels))
+        record([codes], [acc])
         return acc
 
-    baseline_acc = evaluate(cfg.initial, 0)
-    best, best_acc = cfg.initial, baseline_acc
-    iteration = 0
+    base = tuple(code_from_weights(w) for w in cfg.initial.neurons)
+    baseline_acc = score(base)
+    best, best_acc = base, baseline_acc
     since_improvement = 0
-    use_patience = cfg.strategy != "exhaustive"
 
     def budget_left() -> bool:
-        if iteration >= cfg.max_iters:
-            return False
-        if use_patience and since_improvement >= cfg.patience:
-            return False
-        return True
+        return len(log) <= cfg.max_iters and since_improvement < cfg.patience
 
-    def consider(m: Model) -> float:
-        nonlocal iteration, best, best_acc, since_improvement
-        iteration += 1
-        acc = evaluate(m, iteration)
+    def consider(codes: tuple[int, ...]) -> float:
+        nonlocal best, best_acc, since_improvement
+        acc = score(codes)
         if acc > best_acc:
-            best, best_acc = m, acc
-            since_improvement = 0
+            best, best_acc, since_improvement = codes, acc, 0
         else:
             since_improvement += 1
         return acc
 
+    rng = np.random.default_rng(
+        derive_seed(cfg.seed, 0xC1153 if cfg.strategy == "hill_climb" else 0x5EA2C4)
+    )
+
+    def draw() -> tuple[int, ...]:
+        return tuple(int(rng.integers(2**n)) for _ in base)
+
     if cfg.strategy == "exhaustive":
-        for m in _proposals_exhaustive(cfg):
-            if not budget_left():
-                break
-            consider(m)
+        for prefix, accs in scan_blocks(row, n, len(base), ev.labels, cfg.max_iters):
+            record([prefix + (c,) for c in range(len(accs))], accs.tolist())
+            j = int(np.argmax(accs))  # the first strict improvement in the block
+            if accs[j] > best_acc:
+                best, best_acc = prefix + (j,), float(accs[j])
     elif cfg.strategy == "random_search":
-        rng = np.random.default_rng(derive_seed(cfg.seed, 0x5EA2C4))
         while budget_left():
-            consider(_random_model(rng, cfg.initial))
+            consider(draw())
     else:  # hill_climb
-        rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1153))
-        current, current_acc = cfg.initial, ev.model_accuracy(cfg.initial)
-        n = cfg.initial.input_length
+        current, current_acc = base, baseline_acc
         while budget_left():
-            improved = False
-            for neuron_idx in range(len(current.neurons)):
-                for entry_idx in range(n):
-                    if not budget_left():
-                        break
-                    neurons = [list(w) for w in current.neurons]
-                    neurons[neuron_idx][entry_idx] *= -1
-                    cand = Model(tuple(tuple(w) for w in neurons))
-                    acc = consider(cand)
-                    if acc > current_acc:
-                        current, current_acc = cand, acc
-                        improved = True
-                        break
-                if improved or not budget_left():
-                    break
-            if not improved:
+            for cand in _flips(current, n):
                 if not budget_left():
                     break
-                # local optimum: restart from random weights, keep the incumbent
-                current = _random_model(rng, cfg.initial)
-                current_acc = consider(current)
+                acc = consider(cand)
+                if acc > current_acc:
+                    current, current_acc = cand, acc
+                    break
+            else:
+                if budget_left():
+                    # local optimum: restart from random weights, keep the incumbent
+                    current = draw()
+                    current_acc = consider(current)
 
     return TrainResult(
-        best=best,
+        best=cfg.initial if best == base else Model(tuple(map(weights, best))),
         best_accuracy=best_acc,
         baseline_accuracy=baseline_acc,
         log=tuple(log),
         phase_seconds=dict(ev.phase_seconds),
-        evaluations=iteration + 1,
-        cache_hits=ev.cache_hits,
+        evaluations=len(log),
+        cache_hits=len(log) - len({e.weights for e in log}),
         work=dict(ev.work),
     )
 

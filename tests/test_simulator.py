@@ -1,4 +1,6 @@
 """Backend tests: exact gate application, channels, trajectories, reproducibility."""
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,65 @@ class TestZeroEffect:
     def test_width_cap(self):
         with pytest.raises(ValueError):
             zero_effect([], simulator.DENSITY_WIDTH_CAP + 1, None)
+
+
+class TestDepolarizingChannel:
+    """A k-qubit depol event is one partial trace, (1 - l) rho + l I/2^k (x) Tr_k rho
+    with l = p 4^k / (4^k - 1), in place of the 4^k - 1 Pauli strings."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_pauli_sum_forward_and_adjoint(self, k):
+        n, p = 4, 0.3
+        rng = np.random.default_rng(60 + k)
+        qubits = tuple(int(q) for q in rng.choice(n, k, replace=False))
+        # the step itself, on non-Hermitian matrices carried on a batch axis
+        mats = rng.normal(size=(2, 2**n, 2**n)) + 1j * rng.normal(size=(2, 2**n, 2**n))
+        got = simulator._rho_apply_event(
+            np.moveaxis(mats, 0, -1).reshape([2] * (2 * n) + [2]), ("depol", qubits, p), n
+        ).reshape(2**n, 2**n, 2)
+        strings = [pauli_string(d, qubits, n) for d in product(range(4), repeat=k) if any(d)]
+        for b, m in enumerate(mats):
+            want = (1 - p) * m + p / len(strings) * sum(s @ m @ s.conj().T for s in strings)
+            assert np.max(np.abs(got[..., b] - want)) <= 1e-12
+        # through a circuit: the forward engine and the pulled-back effect
+        # against the oracle's explicit Kraus evolution
+        middle = Gate((K.H, K.CX, K.CCX)[k - 1], qubits)
+        layer = [Gate(kind, (q,)) for q in range(n) for kind in (K.H, K.T)]
+        gates = layer + [middle] + layer[::-1]
+        bound = BoundNoise(events=tuple(
+            (("depol", qubits, p),) if g is middle else () for g in gates
+        ))
+        measured, pairs = [2, 0, 1], [(0.0, 0.0)] * 3
+        inits = np.array([random_state(n, rng) for _ in range(3)])
+        want = np.array([
+            density_outcome_probabilities(gates, n, bound.events, x, measured, pairs)
+            for x in inits
+        ])
+        forward = DensityProgram(gates, n, bound, measured, pairs).probabilities(inits)
+        assert np.max(np.abs(forward - want)) <= 1e-12
+        eff = zero_effect(gates, n, bound, measured, pairs)
+        adjoint = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
+        assert np.max(np.abs(adjoint - want[:, 0])) <= 1e-12
+
+    def test_all_qubit_cnz_at_width_8(self):
+        """Depol on a CNZ over all 8 qubits (65,535 Pauli strings) leaves
+        (1 - l) U rho U^dagger + l I/2^8, which the trailing H layer keeps."""
+        n, p = 8, 0.2
+        mixed = p * 4**n / (4**n - 1)
+        rng = np.random.default_rng(88)
+        cnz = Gate(K.CNZ, tuple(range(n)))
+        gates = [Gate(kind, (q,)) for kind in (K.H, K.T) for q in range(n)]
+        gates += [cnz] + [Gate(K.H, (q,)) for q in range(n)]
+        bound = BoundNoise(events=tuple(
+            (("depol", cnz.qubits, p),) if g is cnz else () for g in gates
+        ))
+        inits = np.array([random_state(n, rng) for _ in range(2)])
+        ideal = np.array([np.abs(run_gates_ideal(gates, n, x)) ** 2 for x in inits])
+        want = (1 - mixed) * ideal + mixed / 2**n
+        assert np.max(np.abs(DensityProgram(gates, n, bound).probabilities(inits) - want)) <= 1e-12
+        eff = zero_effect(gates, n, bound)
+        got = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
+        assert np.max(np.abs(got - want[:, 0])) <= 1e-12
 
 
 class TestRunDensity:

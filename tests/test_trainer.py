@@ -1,10 +1,20 @@
 """Search-strategy behavior: incumbent retention, oracle agreement, caching."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnz.noise import NoiseModel
-from qnz.qnn import best_exhaustive_accuracy, make_synthetic_dataset, model, weights_from_code
+from qnz.qnn import (
+    Model,
+    best_exhaustive_accuracy,
+    code_from_weights,
+    make_synthetic_dataset,
+    model,
+    weights_from_code,
+)
 from qnz.trainer import (
     Evaluator,
     TrainConfig,
@@ -80,6 +90,86 @@ class TestExhaustive:
         cfg = base_config(ds, model([1, 1, 1, 1]), max_iters=5)
         result = train(cfg)
         assert len(result.log) == 6  # baseline + 5 proposals
+
+
+def sequential_exhaustive(cfg):
+    """The exhaustive strategy as a sequential loop over Models in flat code
+    order, keeping the first strict improvement over the incumbent."""
+    ev = Evaluator(cfg)
+    n, k = cfg.initial.input_length, len(cfg.initial.neurons)
+
+    def acc(m):
+        outs = [ev.neuron_outputs(w) for w in m.neurons]
+        return float(np.mean(m.predict_from_outputs(outs) == ev.labels))
+
+    log = [(0, cfg.initial.neurons, acc(cfg.initial))]
+    best, best_acc = cfg.initial, log[0][2]
+    for flat in range(min(cfg.max_iters, cfg.space_size())):
+        m = Model(tuple(weights_from_code(flat >> (n * (k - 1 - j)) & (2**n - 1), n) for j in range(k)))
+        log.append((flat + 1, m.neurons, acc(m)))
+        if log[-1][2] > best_acc:
+            best, best_acc = m, log[-1][2]
+    hits = len(log) - len({neurons for _, neurons, _ in log})
+    return log, best, best_acc, log[0][2], len(log), hits, ev.work
+
+
+class TestExhaustiveParity:
+    @pytest.mark.parametrize("backend", ["ideal", "density"])
+    @pytest.mark.parametrize("max_iters", [1, 5, 17, None])
+    @pytest.mark.parametrize("initial", [([1, 1, -1, 1],), ([1, 1, 1, 1], [1, 1, -1, 1])])
+    def test_block_scan_equals_sequential_loop(self, backend, max_iters, initial):
+        m = model(*initial)  # flat index 2 in both spaces, so a full scan revisits it
+        cfg = base_config(
+            small_dataset(), m, backend=backend, noise=NoiseModel(flip_p=0.03, phase_p=0.02),
+            max_iters=max_iters or (2**4) ** len(initial),
+        )
+        r = train(cfg)
+        got = (
+            [(e.iteration, e.weights, e.accuracy) for e in r.log],
+            r.best, r.best_accuracy, r.baseline_accuracy, r.evaluations, r.cache_hits, r.work,
+        )
+        assert got == sequential_exhaustive(cfg)
+
+
+# Logs of 24 proposals recorded before the strategies proposed weight codes:
+# (code of each neuron, correct predictions out of 12)
+PINNED_LOGS = {
+    "hill_climb": [
+        ((0, 4), 3), ((8, 4), 9), ((0, 4), 3), ((12, 4), 6), ((10, 4), 11), ((2, 4), 6),
+        ((14, 4), 4), ((8, 4), 9), ((11, 4), 6), ((10, 12), 7), ((10, 0), 12), ((2, 0), 12),
+        ((14, 0), 12), ((8, 0), 12), ((11, 0), 9), ((10, 8), 8), ((10, 4), 11), ((10, 2), 6),
+        ((10, 1), 9), ((12, 3), 6), ((4, 3), 6), ((8, 3), 9), ((0, 3), 0), ((12, 3), 6),
+        ((10, 3), 7),
+    ],
+    "random_search": [
+        ((0, 4), 3), ((5, 14), 9), ((7, 4), 9), ((9, 7), 5), ((12, 8), 3), ((2, 0), 12),
+        ((12, 1), 4), ((8, 4), 9), ((7, 11), 9), ((5, 15), 12), ((2, 14), 9), ((7, 7), 6),
+        ((5, 3), 7), ((0, 2), 0), ((1, 2), 3), ((5, 2), 6), ((8, 5), 4), ((4, 0), 9),
+        ((3, 5), 5), ((0, 10), 0), ((3, 5), 5), ((15, 5), 0), ((11, 12), 6), ((3, 5), 5),
+        ((0, 2), 0),
+    ],
+}
+
+
+class TestPinnedStrategies:
+    @pytest.mark.parametrize("strategy", sorted(PINNED_LOGS))
+    def test_log_unchanged(self, strategy):
+        ds = small_dataset()
+        cfg = base_config(
+            ds, model([1, 1, 1, 1], [1, -1, 1, 1]), strategy=strategy, max_iters=24,
+            noise=NoiseModel(flip_p=0.02, phase_p=0.01),
+        )
+        got = [(tuple(map(code_from_weights, e.weights)), e.accuracy) for e in train(cfg).log]
+        assert got == [(codes, right / 12) for codes, right in PINNED_LOGS[strategy]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([4, 8, 16, 32]), data=st.data())
+    def test_flipping_an_entry_is_a_code_xor(self, n, data):
+        code = data.draw(st.integers(0, 2**n - 1))
+        i = data.draw(st.integers(0, n - 1))
+        w = list(weights_from_code(code, n))
+        w[i] *= -1
+        assert tuple(w) == weights_from_code(code ^ (1 << (n - 1 - i)), n)
 
 
 class TestHillClimb:
