@@ -6,7 +6,6 @@ register. Latencies are wall-clock medians over repeated compilations.
 """
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import asdict, dataclass
 
@@ -91,46 +90,18 @@ def standard_bench_rows(g: CouplingGraph, repetitions: int) -> list[BenchRow]:
     return bench_compile(circuits, g, repetitions)
 
 
-def _interleaved_samples(fns, repetitions: int) -> np.ndarray:
-    """Wall-clock ms, one row per round, one column per fn, after one warm-up
-    round. Each round calls every fn once, in reverse order on odd rounds, with
-    the garbage collector paused, so slow spells on a shared machine fall on
-    all columns alike instead of on whichever fn was being timed then."""
-    for fn in fns:
-        fn()
-    samples = np.empty((repetitions, len(fns)))
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for r in range(repetitions):
-            order = range(len(fns)) if r % 2 == 0 else range(len(fns) - 1, -1, -1)
-            for j in order:
-                t0 = time.perf_counter_ns()
-                fns[j]()
-                samples[r, j] = (time.perf_counter_ns() - t0) / 1e6
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return samples
-
-
 def latency_scaling(g: CouplingGraph, max_blocks: int = 10, repetitions: int = 40):
     """(blocks, latency_ms) pairs plus the linear-fit R^2 over 1..max_blocks.
 
-    Each round compiles every block count once (`_interleaved_samples`). A
-    slow spell slows a whole round by a common factor, so the curve's shape is
-    taken from each block count's median share of its round's total, and its
-    scale from the median round total: point b = median_r(t[r, b] / T[r]) *
-    median_r(T[r]). A cost that grows faster than linearly in blocks grows
-    faster in every round's shares too, so the fit still sees it.
+    Uses the lower quartile of repeated timings: wall-clock contamination on a
+    shared machine is one-sided, so the quartile tracks the true cost curve
+    far more stably than the mean.
     """
-    circuits = [complexity_circuit(b) for b in range(1, max_blocks + 1)]
-    samples = _interleaved_samples(
-        [lambda c=circ: compile(c, g) for circ in circuits], repetitions
-    )
-    totals = samples.sum(axis=1, keepdims=True)
-    latencies = np.median(samples / totals, axis=0) * float(np.median(totals))
-    points = [(b, float(ms)) for b, ms in zip(range(1, max_blocks + 1), latencies)]
+    points = []
+    for blocks in range(1, max_blocks + 1):
+        circ = complexity_circuit(blocks)
+        samples = _time_samples(lambda c=circ: compile(c, g), repetitions)
+        points.append((blocks, float(np.percentile(samples, 25))))
     xs = np.array([b for b, _ in points], dtype=float)
     ys = np.array([m for _, m in points])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -400,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="error-aware weight search from a JSON config")
     common(p)
     p.add_argument("--config", required=True)
-    p.add_argument("--log", action="store_true", help="stream evaluation events to stderr")
+    p.add_argument(
+        "--log",
+        action="store_true",
+        help="stream evaluation events to stderr (exhaustive search: once per block of 2^N)",
+    )
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sweep", help="train across a list of error rates")

@@ -151,20 +151,29 @@ def accuracies(outputs, labels) -> np.ndarray:
     return (Model.predict_from_outputs(outputs) == labels).mean(axis=-1)
 
 
-def scan_blocks(row, n: int, n_neurons: int, labels, limit: int):
-    """Accuracies of the first `limit` models in flat code order (the last
-    neuron's code varies fastest), one block per code prefix of the other
-    neurons: yields (prefix, accs), accs[c] scoring the model prefix + (c,).
+def scan_blocks(row, n: int, n_neurons: int, labels, limit: int, best=(-1.0, ()), on_block=None):
+    """Score the first `limit` models in flat code order (the last neuron's
+    code varies fastest) and return the first strict improvement on `best`,
+    an (accuracy, code tuple) pair, which comes back unchanged if none beats it.
 
-    `row(code)` is one neuron's outputs over the samples; it is called only
-    for the codes the scan reaches, and every block is one comparison.
+    One block per code prefix of the other neurons: every block is one
+    comparison, and `on_block(prefix, accs)`, when given, sees it as soon as it
+    is scored, accs[c] scoring the model prefix + (c,). `row(code)` is one
+    neuron's outputs over the samples; it is called only for the codes the scan
+    reaches.
     """
     size = 2**n
     total = min(limit, size**n_neurons)
     last = np.array([row(c) for c in range(min(size, total))])
     for start in range(0, total, size):
         prefix = tuple(start // size ** (n_neurons - 1 - j) % size for j in range(n_neurons - 1))
-        yield prefix, accuracies([row(c) for c in prefix] + [last[: total - start]], labels)
+        accs = accuracies([row(c) for c in prefix] + [last[: total - start]], labels)
+        if on_block is not None:
+            on_block(prefix, accs)
+        j = int(np.argmax(accs))  # the block's first maximum
+        if accs[j] > best[0]:
+            best = (float(accs[j]), prefix + (j,))
+    return best
 
 
 @dataclass(frozen=True)
@@ -211,12 +220,7 @@ def best_exhaustive_accuracy(dataset: Dataset, n_neurons: int = 2) -> tuple[floa
             f"exhaustive space (2^{n})^{n_neurons} exceeds the 2^{EXHAUSTIVE_CAP_BITS} cap"
         )
     p = _output_table(dataset)
-    blocks = scan_blocks(p.__getitem__, n, n_neurons, dataset.labels(), len(p) ** n_neurons)
-    best_acc, best = -1.0, ()
-    for prefix, accs in blocks:
-        j = int(np.argmax(accs))  # first maximum of the block
-        if accs[j] > best_acc:
-            best_acc, best = float(accs[j]), prefix + (j,)
+    best_acc, best = scan_blocks(p.__getitem__, n, n_neurons, dataset.labels(), len(p) ** n_neurons)
     return best_acc, Model(tuple(weights_from_code(c, n) for c in best))
 
 

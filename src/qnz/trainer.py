@@ -155,8 +155,10 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
     neuron, scored from the evaluator's per-neuron output rows. The log gets
     one entry per proposal; `log_stream`, when given, receives each entry as
     it is logged. Exhaustive enumeration scores a block of proposals at once
-    (`scan_blocks`), ignores the convergence patience (stopping early would
-    forfeit the global argmax) but still respects max_iters.
+    (`scan_blocks`) and logs them once the block is scored, so its entries
+    arrive once per block (a single neuron is one block of 2^N). It ignores
+    the convergence patience (stopping early would forfeit the global argmax)
+    but still respects max_iters.
     """
     ev = Evaluator(cfg)
     n = cfg.initial.input_length
@@ -205,11 +207,10 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
         return tuple(int(rng.integers(2**n)) for _ in base)
 
     if cfg.strategy == "exhaustive":
-        for prefix, accs in scan_blocks(row, n, len(base), ev.labels, cfg.max_iters):
-            record([prefix + (c,) for c in range(len(accs))], accs.tolist())
-            j = int(np.argmax(accs))  # the first strict improvement in the block
-            if accs[j] > best_acc:
-                best, best_acc = prefix + (j,), float(accs[j])
+        best_acc, best = scan_blocks(
+            row, n, len(base), ev.labels, cfg.max_iters, (best_acc, best),
+            lambda prefix, accs: record([prefix + (c,) for c in range(len(accs))], accs.tolist()),
+        )
     elif cfg.strategy == "random_search":
         while budget_left():
             consider(draw())
