@@ -31,8 +31,8 @@ class NoiseModel:
     """Abstract error-rate specification, independent of any mapping.
 
     `readout` maps a physical qubit to (p01, p10): P(read 1 | true 0) and
-    P(read 0 | true 1). `qubit_multipliers` scale flip/phase rates per
-    physical qubit.
+    P(read 0 | true 1); an entry for qubit None covers every unlisted qubit.
+    `qubit_multipliers` scale flip/phase rates per physical qubit.
     """
 
     flip_p: float = 0.0
@@ -60,11 +60,13 @@ class NoiseModel:
 
 def lookup_readout(readout, qubits) -> list[tuple[float, float]]:
     """(p01, p10) per qubit from a readout table; the first entry for a qubit
-    wins and unlisted qubits read clean."""
-    table: dict[int, tuple[float, float]] = {}
+    wins, a qubit of None is a wildcard for every unlisted qubit, and unlisted
+    qubits read clean without one."""
+    table: dict[int | None, tuple[float, float]] = {}
     for q, p01, p10 in readout:
         table.setdefault(q, (p01, p10))
-    return [table.get(q, (0.0, 0.0)) for q in qubits]
+    default = table.get(None, (0.0, 0.0))
+    return [table.get(q, default) for q in qubits]
 
 
 def _check_prob(name: str, p) -> None:
@@ -247,9 +249,7 @@ def parse_noise_shorthand(spec: str) -> NoiseModel:
     readout = ()
     if read is not None:
         _check_prob("readout", read)
-        # Symmetric table for any plausible register size; lookups default to
-        # 0 beyond it, so keep it generous.
-        readout = tuple((q, read, read) for q in range(64))
+        readout = ((None, read, read),)  # a wildcard: every qubit
     return NoiseModel(flip_p=flip, phase_p=phase, depol_p=depol, readout=readout)
 
 

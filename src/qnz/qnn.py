@@ -279,6 +279,7 @@ def neuron_outputs(
     seed: int | None = None,
     threads: int = 1,
     timed=_untimed,
+    cache: dict | None = None,
 ) -> np.ndarray:
     """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
     for every input row of `xs`: shape (samples,).
@@ -288,7 +289,10 @@ def neuron_outputs(
     are seeded by derive_seed(seed, i, c), with c the smaller of the codes of
     w and -w, so a (weight, sample) pair draws the same shots in every
     caller. `timed(phase, fn)` lets a caller time the "bind" and "infer"
-    phases.
+    phases. A `cache` dict, kept by the caller across neurons of one noise
+    model, lets the exact backends share the adjoint pass of every common
+    suffix of routed blocks (simulator.zero_effect) and the embedding
+    isometry of plans of one shape; outputs do not depend on it.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -310,8 +314,13 @@ def neuron_outputs(
         if backend != "trajectories":
             # the output is linear in rho: x^dagger V^dagger E V x, with E the
             # all-zeros effect pulled back once and V the embedding isometry
-            eff = zero_effect(plan.gates, plan.n, dense_bound, measured, pairs)
-            iso = np.array([plan.embed(e) for e in np.eye(xs.shape[1])]).T
+            cuts = [c for block in mapped.block_boundaries for c in block]
+            eff = zero_effect(plan.gates, plan.n, dense_bound, measured, pairs, cuts, cache)
+            embeds = {} if cache is None else cache
+            shape = ("embed", plan.n, plan.num_aux, plan.init_positions)
+            if shape not in embeds:
+                embeds[shape] = np.array([plan.embed(e) for e in np.eye(xs.shape[1])]).T
+            iso = embeds[shape]
             return np.einsum("si,ij,sj->s", xs.conj(), iso.conj().T @ eff @ iso, xs).real
         # w and -w compile to one circuit when their -1 counts differ, so
         # both draw the shots of the sign whose entry 0 is +1

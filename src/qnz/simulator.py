@@ -279,7 +279,12 @@ class DensityProgram:
         return _outcome_dict(self.probabilities([psi])[0], 1e-18)
 
 
-def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_pairs=None) -> np.ndarray:
+# Effects zero_effect keeps for shared suffixes: at most this many bytes per cache.
+_SUFFIX_CACHE_BYTES = 1 << 26
+
+
+def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_pairs=None,
+                cuts=(), cache: dict | None = None) -> np.ndarray:
     """(2^n, 2^n) effect E with Tr(E rho) = P(read 0...0 on `measured`) after
     the noisy gates act on rho: the readout-folded all-zeros projector pulled
     back through the circuit (Heisenberg picture), last gate first.
@@ -287,6 +292,16 @@ def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_
     Every kind here has U^T = +-U (only Y has the minus sign, and it appears
     on both sides), so U^dagger E U is the forward step with `conj` swapped.
     The Pauli channels are self-adjoint, so the event step is the forward one.
+
+    With a `cache` (a dict owned by the caller), circuits that end in the same
+    gates share their pull-back. `cuts` are the gate indices where a suffix
+    may be shared (routed block boundaries). Walking from the last cut to the
+    first, each suffix is a node keyed by its parent node's id and the
+    interned ids of its segment's (gate, bound events) pairs, the root being
+    (n, measured, readout pairs); a hit continues from a copy of the stored
+    effect, a miss walks the segment and stores a copy (the walk works in
+    place). cache["skipped"] counts the gate steps hits saved. Stored effects
+    stop at _SUFFIX_CACHE_BYTES; a miss past that walks the rest uncached.
     """
     if n > DENSITY_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
@@ -298,11 +313,40 @@ def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_
         diag[_idx(n, {q: 0})] *= 1.0 - p01
         diag[_idx(n, {q: 1})] *= p10
     eff = np.diag(diag.reshape(-1).astype(complex)).reshape([2] * (2 * n))
-    for i, g in reversed(list(enumerate(gates))):
-        for event in () if bound is None else bound.events[i]:
-            eff = _rho_apply_event(eff, event, n)
-        eff = apply_kind(eff, g.kind, g.qubits, conj=True)
-        eff = apply_kind(eff, g.kind, tuple(q + n for q in g.qubits))
+    gates = tuple(gates)
+    events = ((),) * len(gates) if bound is None else bound.events
+
+    def pull_back(lo: int, hi: int) -> None:
+        # rebinds eff in place of taking it, so no caller frame keeps the
+        # walk's starting array alive (1 MB at width 8)
+        nonlocal eff
+        for i in range(hi - 1, lo - 1, -1):
+            for event in events[i]:
+                eff = _rho_apply_event(eff, event, n)
+            g = gates[i]
+            eff = apply_kind(eff, g.kind, g.qubits, conj=True)
+            eff = apply_kind(eff, g.kind, tuple(q + n for q in g.qubits))
+
+    hi = len(gates)
+    if cache is not None:
+        ops, nodes = cache.setdefault("ops", {}), cache.setdefault("suffixes", {})
+        root = (n, tuple(measured), tuple(map(tuple, readout_pairs)))
+        node = nodes.setdefault(root, (len(nodes), None))[0]
+        for lo in sorted({c for c in cuts if 0 < c < hi} | {0}, reverse=True):
+            key = (node, tuple(ops.setdefault((gates[i], events[i]), len(ops)) for i in range(lo, hi)))
+            if key in nodes:
+                node, stored = nodes[key]
+                eff = stored.copy()
+                cache["skipped"] = cache.get("skipped", 0) + hi - lo
+            elif cache.get("bytes", 0) + eff.nbytes <= _SUFFIX_CACHE_BYTES:
+                pull_back(lo, hi)
+                node = len(nodes)
+                nodes[key] = (node, eff.copy())
+                cache["bytes"] = cache.get("bytes", 0) + eff.nbytes
+            else:
+                break
+            hi = lo
+    pull_back(0, hi)
     return eff.reshape(1 << n, 1 << n)
 
 

@@ -92,11 +92,15 @@ class TrainResult:
     phase_seconds: dict[str, float]
     evaluations: int
     cache_hits: int
-    work: dict[str, int]  # routed neurons evaluated, their gates and bound events
+    # routed neurons evaluated, their gates, their bound events, and the gate
+    # steps the evaluator applied (gates minus those shared suffixes skipped)
+    work: dict[str, int]
 
 
 class Evaluator:
-    """Caches per-neuron sample outputs by weight vector.
+    """Caches per-neuron sample outputs by weight vector, and one adjoint-pass
+    cache per run, so neurons that end in the same routed blocks pull that
+    suffix back once.
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -111,7 +115,8 @@ class Evaluator:
         self.labels = cfg.dataset.labels()
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
-        self.work = {"neurons": 0, "gates": 0, "events": 0}
+        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0}
+        self._cache: dict = {}
 
     def _timed(self, phase: str, fn):
         t0 = time.perf_counter()
@@ -128,12 +133,15 @@ class Evaluator:
         cfg = self.cfg
         circ = self._timed("circ", lambda: neuron_circuit(w))
         mapped = self._timed("map", lambda: compile(circ, self.graph))
+        # suffixes are shared between neurons, so the first one stores none
+        # (an evaluator of a single neuron holds no effects)
         out = neuron_outputs(
             w, mapped, self.xs, cfg.backend, cfg.noise, cfg.shots, cfg.seed,
-            cfg.threads, timed=self._timed,
+            cfg.threads, timed=self._timed, cache=self._cache if self._outputs else None,
         )
         self.work["neurons"] += 1
         self.work["gates"] += len(mapped.physical_gates)
+        self.work["steps"] = self.work["gates"] - self._cache.get("skipped", 0)
         self._outputs[w] = out
         return out
 

@@ -14,11 +14,13 @@ from qnz.noise import (
     bind,
     bind_gates,
     load_calibration,
+    lookup_readout,
     noise_model_from_dict,
     parse_noise_shorthand,
 )
+from qnz.qnn import compile_neuron, neuron_outputs
 from qnz.simulator import run_density, run_gates_density
-from qnz.topology import linear_chain
+from qnz.topology import CouplingGraph, linear_chain
 
 K = GateKind
 
@@ -75,6 +77,21 @@ class TestLoadCalibration:
         assert nm.readout_for(0) == (0.1, 0.1)
         with pytest.raises(CalibrationError):
             parse_noise_shorthand("wobble:0.1")
+
+    def test_shorthand_readout_covers_every_qubit(self):
+        """The readout shorthand is one wildcard entry, so a neuron routed onto
+        physical qubit 100 of a large device reads at the shorthand rate;
+        listed qubits still win over it."""
+        nm = parse_noise_shorthand("readout:0.03")
+        assert lookup_readout(nm.readout, [0, 63, 64, 100, 10_000]) == [(0.03, 0.03)] * 5
+        listed = NoiseModel(readout=((5, 0.2, 0.1), *nm.readout))
+        assert lookup_readout(listed.readout, [5, 100]) == [(0.2, 0.1), (0.03, 0.03)]
+        # a 128-qubit device whose only coupler is 100-101 holds the neuron there
+        w, x = (1, 1, 1, 1), np.full((1, 4), 0.5)  # w.x / 2 = 1: reads 00 unless misread
+        mapped = compile_neuron(w, CouplingGraph(128, frozenset({(100, 101)})))
+        assert mapped.chain == (100, 101)
+        out = neuron_outputs(w, mapped, x, "density", nm)
+        assert out[0] == pytest.approx((1.0 - 0.03) ** 2, abs=1e-12)
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "cal.json"

@@ -268,6 +268,66 @@ class TestZeroEffect:
             zero_effect([], simulator.DENSITY_WIDTH_CAP + 1, None)
 
 
+class TestSharedSuffixes:
+    """zero_effect with `cuts` and a shared cache pulls each distinct suffix
+    back once and returns exactly the uncached effect."""
+
+    @staticmethod
+    def _circuits(n: int):
+        """Circuits over four random segments that share tails, bound under
+        two noise models with one readout table, so equal gates may carry
+        different events (the second leaves most gates without any, so steps
+        act in place); the last two repeat earlier ones exactly."""
+        rng = np.random.default_rng(950 + n)
+        segs = [_random_density_case(rng, n)[0][: 4 + s] for s in range(4)]
+        readout = ((0, 0.03, 0.08), (n - 1, 0.06, 0.02))
+        noises = [NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.04, readout=readout),
+                  NoiseModel(flip_p=0.02, phase_p=0.05, readout=readout)]
+        out = []
+        for order, nm in [((0, 1, 2), 0), ((3, 1, 2), 0), ((2,), 0), ((1, 2), 0), ((0, 3, 2), 0),
+                          ((3, 1, 2), 1), ((1, 2), 1), ((0, 1, 2), 0), ((3, 1, 2), 1)]:
+            gates = [g for s in order for g in segs[s]]
+            cuts = list(np.cumsum([0] + [len(segs[s]) for s in order[:-1]]))
+            out.append((gates, bind_gates(noises[nm], gates), cuts))
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_equals_uncached_pass(self, n):
+        measured = [n - 1, 0]
+        cache: dict = {}
+        total = 0
+        for gates, bound, cuts in self._circuits(n):
+            pairs = lookup_readout(bound.readout, measured)
+            want = zero_effect(gates, n, bound, measured, pairs)
+            got = zero_effect(gates, n, bound, measured, pairs, cuts, cache)
+            assert np.array_equal(got, want)
+            total += len(gates)
+        assert 0 < cache["skipped"] < total
+
+    def test_hit_returns_a_copy(self):
+        """Mutating the effect a miss or a hit returned leaves the cached one intact."""
+        n = 4
+        gates, bound, cuts = self._circuits(n)[-1]
+        want = zero_effect(gates, n, bound)
+        cache: dict = {}
+        for _ in range(3):
+            eff = zero_effect(gates, n, bound, cuts=cuts, cache=cache)
+            assert np.array_equal(eff, want)
+            eff *= 2.0
+            eff[0, 0] = 7.0
+        assert cache["skipped"] == 2 * len(gates)
+
+    def test_byte_budget_walks_the_rest_uncached(self, monkeypatch):
+        n = 3
+        circuits = self._circuits(n)
+        monkeypatch.setattr(simulator, "_SUFFIX_CACHE_BYTES", 2 * (4**n) * 16)
+        cache: dict = {}
+        for gates, bound, cuts in circuits:
+            want = zero_effect(gates, n, bound)
+            assert np.array_equal(zero_effect(gates, n, bound, cuts=cuts, cache=cache), want)
+        assert cache["bytes"] == 2 * (4**n) * 16
+
+
 class TestDepolarizingChannel:
     """A k-qubit depol event is one partial trace, (1 - l) rho + l I/2^k (x) Tr_k rho
     with l = p 4^k / (4^k - 1), in place of the 4^k - 1 Pauli strings."""

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnz.noise import NoiseModel
+from qnz.noise import NoiseModel, parse_noise_shorthand
 from qnz.qnn import (
     Model,
     best_exhaustive_accuracy,
+    bundled_dataset_path,
     code_from_weights,
+    compile_neuron,
+    load_dataset,
     make_synthetic_dataset,
     model,
+    neuron_outputs,
     weights_from_code,
 )
 from qnz.trainer import (
@@ -285,6 +289,43 @@ class TestDeterminism:
         cfg = base_config(ds, model([1, 1, 1, 1]), max_iters=20)
         result = train(cfg)
         assert result.phase_seconds["map"] > 0.0
+
+
+class TestSharedSuffixes:
+    """The evaluator pulls each distinct suffix of routed blocks back once per
+    run; its rows stay bit-equal to fresh uncached evaluations."""
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(flip_p=0.05), NoiseModel(phase_p=0.05),
+        NoiseModel(depol_p=0.01), parse_noise_shorthand("readout:0.03"),
+    ], ids=["flip", "phase", "depol", "readout"])
+    def test_rows_equal_fresh_evaluations(self, noise):
+        ds = load_dataset(bundled_dataset_path())
+        cfg = base_config(ds, model([1] * 8), noise=noise)
+        ev = Evaluator(cfg)
+        for c in range(256):
+            w = weights_from_code(c, 8)
+            fresh = neuron_outputs(w, compile_neuron(w, ev.graph), ev.xs, "density", noise)
+            assert np.array_equal(ev.neuron_outputs(w), fresh)
+        assert ev.work["neurons"] == 256
+        assert 0 < ev.work["steps"] < ev.work["gates"] / 2
+
+    def test_one_neuron_stores_no_effects(self):
+        cfg = base_config(small_dataset(), model([1, -1, 1, 1]), noise=NoiseModel(flip_p=0.05))
+        ev = Evaluator(cfg)
+        ev.model_accuracy(cfg.initial)
+        assert ev._cache == {}
+        assert ev.work["steps"] == ev.work["gates"] > 0
+
+    def test_steps_equal_gates_when_nothing_is_shared(self):
+        cfg = base_config(
+            small_dataset(), model([1, 1, 1, 1]), noise=NoiseModel(flip_p=0.05),
+            backend="trajectories", shots=64, max_iters=20,
+        )
+        work = train(cfg).work
+        assert work["steps"] == work["gates"]
+        work = train(replace(cfg, backend="density")).work
+        assert work["steps"] < work["gates"]
 
 
 class TestSweep:
