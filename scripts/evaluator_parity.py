@@ -2,24 +2,35 @@
 
 For each noise configuration it prints one SHA-256 digest of the trainer
 evaluator's rows for all 256 8-entry weights on the bundled dataset (chain:4),
-and one of an exhaustive 2-neuron `train` run: its log (iteration, weights,
-accuracy), best model, best and baseline accuracy, `evaluations`,
-`cache_hits` and `work` without `steps` (which counts shared work and is
-expected to move). Run it on two trees and diff the output:
+and one per search strategy of a 2-neuron `train` run (exhaustive, skipped on
+trajectories, and 400-proposal hill climbing and random search): its log
+(iteration, weights, accuracy), best model, best and baseline accuracy,
+`evaluations`, `cache_hits` and `work` without `steps` and `compiled` (which
+count shared work and are expected to move). One more digest covers the
+rows of 64 seeded 16-entry weights on a synthetic dataset (linear_chain(6)).
+Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 scripts/evaluator_parity.py > a.txt
     PYTHONPATH=/other/tree/src python3 scripts/evaluator_parity.py > b.txt
     diff a.txt b.txt
 
-Takes about 30 s on one core of a 2-vCPU VM.
+Takes about 60 s on one core of a 2-vCPU VM.
 """
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from qnz.noise import NoiseModel, parse_noise_shorthand
-from qnz.qnn import best_exhaustive_accuracy, load_dataset, bundled_dataset_path, weights_from_code
+from qnz.qnn import (
+    Model,
+    best_exhaustive_accuracy,
+    bundled_dataset_path,
+    load_dataset,
+    make_synthetic_dataset,
+    weights_from_code,
+)
 from qnz.topology import linear_chain
 from qnz.trainer import Evaluator, TrainConfig, train
 
@@ -32,6 +43,8 @@ CONFIGS = [
     ("depol:0.01,readout:0.03", "density", parse_noise_shorthand("depol:0.01,readout:0.03"), 0),
     ("flip:0.05,phase:0.05", "trajectories", parse_noise_shorthand("flip:0.05,phase:0.05"), 64),
 ]
+# (strategy, max_iters): the exhaustive run covers the 2^16-model space and the baseline
+STRATEGIES = [("exhaustive", 2**16 + 1), ("hill_climb", 400), ("random_search", 400)]
 
 
 def digest(obj) -> str:
@@ -54,19 +67,33 @@ def main() -> None:
         ev = Evaluator(cfg)
         rows = np.array([ev.neuron_outputs(weights_from_code(c, 8)) for c in range(256)])
         print(f"{label} {backend} rows {digest(rows)}")
-        if backend == "trajectories":
-            continue
-        result = train(cfg)
-        run = {
-            "log": [[e.iteration, e.weights, e.accuracy] for e in result.log],
-            "best": result.best.neurons,
-            "best_accuracy": result.best_accuracy,
-            "baseline_accuracy": result.baseline_accuracy,
-            "evaluations": result.evaluations,
-            "cache_hits": result.cache_hits,
-            "work": {k: v for k, v in result.work.items() if k != "steps"},
-        }
-        print(f"{label} {backend} train {digest(run)} best {result.best_accuracy} work {run['work']}")
+        for strategy, max_iters in STRATEGIES:
+            if strategy == "exhaustive" and backend == "trajectories":
+                continue
+            result = train(replace(cfg, strategy=strategy, max_iters=max_iters, patience=max_iters))
+            run = {
+                "log": [[e.iteration, e.weights, e.accuracy] for e in result.log],
+                "best": result.best.neurons,
+                "best_accuracy": result.best_accuracy,
+                "baseline_accuracy": result.baseline_accuracy,
+                "evaluations": result.evaluations,
+                "cache_hits": result.cache_hits,
+                "work": {k: v for k, v in result.work.items() if k not in ("steps", "compiled")},
+            }
+            print(
+                f"{label} {backend} {strategy} train {digest(run)} "
+                f"best {result.best_accuracy} work {run['work']}"
+            )
+    wide = make_synthetic_dataset(5, 16, k=4)
+    noise = parse_noise_shorthand("flip:0.05,phase:0.05")
+    cfg = TrainConfig(
+        strategy="random_search", max_iters=64, seed=7, backend="density", noise=noise,
+        initial=Model(((1,) * 16,)), dataset=wide, graph=linear_chain(6),
+    )
+    ev = Evaluator(cfg)
+    codes = np.random.default_rng(16).integers(2**16, size=64)
+    rows = np.array([ev.neuron_outputs(weights_from_code(int(c), 16)) for c in codes])
+    print(f"16-entry flip:0.05,phase:0.05 density rows {digest(rows)}")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ import numpy as np
 
 from .ir import Circuit, Gate, GateKind
 from .mapper import MappedCircuit, compile
-from .noise import NoiseModel, bind
-from .simulator import derive_seed, plan_mapped_run, trajectory_counts, zero_effect
+from .noise import BoundNoise, NoiseModel, bind
+from .simulator import MappedPlan, derive_seed, plan_mapped_run, trajectory_counts, zero_effect
 from .topology import CouplingGraph, linear_chain
 
 BACKENDS = ("ideal", "density", "trajectories")
@@ -269,44 +269,57 @@ def _untimed(phase: str, fn):
     return fn()
 
 
-def neuron_outputs(
-    w,
-    mapped: MappedCircuit,
-    xs,
-    backend: str = "ideal",
-    noise: NoiseModel | None = None,
-    shots: int = 0,
-    seed: int | None = None,
-    threads: int = 1,
-    timed=_untimed,
-    cache: dict | None = None,
-) -> np.ndarray:
-    """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
-    for every input row of `xs`: shape (samples,).
+@dataclass(frozen=True)
+class DenseRun:
+    """A routed neuron ready to score: its dense plan, its bound noise on dense
+    axes (None for the ideal backend), the (p01, p10) readout pair of each
+    measured axis, and the (first gate index, id) of each segment whose
+    adjoint pass may be shared (simulator.zero_effect); without segments
+    nothing is shared."""
 
-    The one evaluation path of qnz: the noise is bound and the dense run
-    planned once, then every input is scored. Trajectory shots for sample i
-    are seeded by derive_seed(seed, i, c), with c the smaller of the codes of
-    w and -w, so a (weight, sample) pair draws the same shots in every
-    caller. `timed(phase, fn)` lets a caller time the "bind" and "infer"
-    phases. A `cache` dict, kept by the caller across neurons of one noise
-    model, lets the exact backends share the adjoint pass of every common
-    suffix of routed blocks (simulator.zero_effect) and the embedding
-    isometry of plans of one shape; outputs do not depend on it.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "trajectories":
-        if shots < 1:
-            raise ValueError("trajectories backend needs shots >= 1")
-        if seed is None:
-            raise ValueError("trajectories backend needs a seed")
+    plan: MappedPlan
+    bound: BoundNoise | None
+    pairs: list[tuple[float, float]]
+    segments: tuple[tuple[int, object], ...] = ()
+
+
+def dense_run(mapped: MappedCircuit, backend: str, noise: NoiseModel | None = None,
+              timed=_untimed) -> DenseRun:
+    """Bind the noise to a routed neuron (not for the ideal backend) and plan
+    its dense run; `timed(phase, fn)` lets a caller time the "bind" phase."""
     bound = None
     if backend != "ideal":
         nm = noise if noise is not None else NoiseModel()
         bound = timed("bind", lambda: bind(nm, mapped))
     plan = plan_mapped_run(mapped)
     dense_bound, pairs = plan.densify_bound(bound)
+    return DenseRun(plan, dense_bound, pairs)
+
+
+def score_run(
+    w,
+    run: DenseRun,
+    xs,
+    backend: str,
+    shots: int = 0,
+    seed: int | None = None,
+    threads: int = 1,
+    timed=_untimed,
+    cache: dict | None = None,
+) -> np.ndarray:
+    """P(read 0...0 on the computing qubits) of neuron `w`, as the dense `run`,
+    for every input row of `xs`: shape (samples,).
+
+    The exact backends pull the readout-folded all-zeros effect back once and
+    score every input through the embedding isometry. A `cache` dict, kept by
+    the caller across neurons of one noise model whose segment ids it owns,
+    shares the adjoint pass of every common suffix of segments and the
+    isometry of plans of one shape; outputs do not depend on it. Trajectory
+    shots for sample i are seeded by derive_seed(seed, i, c), with c the
+    smaller of the codes of w and -w, so a (weight, sample) pair draws the
+    same shots in every caller. `timed` times the "infer" phase.
+    """
+    plan = run.plan
     measured = list(plan.measured)
     xs = np.asarray(xs, dtype=complex)
 
@@ -314,8 +327,7 @@ def neuron_outputs(
         if backend != "trajectories":
             # the output is linear in rho: x^dagger V^dagger E V x, with E the
             # all-zeros effect pulled back once and V the embedding isometry
-            cuts = [c for block in mapped.block_boundaries for c in block]
-            eff = zero_effect(plan.gates, plan.n, dense_bound, measured, pairs, cuts, cache)
+            eff = zero_effect(plan.gates, plan.n, run.bound, measured, run.pairs, run.segments, cache)
             embeds = {} if cache is None else cache
             shape = ("embed", plan.n, plan.num_aux, plan.init_positions)
             if shape not in embeds:
@@ -327,13 +339,43 @@ def neuron_outputs(
         code = code_from_weights(w)
         code = min(code, code ^ ((1 << len(w)) - 1))
         counts = trajectory_counts(
-            plan.gates, plan.n, dense_bound, [plan.embed(x) for x in xs],
+            plan.gates, plan.n, run.bound, [plan.embed(x) for x in xs],
             [derive_seed(seed, i, code) for i in range(len(xs))],
-            shots, measured, pairs, threads=threads,
+            shots, measured, run.pairs, threads=threads,
         )
         return counts[:, 0] / shots
 
     return timed("infer", infer)
+
+
+def neuron_outputs(
+    w,
+    mapped: MappedCircuit,
+    xs,
+    backend: str = "ideal",
+    noise: NoiseModel | None = None,
+    shots: int = 0,
+    seed: int | None = None,
+    threads: int = 1,
+    timed=_untimed,
+) -> np.ndarray:
+    """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
+    for every input row of `xs`: shape (samples,).
+
+    The one evaluation path of qnz, a front end and a scoring step: the noise
+    is bound and the dense run planned once (`dense_run`), then every input is
+    scored (`score_run`). `timed(phase, fn)` lets a caller time the "bind" and
+    "infer" phases.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "trajectories":
+        if shots < 1:
+            raise ValueError("trajectories backend needs shots >= 1")
+        if seed is None:
+            raise ValueError("trajectories backend needs a seed")
+    run = dense_run(mapped, backend, noise, timed)
+    return score_run(w, run, xs, backend, shots, seed, threads, timed)
 
 
 def accuracy(

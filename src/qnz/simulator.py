@@ -284,7 +284,7 @@ _SUFFIX_CACHE_BYTES = 1 << 26
 
 
 def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_pairs=None,
-                cuts=(), cache: dict | None = None) -> np.ndarray:
+                segments=(), cache: dict | None = None) -> np.ndarray:
     """(2^n, 2^n) effect E with Tr(E rho) = P(read 0...0 on `measured`) after
     the noisy gates act on rho: the readout-folded all-zeros projector pulled
     back through the circuit (Heisenberg picture), last gate first.
@@ -294,14 +294,17 @@ def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_
     The Pauli channels are self-adjoint, so the event step is the forward one.
 
     With a `cache` (a dict owned by the caller), circuits that end in the same
-    gates share their pull-back. `cuts` are the gate indices where a suffix
-    may be shared (routed block boundaries). Walking from the last cut to the
-    first, each suffix is a node keyed by its parent node's id and the
-    interned ids of its segment's (gate, bound events) pairs, the root being
-    (n, measured, readout pairs); a hit continues from a copy of the stored
-    effect, a miss walks the segment and stores a copy (the walk works in
-    place). cache["skipped"] counts the gate steps hits saved. Stored effects
-    stop at _SUFFIX_CACHE_BYTES; a miss past that walks the rest uncached.
+    segments share their pull-back. `segments` are (first gate index, id)
+    pairs in gate order, each segment running to the next one's first gate
+    (the last to the end); the caller's id names a segment's gates and bound
+    events, one id per content under one cache. Walking from the last segment
+    to the first, each suffix is a node keyed by its parent node's id and the
+    segment's id, the root being (n, measured, readout pairs); a hit
+    continues from a copy of the stored effect, a miss walks the segment and
+    stores a copy (the walk works in place). Gates before the first segment
+    are walked uncached. cache["skipped"] counts the gate steps hits saved.
+    Stored effects stop at _SUFFIX_CACHE_BYTES; a miss past that walks the
+    rest uncached.
     """
     if n > DENSITY_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
@@ -329,11 +332,11 @@ def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_
 
     hi = len(gates)
     if cache is not None:
-        ops, nodes = cache.setdefault("ops", {}), cache.setdefault("suffixes", {})
+        nodes = cache.setdefault("suffixes", {})
         root = (n, tuple(measured), tuple(map(tuple, readout_pairs)))
         node = nodes.setdefault(root, (len(nodes), None))[0]
-        for lo in sorted({c for c in cuts if 0 < c < hi} | {0}, reverse=True):
-            key = (node, tuple(ops.setdefault((gates[i], events[i]), len(ops)) for i in range(lo, hi)))
+        for lo, segment in reversed(segments):
+            key = (node, segment)
             if key in nodes:
                 node, stored = nodes[key]
                 eff = stored.copy()

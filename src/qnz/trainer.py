@@ -1,10 +1,13 @@
 """Error-aware weight search: compile, bind, evaluate, keep the incumbent.
 
-Every proposal goes through the full pipeline per distinct neuron weight:
-build the circuit, route it with the fixed-mapping compiler, bind the noise
-model to the routed gates, then evaluate on the chosen backend. Results are
-cached by weight vector, and the baseline model is always the first incumbent,
-so the reported best can never fall below it.
+A proposal's neurons are built as circuits, routed with the fixed-mapping
+compiler, bound to the noise model and evaluated on the chosen backend.
+The compiler restores the canonical mapping after every block, so a block's
+routed gates and bound noise do not depend on its neighbours: the evaluator
+compiles, binds and densifies a neuron only when it brings a block the run
+has not seen, and assembles every other neuron from the blocks it already
+holds. Results are cached by weight vector, and the baseline model is always
+the first incumbent, so the reported best can never fall below it.
 
 Search strategies stand in for a learned controller behind one interface:
 exhaustive enumeration (the oracle for small spaces), first-improvement hill
@@ -15,6 +18,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +29,14 @@ from .qnn import (
     BACKENDS,
     EXHAUSTIVE_SPACE_CAP,
     Dataset,
+    DenseRun,
     Model,
     accuracies,
     code_from_weights,
+    dense_run,
     neuron_circuit,
-    neuron_outputs,
     scan_blocks,
+    score_run,
     weights_from_code,
 )
 from .simulator import derive_seed
@@ -71,8 +78,7 @@ class TrainConfig:
         return (2 ** self.initial.input_length) ** len(self.initial.neurons)
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One scored proposal; entries scored in one block share elapsed_ms."""
 
     iteration: int
@@ -92,15 +98,29 @@ class TrainResult:
     phase_seconds: dict[str, float]
     evaluations: int
     cache_hits: int
-    # routed neurons evaluated, their gates, their bound events, and the gate
-    # steps the evaluator applied (gates minus those shared suffixes skipped)
+    # routed neurons evaluated, their gates, their bound events, the gate
+    # steps the evaluator applied (gates minus those shared suffixes skipped),
+    # and the neurons it compiled (the others were assembled from blocks)
     work: dict[str, int]
 
 
+def _spans(boundaries, end: int) -> list[tuple[int, int]]:
+    """A neuron's segments: its blocks, which run back to back from gate 0,
+    then the H-layer tail up to `end`."""
+    return [*boundaries, (boundaries[-1][1] if boundaries else 0, end)]
+
+
 class Evaluator:
-    """Caches per-neuron sample outputs by weight vector, and one adjoint-pass
-    cache per run, so neurons that end in the same routed blocks pull that
-    suffix back once.
+    """Caches per-neuron sample outputs by weight vector, with one table of
+    routed segments and one adjoint-pass cache per run.
+
+    A segment is one block of a neuron circuit (or its H-layer tail). The
+    table maps each logical segment to its routed gates and bound events on
+    dense axes and an id. A neuron that brings a segment the table lacks is
+    compiled, bound and densified whole, and its run is sliced at the routed
+    block boundaries into the table; every other neuron is assembled from the
+    table without compiling. The segment ids key the adjoint pass, so neurons
+    that end in the same segments pull that suffix back once.
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -115,32 +135,61 @@ class Evaluator:
         self.labels = cfg.dataset.labels()
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
-        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0}
+        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "compiled": 0}
         self._cache: dict = {}
+        # logical segment gates -> (id, dense routed gates, their dense events)
+        self._segments: dict[tuple, tuple[int, tuple, tuple]] = {}
+        # the last compiled run; its plan frame and readout serve every assembled run
+        self._frame: DenseRun | None = None
 
     def _timed(self, phase: str, fn):
         t0 = time.perf_counter()
         out = fn()
         self.phase_seconds[phase] += time.perf_counter() - t0
-        if phase == "bind":
-            self.work["events"] += out.total_events
         return out
+
+    def dense_run(self, w: tuple[int, ...]) -> DenseRun:
+        """Neuron `w`'s dense run, assembled from the segment table, with one
+        (first gate, id) pair per segment."""
+        circ = self._timed("circ", lambda: neuron_circuit(w))
+        logical = [circ.gates[lo:hi] for lo, hi in _spans(circ.block_boundaries, len(circ.gates))]
+        if not all(seg in self._segments for seg in logical):
+            mapped = self._timed("map", lambda: compile(circ, self.graph))
+            run = dense_run(mapped, self.cfg.backend, self.cfg.noise, self._timed)
+            events = ((),) * len(run.plan.gates) if run.bound is None else run.bound.events
+            spans = _spans(mapped.block_boundaries, len(mapped.physical_gates))
+            for seg, (lo, hi) in zip(logical, spans):
+                self._segments.setdefault(seg, (len(self._segments), run.plan.gates[lo:hi], events[lo:hi]))
+            self._frame = run
+            self.work["compiled"] += 1
+        parts = [self._segments[seg] for seg in logical]
+        starts = accumulate((len(gates) for _, gates, _ in parts[:-1]), initial=0)
+        frame = self._frame
+        bound = frame.bound
+        if bound is not None:
+            bound = replace(bound, events=tuple(e for _, _, events in parts for e in events))
+        return replace(
+            frame,
+            plan=replace(frame.plan, gates=tuple(g for _, gates, _ in parts for g in gates)),
+            bound=bound,
+            segments=tuple(zip(starts, (i for i, _, _ in parts))),
+        )
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
         cached = self._outputs.get(w)
         if cached is not None:
             return cached
         cfg = self.cfg
-        circ = self._timed("circ", lambda: neuron_circuit(w))
-        mapped = self._timed("map", lambda: compile(circ, self.graph))
+        run = self.dense_run(w)
         # suffixes are shared between neurons, so the first one stores none
         # (an evaluator of a single neuron holds no effects)
-        out = neuron_outputs(
-            w, mapped, self.xs, cfg.backend, cfg.noise, cfg.shots, cfg.seed,
-            cfg.threads, timed=self._timed, cache=self._cache if self._outputs else None,
+        out = score_run(
+            w, run, self.xs, cfg.backend, cfg.shots, cfg.seed, cfg.threads,
+            timed=self._timed, cache=self._cache if self._outputs else None,
         )
         self.work["neurons"] += 1
-        self.work["gates"] += len(mapped.physical_gates)
+        self.work["gates"] += len(run.plan.gates)
+        self.work["events"] += 0 if run.bound is None else run.bound.total_events
         self.work["steps"] = self.work["gates"] - self._cache.get("skipped", 0)
         self._outputs[w] = out
         return out
@@ -177,18 +226,23 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
     def row(code: int) -> np.ndarray:
         return ev.neuron_outputs(weights(code))
 
-    def record(proposals, accs) -> None:
+    def record(models, accs) -> None:
+        """Log each weight-vector tuple of `models` with its accuracy."""
         elapsed = (time.perf_counter() - t_start) * 1e3
-        for codes, acc in zip(proposals, accs):
-            entry = LogEntry(len(log), tuple(map(weights, codes)), acc, elapsed)
+        for neurons, acc in zip(models, accs):
+            entry = LogEntry(len(log), neurons, acc, elapsed)
             log.append(entry)
             if log_stream is not None:
                 log_stream(entry)
 
     def score(codes: tuple[int, ...]) -> float:
         acc = float(accuracies([row(c) for c in codes], ev.labels))
-        record([codes], [acc])
+        record([tuple(map(weights, codes))], [acc])
         return acc
+
+    def on_block(prefix: tuple[int, ...], accs: np.ndarray) -> None:
+        head = tuple(map(weights, prefix))
+        record([head + (weights(c),) for c in range(len(accs))], accs.tolist())
 
     base = tuple(code_from_weights(w) for w in cfg.initial.neurons)
     baseline_acc = score(base)
@@ -216,8 +270,7 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
 
     if cfg.strategy == "exhaustive":
         best_acc, best = scan_blocks(
-            row, n, len(base), ev.labels, cfg.max_iters, (best_acc, best),
-            lambda prefix, accs: record([prefix + (c,) for c in range(len(accs))], accs.tolist()),
+            row, n, len(base), ev.labels, cfg.max_iters, (best_acc, best), on_block
         )
     elif cfg.strategy == "random_search":
         while budget_left():
@@ -259,12 +312,14 @@ class SweepRow:
 
 
 def sweep(rates, cfg: TrainConfig, log_stream=None) -> list[SweepRow]:
-    """Train at each error rate with flip and phase noise both set to it."""
+    """Train at each error rate with the config's noise model, its flip and
+    phase rates both set to the rate (depol, readout and per-qubit multipliers
+    are kept)."""
     rows = []
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate {rate} outside [0, 1]")
-        run_cfg = replace(cfg, noise=NoiseModel(flip_p=rate, phase_p=rate))
+        run_cfg = replace(cfg, noise=replace(cfg.noise, flip_p=rate, phase_p=rate))
         result = train(run_cfg, log_stream=log_stream)
         rows.append(
             SweepRow(rate, result.baseline_accuracy, result.best_accuracy, result.best.neurons)

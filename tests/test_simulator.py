@@ -269,7 +269,7 @@ class TestZeroEffect:
 
 
 class TestSharedSuffixes:
-    """zero_effect with `cuts` and a shared cache pulls each distinct suffix
+    """zero_effect with `segments` and a shared cache pulls each distinct suffix
     back once and returns exactly the uncached effect."""
 
     @staticmethod
@@ -277,7 +277,8 @@ class TestSharedSuffixes:
         """Circuits over four random segments that share tails, bound under
         two noise models with one readout table, so equal gates may carry
         different events (the second leaves most gates without any, so steps
-        act in place); the last two repeat earlier ones exactly."""
+        act in place); the last two repeat earlier ones exactly. A segment's
+        id is its (segment, noise model) pair."""
         rng = np.random.default_rng(950 + n)
         segs = [_random_density_case(rng, n)[0][: 4 + s] for s in range(4)]
         readout = ((0, 0.03, 0.08), (n - 1, 0.06, 0.02))
@@ -287,8 +288,8 @@ class TestSharedSuffixes:
         for order, nm in [((0, 1, 2), 0), ((3, 1, 2), 0), ((2,), 0), ((1, 2), 0), ((0, 3, 2), 0),
                           ((3, 1, 2), 1), ((1, 2), 1), ((0, 1, 2), 0), ((3, 1, 2), 1)]:
             gates = [g for s in order for g in segs[s]]
-            cuts = list(np.cumsum([0] + [len(segs[s]) for s in order[:-1]]))
-            out.append((gates, bind_gates(noises[nm], gates), cuts))
+            starts = np.cumsum([0] + [len(segs[s]) for s in order[:-1]]).tolist()
+            out.append((gates, bind_gates(noises[nm], gates), [(lo, (s, nm)) for lo, s in zip(starts, order)]))
         return out
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -296,10 +297,10 @@ class TestSharedSuffixes:
         measured = [n - 1, 0]
         cache: dict = {}
         total = 0
-        for gates, bound, cuts in self._circuits(n):
+        for gates, bound, segments in self._circuits(n):
             pairs = lookup_readout(bound.readout, measured)
             want = zero_effect(gates, n, bound, measured, pairs)
-            got = zero_effect(gates, n, bound, measured, pairs, cuts, cache)
+            got = zero_effect(gates, n, bound, measured, pairs, segments, cache)
             assert np.array_equal(got, want)
             total += len(gates)
         assert 0 < cache["skipped"] < total
@@ -307,11 +308,11 @@ class TestSharedSuffixes:
     def test_hit_returns_a_copy(self):
         """Mutating the effect a miss or a hit returned leaves the cached one intact."""
         n = 4
-        gates, bound, cuts = self._circuits(n)[-1]
+        gates, bound, segments = self._circuits(n)[-1]
         want = zero_effect(gates, n, bound)
         cache: dict = {}
         for _ in range(3):
-            eff = zero_effect(gates, n, bound, cuts=cuts, cache=cache)
+            eff = zero_effect(gates, n, bound, segments=segments, cache=cache)
             assert np.array_equal(eff, want)
             eff *= 2.0
             eff[0, 0] = 7.0
@@ -322,9 +323,9 @@ class TestSharedSuffixes:
         circuits = self._circuits(n)
         monkeypatch.setattr(simulator, "_SUFFIX_CACHE_BYTES", 2 * (4**n) * 16)
         cache: dict = {}
-        for gates, bound, cuts in circuits:
+        for gates, bound, segments in circuits:
             want = zero_effect(gates, n, bound)
-            assert np.array_equal(zero_effect(gates, n, bound, cuts=cuts, cache=cache), want)
+            assert np.array_equal(zero_effect(gates, n, bound, segments=segments, cache=cache), want)
         assert cache["bytes"] == 2 * (4**n) * 16
 
 

@@ -6,19 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnz import trainer
 from qnz.noise import NoiseModel, parse_noise_shorthand
 from qnz.qnn import (
+    Dataset,
     Model,
     best_exhaustive_accuracy,
     bundled_dataset_path,
     code_from_weights,
     compile_neuron,
+    dense_run,
     load_dataset,
     make_synthetic_dataset,
     model,
+    neuron_circuit,
     neuron_outputs,
     weights_from_code,
 )
+from qnz.topology import coupling_graph, linear_chain
 from qnz.trainer import (
     Evaluator,
     TrainConfig,
@@ -328,6 +333,86 @@ class TestSharedSuffixes:
         assert work["steps"] < work["gates"]
 
 
+def _segments(w) -> set:
+    """The logical segments of neuron `w`: its blocks and its H-layer tail."""
+    circ = neuron_circuit(w)
+    bounds = circ.block_boundaries
+    tail = bounds[-1][1] if bounds else 0
+    return {circ.gates[lo:hi] for lo, hi in [*bounds, (tail, len(circ.gates))]}
+
+
+# 3x3 grid, row-major: a 2-D device on which every register shape here fits
+GRID = coupling_graph(
+    9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)],
+)
+
+
+class TestSegmentTable:
+    """The evaluator compiles a neuron only when it brings a segment its table
+    lacks and assembles the others; an assembled run is the whole-circuit run."""
+
+    NOISE = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((None, 0.02, 0.04),))
+
+    @staticmethod
+    def _dataset(n: int) -> Dataset:
+        rng = np.random.default_rng(n)
+        xs = rng.normal(size=(4, n))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        return Dataset(tuple((tuple(x), i % 2) for i, x in enumerate(xs)), 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8, 16]), on_grid=st.booleans(),
+        fracs=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=5),
+    )
+    def test_assembled_run_equals_whole_compile(self, n, on_grid, fracs):
+        codes = [int(f * 2**n) for f in fracs]
+        width = neuron_circuit((1,) * n).width
+        graph = GRID if on_grid else linear_chain(width)
+        ds = self._dataset(n)
+        for backend, shots in (("density", 0), ("trajectories", 32)):
+            cfg = base_config(
+                ds, model([1] * n), backend=backend, noise=self.NOISE, graph=graph, shots=shots,
+                strategy="random_search",
+            )
+            ev = Evaluator(cfg)
+            for c in codes:
+                w = weights_from_code(c, n)
+                mapped = compile_neuron(w, graph)
+                assert all(m == mapped.initial_mapping for m in mapped.block_mappings)
+                want = dense_run(mapped, backend, self.NOISE)
+                got = ev.dense_run(w)
+                assert got.plan == want.plan  # gates, measured axes and embedding
+                assert got.bound == want.bound and got.pairs == want.pairs
+                bounds = mapped.block_boundaries
+                cuts = [lo for lo, _ in bounds] + [bounds[-1][1] if bounds else 0]
+                assert [lo for lo, _ in got.segments] == cuts
+                fresh = neuron_outputs(w, mapped, ds.inputs(), backend, self.NOISE, shots, cfg.seed)
+                assert np.array_equal(ev.neuron_outputs(w), fresh)
+
+    def test_compiles_only_neurons_that_bring_a_new_segment(self, monkeypatch):
+        compiled = []
+
+        def counted(circ, graph):
+            compiled.append(circ)
+            return compile_(circ, graph)
+
+        compile_ = trainer.compile
+        monkeypatch.setattr(trainer, "compile", counted)
+        cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE)
+        ev = Evaluator(cfg)
+        seen, want = set(), 0
+        for c in range(256):
+            w = weights_from_code(c, 8)
+            ev.neuron_outputs(w)
+            want += not _segments(w) <= seen
+            seen |= _segments(w)
+        assert ev.work["compiled"] == len(compiled) == want < 256
+        assert ev.work["neurons"] == 256
+        assert ev.phase_seconds["map"] > 0.0
+
+
 class TestSweep:
     def test_zero_rate_matches_baseline_when_optimal(self):
         ds = small_dataset()
@@ -343,6 +428,22 @@ class TestSweep:
         rows = sweep([0.0, 0.01, 0.1], cfg)
         for row in rows:
             assert row.searched_accuracy >= row.baseline_accuracy
+
+    def test_keeps_the_configs_other_noise(self, monkeypatch):
+        """Only the flip and phase rates are swept; readout, depol and
+        per-qubit multipliers of the config reach every run."""
+        seen = []
+        real = trainer.train
+
+        def recording(cfg, log_stream=None):
+            seen.append(cfg.noise)
+            return real(cfg, log_stream)
+
+        monkeypatch.setattr(trainer, "train", recording)
+        nm = NoiseModel(flip_p=0.3, depol_p=0.01, readout=((None, 0.05, 0.1),),
+                        qubit_multipliers=((0, 2.0),))
+        sweep([0.0, 0.02], base_config(small_dataset(), model([1, 1, 1, 1]), noise=nm, max_iters=3))
+        assert seen == [replace(nm, flip_p=r, phase_p=r) for r in (0.0, 0.02)]
 
     def test_rate_validation(self):
         ds = small_dataset()
