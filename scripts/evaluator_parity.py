@@ -6,8 +6,10 @@ and one per search strategy of a 2-neuron `train` run (exhaustive, skipped on
 trajectories, and 400-proposal hill climbing and random search): its log
 (iteration, weights, accuracy), best model, best and baseline accuracy,
 `evaluations`, `cache_hits` and `work` without `steps` and `compiled` (which
-count shared work and are expected to move). One more digest covers the
-rows of 64 seeded 16-entry weights on a synthetic dataset (linear_chain(6)).
+count shared work). Those two are printed beside the digest, outside it, so
+a change meant to keep shared work as it was shows when it moves it. One
+more digest covers the rows of 64 seeded 16-entry weights on a synthetic
+dataset (linear_chain(6)).
 Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 scripts/evaluator_parity.py > a.txt
@@ -82,7 +84,8 @@ def main() -> None:
             }
             print(
                 f"{label} {backend} {strategy} train {digest(run)} "
-                f"best {result.best_accuracy} work {run['work']}"
+                f"best {result.best_accuracy} work {run['work']} "
+                f"steps {result.work['steps']} compiled {result.work['compiled']}"
             )
     wide = make_synthetic_dataset(5, 16, k=4)
     noise = parse_noise_shorthand("flip:0.05,phase:0.05")

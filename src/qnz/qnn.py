@@ -18,7 +18,7 @@ import numpy as np
 
 from .ir import Circuit, Gate, GateKind
 from .mapper import MappedCircuit, compile
-from .noise import BoundNoise, NoiseModel, bind
+from .noise import NoiseModel, bind
 from .simulator import MappedPlan, derive_seed, plan_mapped_run, trajectory_counts, zero_effect
 from .topology import CouplingGraph, linear_chain
 
@@ -265,87 +265,47 @@ def compile_neuron(w, graph: CouplingGraph | None = None) -> MappedCircuit:
     return compile(c, graph if graph is not None else linear_chain(c.width))
 
 
-def _untimed(phase: str, fn):
-    return fn()
-
-
-@dataclass(frozen=True)
-class DenseRun:
-    """A routed neuron ready to score: its dense plan, its bound noise on dense
-    axes (None for the ideal backend), the (p01, p10) readout pair of each
-    measured axis, and the (first gate index, id) of each segment whose
-    adjoint pass may be shared (simulator.zero_effect); without segments
-    nothing is shared."""
-
-    plan: MappedPlan
-    bound: BoundNoise | None
-    pairs: list[tuple[float, float]]
-    segments: tuple[tuple[int, object], ...] = ()
-
-
-def dense_run(mapped: MappedCircuit, backend: str, noise: NoiseModel | None = None,
-              timed=_untimed) -> DenseRun:
-    """Bind the noise to a routed neuron (not for the ideal backend) and plan
-    its dense run; `timed(phase, fn)` lets a caller time the "bind" phase."""
-    bound = None
-    if backend != "ideal":
-        nm = noise if noise is not None else NoiseModel()
-        bound = timed("bind", lambda: bind(nm, mapped))
-    plan = plan_mapped_run(mapped)
-    dense_bound, pairs = plan.densify_bound(bound)
-    return DenseRun(plan, dense_bound, pairs)
+def effect_outputs(eff: np.ndarray, plan: MappedPlan, xs) -> np.ndarray:
+    """x^dagger E_in x for every input row x of `xs`, with E_in the block of
+    the dense (2^n, 2^n) effect `eff` on the computing basis states of `plan`
+    (auxiliaries and unoccupied qubits in |0>). Selecting rows and columns
+    is exact, so this is bit-equal to folding E through the embedding."""
+    idx = plan.computing_index
+    xs = np.asarray(xs, dtype=complex)
+    return np.einsum("si,ij,sj->s", xs.conj(), eff[np.ix_(idx, idx)], xs).real
 
 
 def score_run(
     w,
-    run: DenseRun,
+    plan: MappedPlan,
     xs,
     backend: str,
     shots: int = 0,
     seed: int | None = None,
     threads: int = 1,
-    timed=_untimed,
-    cache: dict | None = None,
 ) -> np.ndarray:
-    """P(read 0...0 on the computing qubits) of neuron `w`, as the dense `run`,
-    for every input row of `xs`: shape (samples,).
+    """P(read 0...0 on the computing qubits) of neuron `w`, run as the dense
+    `plan` under its bound noise, for every input row of `xs`: shape (samples,).
 
-    The exact backends pull the readout-folded all-zeros effect back once and
-    score every input through the embedding isometry. A `cache` dict, kept by
-    the caller across neurons of one noise model whose segment ids it owns,
-    shares the adjoint pass of every common suffix of segments and the
-    isometry of plans of one shape; outputs do not depend on it. Trajectory
-    shots for sample i are seeded by derive_seed(seed, i, c), with c the
-    smaller of the codes of w and -w, so a (weight, sample) pair draws the
-    same shots in every caller. `timed` times the "infer" phase.
+    The exact backends pull the readout-folded all-zeros effect back once
+    (simulator.zero_effect) and score every input from it (`effect_outputs`).
+    Trajectory shots for sample i are seeded by derive_seed(seed, i, c), with
+    c the smaller of the codes of w and -w, so a (weight, sample) pair draws
+    the same shots in every caller.
     """
-    plan = run.plan
-    measured = list(plan.measured)
-    xs = np.asarray(xs, dtype=complex)
-
-    def infer() -> np.ndarray:
-        if backend != "trajectories":
-            # the output is linear in rho: x^dagger V^dagger E V x, with E the
-            # all-zeros effect pulled back once and V the embedding isometry
-            eff = zero_effect(plan.gates, plan.n, run.bound, measured, run.pairs, run.segments, cache)
-            embeds = {} if cache is None else cache
-            shape = ("embed", plan.n, plan.num_aux, plan.init_positions)
-            if shape not in embeds:
-                embeds[shape] = np.array([plan.embed(e) for e in np.eye(xs.shape[1])]).T
-            iso = embeds[shape]
-            return np.einsum("si,ij,sj->s", xs.conj(), iso.conj().T @ eff @ iso, xs).real
-        # w and -w compile to one circuit when their -1 counts differ, so
-        # both draw the shots of the sign whose entry 0 is +1
-        code = code_from_weights(w)
-        code = min(code, code ^ ((1 << len(w)) - 1))
-        counts = trajectory_counts(
-            plan.gates, plan.n, run.bound, [plan.embed(x) for x in xs],
-            [derive_seed(seed, i, code) for i in range(len(xs))],
-            shots, measured, run.pairs, threads=threads,
-        )
-        return counts[:, 0] / shots
-
-    return timed("infer", infer)
+    if backend != "trajectories":
+        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        return effect_outputs(eff, plan, xs)
+    # w and -w compile to one circuit when their -1 counts differ, so
+    # both draw the shots of the sign whose entry 0 is +1
+    code = code_from_weights(w)
+    code = min(code, code ^ ((1 << len(w)) - 1))
+    counts = trajectory_counts(
+        plan.gates, plan.n, plan.bound, [plan.embed(x) for x in np.asarray(xs, dtype=complex)],
+        [derive_seed(seed, i, code) for i in range(len(xs))],
+        shots, list(plan.measured), threads=threads,
+    )
+    return counts[:, 0] / shots
 
 
 def neuron_outputs(
@@ -357,15 +317,12 @@ def neuron_outputs(
     shots: int = 0,
     seed: int | None = None,
     threads: int = 1,
-    timed=_untimed,
 ) -> np.ndarray:
     """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
     for every input row of `xs`: shape (samples,).
 
-    The one evaluation path of qnz, a front end and a scoring step: the noise
-    is bound and the dense run planned once (`dense_run`), then every input is
-    scored (`score_run`). `timed(phase, fn)` lets a caller time the "bind" and
-    "infer" phases.
+    The one evaluation path of qnz: the noise is bound (not for the ideal
+    backend), the dense run planned once, and every input scored (`score_run`).
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -374,8 +331,8 @@ def neuron_outputs(
             raise ValueError("trajectories backend needs shots >= 1")
         if seed is None:
             raise ValueError("trajectories backend needs a seed")
-    run = dense_run(mapped, backend, noise, timed)
-    return score_run(w, run, xs, backend, shots, seed, threads, timed)
+    bound = None if backend == "ideal" else bind(noise if noise is not None else NoiseModel(), mapped)
+    return score_run(w, plan_mapped_run(mapped, bound), xs, backend, shots, seed, threads)
 
 
 def accuracy(

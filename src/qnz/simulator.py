@@ -240,17 +240,14 @@ class DensityProgram:
     inputs (at most _DENSITY_CHUNK entries of rho per chunk).
     """
 
-    def __init__(self, gates, n: int, bound: BoundNoise | None,
-                 measured=None, readout_pairs=None):
+    def __init__(self, gates, n: int, bound: BoundNoise | None, measured=None):
         if n > DENSITY_WIDTH_CAP:
             raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
         self.n = n
         self.gates = tuple(gates)
         self.bound = bound
         self.measured = list(range(n)) if measured is None else list(measured)
-        if readout_pairs is None and bound is not None:
-            readout_pairs = lookup_readout(bound.readout, self.measured)
-        self.readout_pairs = readout_pairs
+        self.readout_pairs = None if bound is None else lookup_readout(bound.readout, self.measured)
 
     def probabilities(self, inits) -> np.ndarray:
         """(inputs, 2^m) measured-outcome probabilities, after readout, of
@@ -279,89 +276,49 @@ class DensityProgram:
         return _outcome_dict(self.probabilities([psi])[0], 1e-18)
 
 
-# Effects zero_effect keeps for shared suffixes: at most this many bytes per cache.
-_SUFFIX_CACHE_BYTES = 1 << 26
+def readout_effect(n: int, bound: BoundNoise | None, measured) -> np.ndarray:
+    """The readout-folded all-zeros projector on [2]*2n axes: diagonal, with
+    P(read 0 on every `measured` qubit | basis state) on the diagonal."""
+    diag = np.ones([2] * n)
+    for q, (p01, p10) in zip(measured, lookup_readout(() if bound is None else bound.readout, measured)):
+        diag[_idx(n, {q: 0})] *= 1.0 - p01
+        diag[_idx(n, {q: 1})] *= p10
+    return np.diag(diag.reshape(-1).astype(complex)).reshape([2] * (2 * n))
 
 
-def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None, readout_pairs=None,
-                segments=(), cache: dict | None = None) -> np.ndarray:
-    """(2^n, 2^n) effect E with Tr(E rho) = P(read 0...0 on `measured`) after
-    the noisy gates act on rho: the readout-folded all-zeros projector pulled
-    back through the circuit (Heisenberg picture), last gate first.
+def pull_back(eff: np.ndarray, gates, events, n: int) -> np.ndarray:
+    """Effect `eff` on [2]*2n axes pulled back through `gates`, last gate
+    first, each after the error `events` bound to it; works in place.
 
     Every kind here has U^T = +-U (only Y has the minus sign, and it appears
     on both sides), so U^dagger E U is the forward step with `conj` swapped.
     The Pauli channels are self-adjoint, so the event step is the forward one.
-
-    With a `cache` (a dict owned by the caller), circuits that end in the same
-    segments share their pull-back. `segments` are (first gate index, id)
-    pairs in gate order, each segment running to the next one's first gate
-    (the last to the end); the caller's id names a segment's gates and bound
-    events, one id per content under one cache. Walking from the last segment
-    to the first, each suffix is a node keyed by its parent node's id and the
-    segment's id, the root being (n, measured, readout pairs); a hit
-    continues from a copy of the stored effect, a miss walks the segment and
-    stores a copy (the walk works in place). Gates before the first segment
-    are walked uncached. cache["skipped"] counts the gate steps hits saved.
-    Stored effects stop at _SUFFIX_CACHE_BYTES; a miss past that walks the
-    rest uncached.
     """
+    for i in range(len(gates) - 1, -1, -1):
+        for event in events[i]:
+            eff = _rho_apply_event(eff, event, n)
+        g = gates[i]
+        eff = apply_kind(eff, g.kind, g.qubits, conj=True)
+        eff = apply_kind(eff, g.kind, tuple(q + n for q in g.qubits))
+    return eff
+
+
+def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None) -> np.ndarray:
+    """(2^n, 2^n) effect E with Tr(E rho) = P(read 0...0 on `measured`) after
+    the noisy gates act on rho: the readout-folded all-zeros projector
+    (`readout_effect`) pulled back through the circuit (`pull_back`, the
+    Heisenberg picture), last gate first."""
     if n > DENSITY_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
     measured = list(range(n)) if measured is None else list(measured)
-    if readout_pairs is None:
-        readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
-    diag = np.ones([2] * n)
-    for q, (p01, p10) in zip(measured, readout_pairs):
-        diag[_idx(n, {q: 0})] *= 1.0 - p01
-        diag[_idx(n, {q: 1})] *= p10
-    eff = np.diag(diag.reshape(-1).astype(complex)).reshape([2] * (2 * n))
     gates = tuple(gates)
     events = ((),) * len(gates) if bound is None else bound.events
-
-    def pull_back(lo: int, hi: int) -> None:
-        # rebinds eff in place of taking it, so no caller frame keeps the
-        # walk's starting array alive (1 MB at width 8)
-        nonlocal eff
-        for i in range(hi - 1, lo - 1, -1):
-            for event in events[i]:
-                eff = _rho_apply_event(eff, event, n)
-            g = gates[i]
-            eff = apply_kind(eff, g.kind, g.qubits, conj=True)
-            eff = apply_kind(eff, g.kind, tuple(q + n for q in g.qubits))
-
-    hi = len(gates)
-    if cache is not None:
-        nodes = cache.setdefault("suffixes", {})
-        root = (n, tuple(measured), tuple(map(tuple, readout_pairs)))
-        node = nodes.setdefault(root, (len(nodes), None))[0]
-        for lo, segment in reversed(segments):
-            key = (node, segment)
-            if key in nodes:
-                node, stored = nodes[key]
-                eff = stored.copy()
-                cache["skipped"] = cache.get("skipped", 0) + hi - lo
-            elif cache.get("bytes", 0) + eff.nbytes <= _SUFFIX_CACHE_BYTES:
-                pull_back(lo, hi)
-                node = len(nodes)
-                nodes[key] = (node, eff.copy())
-                cache["bytes"] = cache.get("bytes", 0) + eff.nbytes
-            else:
-                break
-            hi = lo
-    pull_back(0, hi)
-    return eff.reshape(1 << n, 1 << n)
+    return pull_back(readout_effect(n, bound, measured), gates, events, n).reshape(1 << n, 1 << n)
 
 
-def run_gates_density(
-    gates,
-    n: int,
-    bound: BoundNoise | None,
-    init: np.ndarray | None = None,
-    measured: list[int] | None = None,
-    readout_pairs=None,
-) -> dict[str, float]:
-    return DensityProgram(gates, n, bound, measured, readout_pairs).distribution(init)
+def run_gates_density(gates, n: int, bound: BoundNoise | None, init: np.ndarray | None = None,
+                      measured: list[int] | None = None) -> dict[str, float]:
+    return DensityProgram(gates, n, bound, measured).distribution(init)
 
 
 def run_density(
@@ -443,7 +400,6 @@ def trajectory_counts(
     seeds,
     shots: int,
     measured: list[int] | None = None,
-    readout_pairs=None,
     threads: int = 1,
 ) -> np.ndarray:
     """(inputs, 2^m) outcome counts of `shots` noisy shots per input state row
@@ -468,8 +424,7 @@ def trajectory_counts(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     measured = list(range(n)) if measured is None else list(measured)
-    if readout_pairs is None:
-        readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
+    readout_pairs = lookup_readout(() if bound is None else bound.readout, measured)
     m = len(measured)
     psis = np.asarray(inits, dtype=complex).reshape(-1, 1 << n)
     gates = tuple(gates)
@@ -545,11 +500,10 @@ def run_gates_trajectories(
     shots: int,
     seed: int,
     measured: list[int] | None = None,
-    readout_pairs=None,
     threads: int = 1,
 ) -> ShotCounts:
     """One input's trajectory_counts as a {bitstring: count} view."""
-    row = trajectory_counts(gates, n, bound, [init], [seed], shots, measured, readout_pairs, threads)[0]
+    row = trajectory_counts(gates, n, bound, [init], [seed], shots, measured, threads)[0]
     m = row.size.bit_length() - 1
     return ShotCounts({format(i, f"0{m}b"): int(c) for i, c in enumerate(row) if c}, shots, seed)
 
@@ -566,9 +520,7 @@ def run_trajectories(
     """Sampled noisy execution; reproducible bit-for-bit from (seed, shots)."""
     measured = list(range(circuit.num_computing)) if measured is None else measured
     init = basis_state(circuit.width) if init is None else init
-    return run_gates_trajectories(
-        circuit.gates, circuit.width, bound, init, shots, seed, measured, threads=threads
-    )
+    return run_gates_trajectories(circuit.gates, circuit.width, bound, init, shots, seed, measured, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -577,55 +529,42 @@ def run_trajectories(
 
 @dataclass(frozen=True)
 class MappedPlan:
-    """Dense-index execution plan for a MappedCircuit."""
+    """Dense-index execution plan for a MappedCircuit: its device qubits
+    renumbered 0..n-1 in physical order, with the bound noise (events and
+    readout) on those dense axes, or None for a noiseless run."""
 
     n: int
     gates: tuple[Gate, ...]
     num_computing: int
-    num_aux: int
     init_positions: tuple[int, ...]  # dense axis of each logical qubit at start
     measured: tuple[int, ...]  # dense axes of computing qubits, logical order
     aux_axes: tuple[int, ...]  # dense axes of auxiliaries at the end of the run
-    physical_of_dense: tuple[int, ...]
+    bound: BoundNoise | None
+
+    @property
+    def computing_index(self) -> np.ndarray:
+        """Dense basis index of each computing basis state, with auxiliaries
+        and unoccupied device qubits in |0> (qubit 0 the most significant bit
+        on both sides)."""
+        k = self.num_computing
+        bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        return bits @ (1 << (self.n - 1 - np.array(self.init_positions[:k], dtype=np.int64)))
 
     def embed(self, logical_init: np.ndarray | None = None) -> np.ndarray:
         """Initial dense state from a state over the computing qubits only
         (auxiliaries and unoccupied device qubits start in |0>)."""
-        comp = (
-            basis_state(self.num_computing)
-            if logical_init is None
-            else np.asarray(logical_init, dtype=complex)
-        )
-        if comp.size != 2**self.num_computing:
+        k = self.num_computing
+        comp = basis_state(k) if logical_init is None else np.asarray(logical_init, dtype=complex)
+        if comp.size != 2**k:
             raise ValueError("logical_init must cover exactly the computing qubits")
-        full = comp if not self.num_aux else np.kron(comp, basis_state(self.num_aux))
-        width = self.num_computing + self.num_aux
-        psi = np.zeros([2] * self.n, dtype=complex)
-        sel = _idx(self.n, {ax: 0 for ax in range(self.n) if ax not in self.init_positions})
-        # The selected view's axis j is the j-th smallest occupied dense slot,
-        # so its data must come from the logical qubit living there.
-        order = sorted(range(width), key=lambda l: self.init_positions[l])
-        psi[sel] = np.transpose(full.reshape([2] * width), order)
-        return psi.reshape(-1)
-
-    @property
-    def init(self) -> np.ndarray:
-        return self.embed(None)
-
-    def densify_bound(self, bound: BoundNoise | None):
-        if bound is None:
-            return None, [(0.0, 0.0)] * len(self.measured)
-        to_dense = {p: d for d, p in enumerate(self.physical_of_dense)}
-        events = tuple(
-            tuple((kind, tuple(to_dense[q] for q in qubits), p) for kind, qubits, p in evs)
-            for evs in bound.events
-        )
-        pairs = lookup_readout(bound.readout, [self.physical_of_dense[ax] for ax in self.measured])
-        return BoundNoise(events=events, readout=bound.readout), pairs
+        psi = np.zeros(1 << self.n, dtype=complex)
+        psi[self.computing_index] = comp.reshape(-1)
+        return psi
 
 
-def plan_mapped_run(m) -> MappedPlan:
-    """Prepare dense gates and measurement axes for a mapped circuit."""
+def plan_mapped_run(m, bound: BoundNoise | None = None) -> MappedPlan:
+    """Prepare dense gates, measurement axes and, given the circuit's bound
+    noise, its events and readout table on dense axes."""
     used = sorted(
         set(m.initial_mapping.physical)
         | set(m.chain)
@@ -640,9 +579,19 @@ def plan_mapped_run(m) -> MappedPlan:
     aux_axes = tuple(
         to_dense[m.final_mapping.physical_of(l)] for l in range(m.num_computing, width)
     )
-    return MappedPlan(
-        n, gates, m.num_computing, m.num_aux, init_positions, measured, aux_axes, tuple(used)
-    )
+    if bound is not None:
+        bound = BoundNoise(
+            events=tuple(
+                tuple((kind, tuple(to_dense[q] for q in qubits), p) for kind, qubits, p in evs)
+                for evs in bound.events
+            ),
+            # the wildcard entry (qubit None) stays; entries off the device's used qubits go
+            readout=tuple(
+                (q if q is None else to_dense[q], p01, p10)
+                for q, p01, p10 in bound.readout if q is None or q in to_dense
+            ),
+        )
+    return MappedPlan(n, gates, m.num_computing, init_positions, measured, aux_axes, bound)
 
 
 def run_mapped_ideal(m, logical_init: np.ndarray | None = None) -> tuple[np.ndarray, MappedPlan]:

@@ -4,10 +4,11 @@ A proposal's neurons are built as circuits, routed with the fixed-mapping
 compiler, bound to the noise model and evaluated on the chosen backend.
 The compiler restores the canonical mapping after every block, so a block's
 routed gates and bound noise do not depend on its neighbours: the evaluator
-compiles, binds and densifies a neuron only when it brings a block the run
-has not seen, and assembles every other neuron from the blocks it already
-holds. Results are cached by weight vector, and the baseline model is always
-the first incumbent, so the reported best can never fall below it.
+compiles, binds and plans a neuron only when it brings a block the run has
+not seen, assembles every other neuron from the blocks it already holds, and
+pulls the effect of each common suffix of blocks back once. Results are
+cached by weight vector, and the baseline model is always the first
+incumbent, so the reported best can never fall below it.
 
 Search strategies stand in for a learned controller behind one interface:
 exhaustive enumeration (the oracle for small spaces), first-improvement hill
@@ -18,31 +19,31 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .mapper import compile
-from .noise import NoiseModel
+from .noise import NoiseModel, bind
 from .qnn import (
     BACKENDS,
     EXHAUSTIVE_SPACE_CAP,
     Dataset,
-    DenseRun,
     Model,
     accuracies,
     code_from_weights,
-    dense_run,
+    effect_outputs,
     neuron_circuit,
     scan_blocks,
     score_run,
     weights_from_code,
 )
-from .simulator import derive_seed
+from .simulator import MappedPlan, derive_seed, plan_mapped_run, pull_back, readout_effect
 from .topology import CouplingGraph, linear_chain
 
 STRATEGIES = ("exhaustive", "hill_climb", "random_search")
+# Effects an evaluator keeps for shared suffixes: at most this many bytes.
+_SUFFIX_CACHE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,17 @@ def _spans(boundaries, end: int) -> list[tuple[int, int]]:
 
 class Evaluator:
     """Caches per-neuron sample outputs by weight vector, with one table of
-    routed segments and one adjoint-pass cache per run.
+    routed segments and one store of pulled-back suffix effects per run.
 
     A segment is one block of a neuron circuit (or its H-layer tail). The
     table maps each logical segment to its routed gates and bound events on
     dense axes and an id. A neuron that brings a segment the table lacks is
-    compiled, bound and densified whole, and its run is sliced at the routed
+    compiled, bound and planned whole, and its plan is sliced at the routed
     block boundaries into the table; every other neuron is assembled from the
-    table without compiling. The segment ids key the adjoint pass, so neurons
-    that end in the same segments pull that suffix back once.
+    table without compiling. The exact backends pull the all-zeros effect
+    back one segment at a time, last first, and keep the effect of each
+    suffix of segment ids, so neurons that end in the same segments pull
+    that suffix back once (see `_effect`).
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -136,11 +139,13 @@ class Evaluator:
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
         self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "compiled": 0}
-        self._cache: dict = {}
         # logical segment gates -> (id, dense routed gates, their dense events)
         self._segments: dict[tuple, tuple[int, tuple, tuple]] = {}
-        # the last compiled run; its plan frame and readout serve every assembled run
-        self._frame: DenseRun | None = None
+        # the last compiled plan; its frame (width, axes, readout) serves every assembled one
+        self._frame: MappedPlan | None = None
+        # suffix of segment ids -> its pulled-back effect, and their bytes
+        self._effects: dict[tuple[int, ...], np.ndarray] = {}
+        self._effect_bytes = 0
 
     def _timed(self, phase: str, fn):
         t0 = time.perf_counter()
@@ -148,49 +153,81 @@ class Evaluator:
         self.phase_seconds[phase] += time.perf_counter() - t0
         return out
 
-    def dense_run(self, w: tuple[int, ...]) -> DenseRun:
-        """Neuron `w`'s dense run, assembled from the segment table, with one
-        (first gate, id) pair per segment."""
+    def _parts(self, w: tuple[int, ...]) -> list[tuple[int, tuple, tuple]]:
+        """Neuron `w`'s segment table entries in gate order, compiling it
+        first if it brings a segment the table lacks."""
         circ = self._timed("circ", lambda: neuron_circuit(w))
         logical = [circ.gates[lo:hi] for lo, hi in _spans(circ.block_boundaries, len(circ.gates))]
         if not all(seg in self._segments for seg in logical):
+            cfg = self.cfg
             mapped = self._timed("map", lambda: compile(circ, self.graph))
-            run = dense_run(mapped, self.cfg.backend, self.cfg.noise, self._timed)
-            events = ((),) * len(run.plan.gates) if run.bound is None else run.bound.events
+            bound = None if cfg.backend == "ideal" else self._timed("bind", lambda: bind(cfg.noise, mapped))
+            plan = plan_mapped_run(mapped, bound)
+            events = ((),) * len(plan.gates) if plan.bound is None else plan.bound.events
             spans = _spans(mapped.block_boundaries, len(mapped.physical_gates))
             for seg, (lo, hi) in zip(logical, spans):
-                self._segments.setdefault(seg, (len(self._segments), run.plan.gates[lo:hi], events[lo:hi]))
-            self._frame = run
+                self._segments.setdefault(seg, (len(self._segments), plan.gates[lo:hi], events[lo:hi]))
+            self._frame = plan
             self.work["compiled"] += 1
-        parts = [self._segments[seg] for seg in logical]
-        starts = accumulate((len(gates) for _, gates, _ in parts[:-1]), initial=0)
+        return [self._segments[seg] for seg in logical]
+
+    def _assemble(self, parts) -> MappedPlan:
         frame = self._frame
         bound = frame.bound
         if bound is not None:
             bound = replace(bound, events=tuple(e for _, _, events in parts for e in events))
-        return replace(
-            frame,
-            plan=replace(frame.plan, gates=tuple(g for _, gates, _ in parts for g in gates)),
-            bound=bound,
-            segments=tuple(zip(starts, (i for i, _, _ in parts))),
-        )
+        return replace(frame, gates=tuple(g for _, gates, _ in parts for g in gates), bound=bound)
+
+    def plan(self, w: tuple[int, ...]) -> MappedPlan:
+        """Neuron `w`'s dense plan, assembled from the segment table."""
+        return self._assemble(self._parts(w))
+
+    def _effect(self, parts) -> np.ndarray:
+        """The readout-folded all-zeros effect of the neuron made of `parts`
+        (simulator.zero_effect), pulled back one segment at a time from the
+        last. A suffix of segment ids found in the store continues from a
+        copy of its effect; one not found is pulled back and a copy stored,
+        while the store stays within _SUFFIX_CACHE_BYTES (past that, the rest
+        is walked without lookups). Suffixes are shared between neurons, so
+        the first neuron stores none: an evaluator of a single neuron holds
+        no effects."""
+        frame = self._frame
+        n = frame.n
+        eff = readout_effect(n, frame.bound, frame.measured)
+        ids = tuple(i for i, _, _ in parts)
+        share = bool(self._outputs)
+        for j in range(len(parts) - 1, -1, -1):
+            stored = self._effects.get(ids[j:]) if share else None
+            if stored is not None:
+                eff = stored.copy()
+                continue
+            share = share and self._effect_bytes + eff.nbytes <= _SUFFIX_CACHE_BYTES
+            _, gates, events = parts[j]
+            eff = pull_back(eff, gates, events, n)
+            self.work["steps"] += len(gates)
+            if share:
+                self._effects[ids[j:]] = eff.copy()
+                self._effect_bytes += eff.nbytes
+        return eff.reshape(1 << n, 1 << n)
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
         cached = self._outputs.get(w)
         if cached is not None:
             return cached
         cfg = self.cfg
-        run = self.dense_run(w)
-        # suffixes are shared between neurons, so the first one stores none
-        # (an evaluator of a single neuron holds no effects)
-        out = score_run(
-            w, run, self.xs, cfg.backend, cfg.shots, cfg.seed, cfg.threads,
-            timed=self._timed, cache=self._cache if self._outputs else None,
-        )
+        parts = self._parts(w)
+        gates = sum(len(g) for _, g, _ in parts)
+        if cfg.backend == "trajectories":
+            plan = self._assemble(parts)
+            out = self._timed("infer", lambda: score_run(
+                w, plan, self.xs, cfg.backend, cfg.shots, cfg.seed, threads=cfg.threads,
+            ))
+            self.work["steps"] += gates
+        else:
+            out = self._timed("infer", lambda: effect_outputs(self._effect(parts), self._frame, self.xs))
         self.work["neurons"] += 1
-        self.work["gates"] += len(run.plan.gates)
-        self.work["events"] += 0 if run.bound is None else run.bound.total_events
-        self.work["steps"] = self.work["gates"] - self._cache.get("skipped", 0)
+        self.work["gates"] += gates
+        self.work["events"] += sum(len(e) for _, _, events in parts for e in events)
         self._outputs[w] = out
         return out
 

@@ -150,16 +150,11 @@ def test_criterion_05_oracle_agreement():
     for name, nm in settings.items():
         for w in weights:
             mapped = compile(neuron_circuit(w), linear_chain(4))
-            bound = bind(nm, mapped)
-            plan = plan_mapped_run(mapped)
-            dense_bound, pairs = plan.densify_bound(bound)
+            plan = plan_mapped_run(mapped, bind(nm, mapped))
             init = plan.embed(x)
-            exact = run_gates_density(
-                plan.gates, plan.n, dense_bound, init, list(plan.measured), pairs
-            )
+            exact = run_gates_density(plan.gates, plan.n, plan.bound, init, list(plan.measured))
             counts = run_gates_trajectories(
-                plan.gates, plan.n, dense_bound, init, shots, ORACLE_SEED,
-                list(plan.measured), readout_pairs=pairs,
+                plan.gates, plan.n, plan.bound, init, shots, ORACLE_SEED, list(plan.measured),
             )
             emp = counts.distribution()
             for i in range(8):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qnz.ir import GateKind
 from qnz.mapper import compile, initial_interleaved_mapping
-from qnz.noise import NoiseModel
+from qnz.noise import NoiseModel, bind
 from qnz.qnn import (
     Dataset,
     accuracy,
@@ -23,10 +23,11 @@ from qnz.qnn import (
     neuron_outputs,
     parse_dataset,
     parse_model,
+    score_run,
     weights_from_code,
 )
-from qnz.simulator import born_distribution, run_ideal, run_mapped_ideal
-from qnz.topology import linear_chain
+from qnz.simulator import born_distribution, plan_mapped_run, run_ideal, run_mapped_ideal, zero_effect
+from qnz.topology import coupling_graph, linear_chain
 
 from oracle import random_state
 
@@ -337,6 +338,53 @@ class TestInferenceAndAccuracy:
             mapped = compile(circ_of_weights(weights_from_code(code, 8)), g)
             assert mapped.initial_mapping == canonical
             assert all(bm == canonical for bm in mapped.block_mappings)
+
+
+def _kron_embed(plan, comp) -> np.ndarray:
+    """Dense initial state built from the mapping alone: comp (x) |0...0> of
+    the auxiliaries, each logical qubit moved onto its initial dense axis and
+    every unoccupied axis held at |0>."""
+    width = len(plan.init_positions)
+    full = np.kron(comp, np.eye(2 ** (width - plan.num_computing))[0]).reshape([2] * width)
+    psi = np.zeros([2] * plan.n, dtype=complex)
+    sel = tuple(slice(None) if ax in plan.init_positions else 0 for ax in range(plan.n))
+    psi[sel] = np.transpose(full, sorted(range(width), key=lambda l: plan.init_positions[l]))
+    return psi.reshape(-1)
+
+
+# 3x3 grid, row-major: chains on it leave unused device qubits between used ones
+GRID = coupling_graph(
+    9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)],
+)
+
+
+class TestComputingIndex:
+    """Exact scoring selects the computing block of the effect by
+    `MappedPlan.computing_index`; that is bit-equal to x^dagger V^dagger E V x
+    through the embedding isometry V."""
+
+    NOISE = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((None, 0.02, 0.04), (5, 0.1, 0.0)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([2, 4, 8, 16]), on_grid=st.booleans(), frac=st.floats(0, 1, exclude_max=True),
+           noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_isometry_formula(self, n, on_grid, frac, noisy, seed):
+        w = weights_from_code(int(frac * 2**n), n)
+        graph = GRID if on_grid else linear_chain(neuron_circuit(w).width)
+        mapped = compile_neuron(w, graph)
+        plan = plan_mapped_run(mapped, bind(self.NOISE, mapped) if noisy else None)
+        idx = plan.computing_index
+        iso = np.array([_kron_embed(plan, e) for e in np.eye(n)]).T
+        for i in range(n):
+            assert np.flatnonzero(iso[:, i]).tolist() == [idx[i]]
+            assert np.flatnonzero(plan.embed(np.eye(n)[i])).tolist() == [idx[i]]
+        xs = np.random.default_rng(seed).normal(size=(5, n))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        cx = xs.astype(complex)
+        want = np.einsum("si,ij,sj->s", cx.conj(), iso.conj().T @ eff @ iso, cx).real
+        assert np.array_equal(score_run(w, plan, xs, "density"), want)
 
 
 class TestBundledDataset:

@@ -14,6 +14,8 @@ from qnz.simulator import (
     ShotCounts,
     basis_state,
     born_distribution,
+    pull_back,
+    readout_effect,
     run_density,
     run_gates_density,
     run_gates_ideal,
@@ -219,9 +221,8 @@ class TestDensityBatching:
         nm = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((1, 0.04, 0.02),))
         xs = rng.normal(size=(20, 8))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        plan = plan_mapped_run(mapped)
-        bound, pairs = plan.densify_bound(bind_gates(nm, mapped.physical_gates))
-        prog = DensityProgram(plan.gates, plan.n, bound, plan.measured, pairs)
+        plan = plan_mapped_run(mapped, bind_gates(nm, mapped.physical_gates))
+        prog = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured)
         want = prog.probabilities([plan.embed(x) for x in xs])[:, 0]
         # scored by the adjoint pass, checked against the forward engine
         assert np.max(np.abs(neuron_outputs(w, mapped, xs, "density", nm) - want)) <= 1e-12
@@ -246,12 +247,12 @@ class TestZeroEffect:
                         readout=((0, 0.03, 0.08), (n - 1, 0.06, 0.02)))
         bound = bind_gates(nm, gates)
         pairs = lookup_readout(bound.readout, measured)
-        eff = zero_effect(gates, n, bound, measured, pairs)
+        eff = zero_effect(gates, n, bound, measured)
         assert eff.shape == (2**n, 2**n) and np.max(np.abs(eff.imag)) > 1e-3
         assert np.max(np.abs(eff - eff.conj().T)) < 1e-15
         inits = np.array([random_state(n, rng) for _ in range(3)])
         got = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
-        forward = DensityProgram(gates, n, bound, measured, pairs).probabilities(inits)[:, 0]
+        forward = DensityProgram(gates, n, bound, measured).probabilities(inits)[:, 0]
         assert np.max(np.abs(got - forward)) <= 1e-12
         want = density_outcome_probabilities(gates, n, bound.events, inits[0], measured, pairs)[0]
         assert abs(got[0] - want) <= 1e-12
@@ -267,10 +268,40 @@ class TestZeroEffect:
         with pytest.raises(ValueError):
             zero_effect([], simulator.DENSITY_WIDTH_CAP + 1, None)
 
+    def test_mapped_plan_reads_out_on_dense_axes(self):
+        """On a 3x3 grid the chain is physical 0-1-2-5, so dense axis 3 is
+        physical qubit 5 and physical qubit 3 is unused. A plan's bound noise
+        carries its readout on dense axes: the measured qubits read the
+        (p01, p10) of the physical qubits they end on, never qubit 3's."""
+        from qnz.qnn import compile_neuron, weights_from_code
+        from qnz.simulator import plan_mapped_run
+        from qnz.topology import coupling_graph
+
+        grid = coupling_graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+                              + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
+        mapped = compile_neuron(weights_from_code(0b10010110, 8), grid)
+        finals = [mapped.final_mapping.physical_of(q) for q in range(3)]
+        nm = NoiseModel(flip_p=0.02, phase_p=0.03, depol_p=0.01, readout=(
+            (3, 0.2, 0.15), (5, 0.03, 0.08), (2, 0.06, 0.02), (0, 0.1, 0.05),
+        ))
+        plan = plan_mapped_run(mapped, bind_gates(nm, mapped.physical_gates))
+        assert 5 in finals and sorted(plan.measured) != sorted(finals)
+        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        rng = np.random.default_rng(41)
+        # no qubit multipliers, so binding the dense gates gives the dense events
+        events = bind_gates(nm, plan.gates).events
+        pairs = [nm.readout_for(q) for q in finals]
+        for _ in range(2):
+            psi = plan.embed(random_state(3, rng))
+            want = density_outcome_probabilities(plan.gates, plan.n, events, psi, plan.measured, pairs)[0]
+            assert abs(np.vdot(psi, eff @ psi).real - want) <= 1e-12
+
 
 class TestSharedSuffixes:
-    """zero_effect with `segments` and a shared cache pulls each distinct suffix
-    back once and returns exactly the uncached effect."""
+    """pull_back composes over segments: a circuit's effect continued from a
+    copy of the effect another circuit pulled back through the same tail is
+    bit for bit its uncached zero_effect. The evaluator's suffix store
+    (trainer.Evaluator) rests on this."""
 
     @staticmethod
     def _circuits(n: int):
@@ -288,45 +319,31 @@ class TestSharedSuffixes:
         for order, nm in [((0, 1, 2), 0), ((3, 1, 2), 0), ((2,), 0), ((1, 2), 0), ((0, 3, 2), 0),
                           ((3, 1, 2), 1), ((1, 2), 1), ((0, 1, 2), 0), ((3, 1, 2), 1)]:
             gates = [g for s in order for g in segs[s]]
-            starts = np.cumsum([0] + [len(segs[s]) for s in order[:-1]]).tolist()
-            out.append((gates, bind_gates(noises[nm], gates), [(lo, (s, nm)) for lo, s in zip(starts, order)]))
+            starts = np.cumsum([0, *(len(segs[s]) for s in order)]).tolist()
+            out.append((gates, bind_gates(noises[nm], gates),
+                        [((s, nm), lo, hi) for s, lo, hi in zip(order, starts, starts[1:])]))
         return out
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_equals_uncached_pass(self, n):
         measured = [n - 1, 0]
-        cache: dict = {}
-        total = 0
+        stored: dict = {}
+        walked = total = 0
         for gates, bound, segments in self._circuits(n):
-            pairs = lookup_readout(bound.readout, measured)
-            want = zero_effect(gates, n, bound, measured, pairs)
-            got = zero_effect(gates, n, bound, measured, pairs, segments, cache)
-            assert np.array_equal(got, want)
+            want = zero_effect(gates, n, bound, measured)
+            eff = readout_effect(n, bound, measured)
+            for j in range(len(segments) - 1, -1, -1):
+                suffix = tuple(seg for seg, _, _ in segments[j:])
+                if suffix in stored:
+                    eff = stored[suffix].copy()
+                    continue
+                _, lo, hi = segments[j]
+                eff = pull_back(eff, gates[lo:hi], bound.events[lo:hi], n)
+                stored[suffix] = eff.copy()
+                walked += hi - lo
+            assert np.array_equal(eff.reshape(want.shape), want)
             total += len(gates)
-        assert 0 < cache["skipped"] < total
-
-    def test_hit_returns_a_copy(self):
-        """Mutating the effect a miss or a hit returned leaves the cached one intact."""
-        n = 4
-        gates, bound, segments = self._circuits(n)[-1]
-        want = zero_effect(gates, n, bound)
-        cache: dict = {}
-        for _ in range(3):
-            eff = zero_effect(gates, n, bound, segments=segments, cache=cache)
-            assert np.array_equal(eff, want)
-            eff *= 2.0
-            eff[0, 0] = 7.0
-        assert cache["skipped"] == 2 * len(gates)
-
-    def test_byte_budget_walks_the_rest_uncached(self, monkeypatch):
-        n = 3
-        circuits = self._circuits(n)
-        monkeypatch.setattr(simulator, "_SUFFIX_CACHE_BYTES", 2 * (4**n) * 16)
-        cache: dict = {}
-        for gates, bound, segments in circuits:
-            want = zero_effect(gates, n, bound)
-            assert np.array_equal(zero_effect(gates, n, bound, segments=segments, cache=cache), want)
-        assert cache["bytes"] == 2 * (4**n) * 16
+        assert 0 < walked < total
 
 
 class TestDepolarizingChannel:
@@ -361,9 +378,9 @@ class TestDepolarizingChannel:
             density_outcome_probabilities(gates, n, bound.events, x, measured, pairs)
             for x in inits
         ])
-        forward = DensityProgram(gates, n, bound, measured, pairs).probabilities(inits)
+        forward = DensityProgram(gates, n, bound, measured).probabilities(inits)
         assert np.max(np.abs(forward - want)) <= 1e-12
-        eff = zero_effect(gates, n, bound, measured, pairs)
+        eff = zero_effect(gates, n, bound, measured)
         adjoint = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
         assert np.max(np.abs(adjoint - want[:, 0])) <= 1e-12
 

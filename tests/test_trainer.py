@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnz import trainer
-from qnz.noise import NoiseModel, parse_noise_shorthand
+from qnz.noise import NoiseModel, bind, parse_noise_shorthand
 from qnz.qnn import (
     Dataset,
     Model,
@@ -15,7 +15,6 @@ from qnz.qnn import (
     bundled_dataset_path,
     code_from_weights,
     compile_neuron,
-    dense_run,
     load_dataset,
     make_synthetic_dataset,
     model,
@@ -23,6 +22,7 @@ from qnz.qnn import (
     neuron_outputs,
     weights_from_code,
 )
+from qnz.simulator import plan_mapped_run, zero_effect
 from qnz.topology import coupling_graph, linear_chain
 from qnz.trainer import (
     Evaluator,
@@ -296,6 +296,13 @@ class TestDeterminism:
         assert result.phase_seconds["map"] > 0.0
 
 
+# 3x3 grid, row-major: a 2-D device on which every register shape here fits
+GRID = coupling_graph(
+    9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+    + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)],
+)
+
+
 class TestSharedSuffixes:
     """The evaluator pulls each distinct suffix of routed blocks back once per
     run; its rows stay bit-equal to fresh uncached evaluations."""
@@ -319,8 +326,56 @@ class TestSharedSuffixes:
         cfg = base_config(small_dataset(), model([1, -1, 1, 1]), noise=NoiseModel(flip_p=0.05))
         ev = Evaluator(cfg)
         ev.model_accuracy(cfg.initial)
-        assert ev._cache == {}
+        assert ev._effects == {} and ev._effect_bytes == 0
         assert ev.work["steps"] == ev.work["gates"] > 0
+
+    NOISE = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.02, readout=((0, 0.03, 0.08), (3, 0.06, 0.02)))
+
+    def _evaluator(self, **kw) -> Evaluator:
+        cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE, **kw)
+        ev = Evaluator(cfg)
+        ev.neuron_outputs(cfg.initial.neurons[0])  # the first neuron stores none
+        return ev
+
+    def test_returned_effect_mutated_leaves_the_stored_one(self):
+        ev = self._evaluator()
+        w = weights_from_code(0b10010110, 8)
+        plan = ev.plan(w)
+        want = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        parts = ev._parts(w)
+        steps = ev.work["steps"]
+        for _ in range(3):
+            eff = ev._effect(parts)
+            assert np.array_equal(eff, want)
+            eff *= 2.0
+            eff[0, 0] = 7.0
+        # the first pass walked every gate, the next two hit the whole neuron
+        assert ev.work["steps"] - steps == len(plan.gates)
+        assert ev._effects[tuple(i for i, _, _ in parts)].shape == (2,) * (2 * plan.n)
+
+    def test_byte_cap_stores_no_more_and_keeps_rows(self, monkeypatch):
+        effect_bytes = 16 * 4**4  # a complex effect at width 4
+        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 2 * effect_bytes)
+        ev = self._evaluator()
+        for c in range(0, 256, 7):
+            w = weights_from_code(c, 8)
+            fresh = neuron_outputs(w, compile_neuron(w, ev.graph), ev.xs, "density", self.NOISE)
+            assert np.array_equal(ev.neuron_outputs(w), fresh)
+        assert len(ev._effects) == 2 and ev._effect_bytes == 2 * effect_bytes
+        assert ev.work["steps"] < ev.work["gates"]
+
+    @pytest.mark.parametrize("backend", ["ideal", "density"])
+    def test_shared_suffixes_save_steps_on_a_grid(self, backend):
+        cfg = base_config(
+            make_synthetic_dataset(5, 8, k=4), model([1] * 16), noise=self.NOISE, backend=backend,
+            graph=GRID, strategy="random_search",
+        )
+        ev = Evaluator(cfg)
+        for c in np.random.default_rng(3).integers(2**16, size=12):
+            w = weights_from_code(int(c), 16)
+            fresh = neuron_outputs(w, compile_neuron(w, GRID), ev.xs, backend, self.NOISE)
+            assert np.array_equal(ev.neuron_outputs(w), fresh)
+        assert 0 < ev.work["steps"] < ev.work["gates"]
 
     def test_steps_equal_gates_when_nothing_is_shared(self):
         cfg = base_config(
@@ -341,16 +396,9 @@ def _segments(w) -> set:
     return {circ.gates[lo:hi] for lo, hi in [*bounds, (tail, len(circ.gates))]}
 
 
-# 3x3 grid, row-major: a 2-D device on which every register shape here fits
-GRID = coupling_graph(
-    9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
-    + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)],
-)
-
-
 class TestSegmentTable:
     """The evaluator compiles a neuron only when it brings a segment its table
-    lacks and assembles the others; an assembled run is the whole-circuit run."""
+    lacks and assembles the others; an assembled plan is the whole-circuit plan."""
 
     NOISE = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((None, 0.02, 0.04),))
 
@@ -381,13 +429,8 @@ class TestSegmentTable:
                 w = weights_from_code(c, n)
                 mapped = compile_neuron(w, graph)
                 assert all(m == mapped.initial_mapping for m in mapped.block_mappings)
-                want = dense_run(mapped, backend, self.NOISE)
-                got = ev.dense_run(w)
-                assert got.plan == want.plan  # gates, measured axes and embedding
-                assert got.bound == want.bound and got.pairs == want.pairs
-                bounds = mapped.block_boundaries
-                cuts = [lo for lo, _ in bounds] + [bounds[-1][1] if bounds else 0]
-                assert [lo for lo, _ in got.segments] == cuts
+                # gates, measured axes, embedding, and events and readout on dense axes
+                assert ev.plan(w) == plan_mapped_run(mapped, bind(self.NOISE, mapped))
                 fresh = neuron_outputs(w, mapped, ds.inputs(), backend, self.NOISE, shots, cfg.seed)
                 assert np.array_equal(ev.neuron_outputs(w), fresh)
 
