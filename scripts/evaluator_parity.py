@@ -16,8 +16,18 @@ Run it on two trees and diff the output:
     PYTHONPATH=/other/tree/src python3 scripts/evaluator_parity.py > b.txt
     diff a.txt b.txt
 
+A change that moves row bits by design (new arithmetic) is compared with a
+tolerance instead: `--dump FILE` saves every row array and the accuracy of
+every log entry, and `--against FILE` adds, per row array, the max |delta|
+against such a dump, and per train log the number of entries whose
+accuracy differs:
+
+    PYTHONPATH=/other/tree/src python3 scripts/evaluator_parity.py --dump base.npz
+    PYTHONPATH=src python3 scripts/evaluator_parity.py --against base.npz
+
 Takes about 60 s on one core of a 2-vCPU VM.
 """
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -59,6 +69,25 @@ def digest(obj) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", help="save the rows and log accuracies to this .npz file")
+    parser.add_argument("--against", help="compare with the rows and logs of this .npz dump")
+    args = parser.parse_args()
+    base = dict(np.load(args.against)) if args.against else None
+    kept: dict[str, np.ndarray] = {}
+
+    def report(key: str, values: np.ndarray) -> str:
+        """Keep `values` under `key`; against a dump, the max |delta| of rows
+        or the count of differing log accuracies."""
+        kept[key] = values
+        if base is None:
+            return ""
+        if key.endswith("rows"):
+            return f" max|d| {np.max(np.abs(values - base[key])):.3g}"
+        if values.shape != base[key].shape:
+            return f" length {len(values)} against {len(base[key])}"
+        return f" moved {int(np.count_nonzero(values != base[key]))}/{len(values)}"
+
     dataset = load_dataset(bundled_dataset_path())
     _, baseline = best_exhaustive_accuracy(dataset)
     for label, backend, noise, shots in CONFIGS:
@@ -68,7 +97,7 @@ def main() -> None:
         )
         ev = Evaluator(cfg)
         rows = np.array([ev.neuron_outputs(weights_from_code(c, 8)) for c in range(256)])
-        print(f"{label} {backend} rows {digest(rows)}")
+        print(f"{label} {backend} rows {digest(rows)}" + report(f"{label} {backend} rows", rows))
         for strategy, max_iters in STRATEGIES:
             if strategy == "exhaustive" and backend == "trajectories":
                 continue
@@ -82,10 +111,11 @@ def main() -> None:
                 "cache_hits": result.cache_hits,
                 "work": {k: v for k, v in result.work.items() if k not in ("steps", "compiled")},
             }
+            moved = report(f"{label} {backend} {strategy} log", np.array([e.accuracy for e in result.log]))
             print(
                 f"{label} {backend} {strategy} train {digest(run)} "
                 f"best {result.best_accuracy} work {run['work']} "
-                f"steps {result.work['steps']} compiled {result.work['compiled']}"
+                f"steps {result.work['steps']} compiled {result.work['compiled']}" + moved
             )
     wide = make_synthetic_dataset(5, 16, k=4)
     noise = parse_noise_shorthand("flip:0.05,phase:0.05")
@@ -96,7 +126,10 @@ def main() -> None:
     ev = Evaluator(cfg)
     codes = np.random.default_rng(16).integers(2**16, size=64)
     rows = np.array([ev.neuron_outputs(weights_from_code(int(c), 16)) for c in codes])
-    print(f"16-entry flip:0.05,phase:0.05 density rows {digest(rows)}")
+    key = "16-entry flip:0.05,phase:0.05 density rows"
+    print(f"{key} {digest(rows)}" + report(key, rows))
+    if args.dump:
+        np.savez(args.dump, **kept)
 
 
 if __name__ == "__main__":

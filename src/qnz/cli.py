@@ -186,12 +186,13 @@ def cmd_infer(args) -> dict:
     graph = load_topology(args.topology) if args.topology else None
     backend = {"traj": "trajectories"}.get(args.backend, args.backend)
     t0 = time.perf_counter()
+    work = {"neurons": 0, "gates": 0, "events": 0}
     acc = accuracy(
         model, dataset, backend=backend, noise=noise, graph=graph,
-        shots=args.shots or 0, seed=seed, threads=args.threads,
+        shots=args.shots or 0, seed=seed, threads=args.threads, work=work,
     )
     infer_ms = (time.perf_counter() - t0) * 1e3
-    payload = {"accuracy": acc, "samples": len(dataset.samples), "backend": backend}
+    payload = {"accuracy": acc, "samples": len(dataset.samples), "backend": backend, "work": work}
     outputs = _write(args.out, json.dumps(payload, indent=2) + "\n")
     return {
         "inputs": {
@@ -295,6 +296,9 @@ def cmd_sweep(args) -> dict:
         "inputs": inputs,
         "outputs": outputs,
         "result": sweep_rows_as_dicts(rows),
+        # summed over the rates
+        "work": {k: sum(r.work[k] for r in rows) for k in rows[0].work},
+        "phase_seconds": {k: sum(r.phase_seconds[k] for r in rows) for k in rows[0].phase_seconds},
         "timings_ms": {"sweep": sweep_ms},
     }
 

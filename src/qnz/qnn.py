@@ -19,7 +19,7 @@ import numpy as np
 from .ir import Circuit, Gate, GateKind
 from .mapper import MappedCircuit, compile
 from .noise import NoiseModel, bind
-from .simulator import MappedPlan, derive_seed, plan_mapped_run, trajectory_counts, zero_effect
+from .simulator import MappedPlan, derive_seed, effect_matrix, plan_mapped_run, trajectory_counts, zero_effect
 from .topology import CouplingGraph, linear_chain
 
 BACKENDS = ("ideal", "density", "trajectories")
@@ -265,14 +265,18 @@ def compile_neuron(w, graph: CouplingGraph | None = None) -> MappedCircuit:
     return compile(c, graph if graph is not None else linear_chain(c.width))
 
 
-def effect_outputs(eff: np.ndarray, plan: MappedPlan, xs) -> np.ndarray:
-    """x^dagger E_in x for every input row x of `xs`, with E_in the block of
-    the dense (2^n, 2^n) effect `eff` on the computing basis states of `plan`
-    (auxiliaries and unoccupied qubits in |0>). Selecting rows and columns
-    is exact, so this is bit-equal to folding E through the embedding."""
-    idx = plan.computing_index
+def effect_outputs(coeffs: np.ndarray, plan: MappedPlan, xs) -> np.ndarray:
+    """x^dagger E_in x for every input row x of `xs`, with E_in the effect of
+    Pauli coefficients `coeffs` on `plan`'s dense axes restricted to its
+    computing qubits, auxiliaries and unoccupied qubits in |0>: <0|P|0> is 1
+    for I and Z and 0 for X and Y, so each other axis sums its I and Z slices."""
+    comp = plan.init_positions[: plan.num_computing]
+    for ax in sorted(set(range(plan.n)) - set(comp), reverse=True):
+        coeffs = coeffs.take(0, ax) + coeffs.take(3, ax)
+    # the axes left are the computing qubits in dense order; put them in logical order
+    e_in = effect_matrix(coeffs.transpose([sorted(comp).index(ax) for ax in comp]))
     xs = np.asarray(xs, dtype=complex)
-    return np.einsum("si,ij,sj->s", xs.conj(), eff[np.ix_(idx, idx)], xs).real
+    return np.einsum("si,ij,sj->s", xs.conj(), e_in, xs).real
 
 
 def score_run(
@@ -287,8 +291,9 @@ def score_run(
     """P(read 0...0 on the computing qubits) of neuron `w`, run as the dense
     `plan` under its bound noise, for every input row of `xs`: shape (samples,).
 
-    The exact backends pull the readout-folded all-zeros effect back once
-    (simulator.zero_effect) and score every input from it (`effect_outputs`).
+    The exact backends pull the readout-folded all-zeros effect back once, as
+    Pauli coefficients (simulator.zero_effect), and score every input from it
+    (`effect_outputs`).
     Trajectory shots for sample i are seeded by derive_seed(seed, i, c), with
     c the smaller of the codes of w and -w, so a (weight, sample) pair draws
     the same shots in every caller.
@@ -317,12 +322,15 @@ def neuron_outputs(
     shots: int = 0,
     seed: int | None = None,
     threads: int = 1,
+    work: dict[str, int] | None = None,
 ) -> np.ndarray:
     """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
     for every input row of `xs`: shape (samples,).
 
     The one evaluation path of qnz: the noise is bound (not for the ideal
     backend), the dense run planned once, and every input scored (`score_run`).
+    `work`, when given, counts the neuron, its routed gates and its bound
+    events (keys "neurons", "gates", "events").
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -332,6 +340,10 @@ def neuron_outputs(
         if seed is None:
             raise ValueError("trajectories backend needs a seed")
     bound = None if backend == "ideal" else bind(noise if noise is not None else NoiseModel(), mapped)
+    if work is not None:
+        work["neurons"] += 1
+        work["gates"] += len(mapped.physical_gates)
+        work["events"] += 0 if bound is None else bound.total_events
     return score_run(w, plan_mapped_run(mapped, bound), xs, backend, shots, seed, threads)
 
 
@@ -344,17 +356,19 @@ def accuracy(
     shots: int = 0,
     seed: int | None = None,
     threads: int = 1,
+    work: dict[str, int] | None = None,
 ) -> float:
     """Fraction of correct predictions; deterministic given the seed.
 
-    Each distinct neuron is compiled and evaluated once over all samples.
+    Each distinct neuron is compiled and evaluated once over all samples;
+    `work`, when given, counts them as `neuron_outputs` does.
     """
     if not dataset.samples:
         raise ValueError("dataset is empty")
     xs = dataset.inputs()
     outputs = {
         w: neuron_outputs(
-            w, compile_neuron(w, graph), xs, backend, noise, shots, seed, threads
+            w, compile_neuron(w, graph), xs, backend, noise, shots, seed, threads, work
         )
         for w in dict.fromkeys(model.neurons)
     }

@@ -1,10 +1,19 @@
-"""Execution backends: exact state-vector / density-matrix evolution and
-Monte-Carlo trajectories with sampled Pauli insertions.
+"""Execution backends: exact state-vector / density-matrix evolution, an
+exact adjoint pass over Pauli coefficients, and Monte-Carlo trajectories with
+sampled Pauli insertions.
 
 State-vector convention: qubit 0 is the most significant bit of the amplitude
 index, so a state reshaped to [2]*n has qubit q on axis q. Density matrices
-and effects are held on 2n axes (row axes 0..n-1, column axes n..2n-1), the
-former plus a trailing axis of inputs, so one gate kernel serves every pass.
+are held on 2n axes (row axes 0..n-1, column axes n..2n-1) plus a trailing
+axis of inputs, so one gate kernel serves states and density matrices.
+
+The adjoint pass (`zero_effect`) holds an effect E = sum_P c_P P as its real
+coefficients over Pauli strings: a [4]*n float tensor with qubit q on axis q
+and index 0, 1, 2, 3 for I, X, Y, Z there. It starts from ((1 - p01 + p10)/2,
+0, 0, (1 - p01 - p10)/2) = diag(1 - p01, p10) on each measured qubit and I
+elsewhere, and pulls that back one gate at a time (`pull_back`): Clifford
+kinds permute strings up to sign, T and TDG rotate the X and Y slices of
+their axis into each other by pi/4, and Pauli channels scale slices.
 
 Trajectories evolve a batch of shots the same way, one shot per trailing-axis
 row, and draw each block of TRAJ_BLOCK shots from its own counter-based Philox
@@ -13,12 +22,13 @@ blocks are batched or spread across threads.
 """
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind
+from .ir import ARITY, Circuit, Gate, GateKind
 from .noise import BoundNoise, apply_readout, lookup_readout
 
 SV_WIDTH_CAP = 20
@@ -81,16 +91,7 @@ def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: boo
     """
     na = arr.ndim
     if kind in _PHASE_1Q:
-        # The product is written out so that each term is rounded once, which
-        # gives the bits of the BLAS product np.tensordot computes for these
-        # arrays. numpy's complex multiply fuses terms and rounds otherwise,
-        # and last bits decide ties between circuits of equal output (w and
-        # -w with half the entries -1), so they would move accuracies.
-        ph = np.conj(_PHASE_1Q[kind]) if conj else complex(_PHASE_1Q[kind])
-        one = arr[_idx(na, {axes[0]: 1})]
-        re, im = one.real.copy(), one.imag.copy()
-        one.real = ph.real * re - ph.imag * im
-        one.imag = ph.real * im + ph.imag * re
+        arr[_idx(na, {axes[0]: 1})] *= np.conj(_PHASE_1Q[kind]) if conj else _PHASE_1Q[kind]
         return arr
     if kind is GateKind.X:
         return np.flip(arr, axes[0])
@@ -276,44 +277,151 @@ class DensityProgram:
         return _outcome_dict(self.probabilities([psi])[0], 1e-18)
 
 
+# ---------------------------------------------------------------------------
+# Adjoint pass over Pauli coefficients (exact scoring)
+
+# The Pauli matrix of each coefficient index on an effect axis: I, X, Y, Z.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Kinds that map every Pauli string to a signed Pauli string under conjugation.
+_CLIFFORD = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
+                       GateKind.CX, GateKind.CZ, GateKind.SWAP})
+
+
+def effect_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """The dense (2^k, 2^k) operator sum_P coeffs[P] P of coefficients on k axes."""
+    k = coeffs.ndim
+    m = coeffs
+    for _ in range(k):  # leading Pauli axis -> trailing (row, column) pair
+        m = np.tensordot(m, _PAULI, axes=(0, 0))
+    return m.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(1 << k, 1 << k)
+
+
+def _conjugate(c: np.ndarray, kind: GateKind, axes) -> np.ndarray:
+    """U^dagger E U through the dense operator, c_P = Tr(P E) / 2^n. Every
+    kind has U^T = +-U (only Y has the minus sign, and it appears on both
+    sides), so that is the forward step with `conj` swapped."""
+    n = c.ndim
+    m = apply_kind(effect_matrix(c).reshape((2,) * (2 * n)), kind, axes, conj=True)
+    m = apply_kind(m, kind, tuple(q + n for q in axes))
+    m = m.transpose([a for q in range(n) for a in (q, q + n)])
+    for _ in range(n):  # leading (row, column) pair -> trailing Pauli axis
+        m = np.tensordot(m, _PAULI.conj(), axes=((0, 1), (1, 2))) / 2
+    return m.real.copy()
+
+
+@functools.cache
+def _transfer(kind: GateKind, flipped: bool = False) -> np.ndarray:
+    """The real (4^k, 4^k) matrix of E -> U^dagger E U on a k-qubit kind's
+    axes; `flipped` puts a 2-qubit kind's first qubit on the higher axis."""
+    k = ARITY[kind]
+    axes = tuple(range(k))[:: -1 if flipped else 1]
+    return np.array([_conjugate(e.reshape((4,) * k), kind, axes).ravel() for e in np.eye(4**k)]).T
+
+
+@functools.cache
+def _signed_gather(kind: GateKind, flipped: bool):
+    """A Clifford kind's transfer as the source of each Pauli string (None
+    where each is its own) and the strings whose sign flips."""
+    t = _transfer(kind, flipped)
+    src = np.abs(t).argmax(axis=1)
+    negated = np.flatnonzero(t[np.arange(len(t)), src] < 0).tolist()
+    return (None if (src == np.arange(len(t))).all() else src), negated
+
+
+def _clifford_step(c: np.ndarray, kind: GateKind, axes) -> np.ndarray:
+    """c'_Q = +-c_P where U Q U^dagger = +-P: one gather over the block of
+    the gate's axes and a few negated slices."""
+    lo, hi = min(axes), max(axes)
+    src, negated = _signed_gather(kind, axes[0] > axes[-1])
+    if hi - lo > 1:  # two axes apart: gather the pair around the axes between them
+        pair = src.reshape(4, 4)
+        v = c.reshape(4**lo, 4, 4 ** (hi - lo - 1), 4, -1)[:, pair // 4, :, pair % 4]
+        v = np.ascontiguousarray(np.moveaxis(v, (0, 1), (1, 3)))
+        for q in negated:
+            v[:, q // 4, :, q % 4] *= -1.0
+        return v.reshape(c.shape)
+    v = c.reshape(4**lo, 4 ** len(axes), -1)
+    if src is not None:
+        v = v.take(src, axis=1)
+    for q in negated:
+        v[:, q] *= -1.0
+    return v.reshape(c.shape)
+
+
+def _phase_mix(c: np.ndarray, kind: GateKind, q: int) -> None:
+    """T and TDG keep I and Z and rotate X into Y, c'_X = a c_X + b c_Y and
+    c'_Y = a c_Y - b c_X: in place on the X and Y slices of axis q."""
+    t = _transfer(kind)
+    v = c.reshape(4**q, 4, -1)
+    x, y = v[:, 1], v[:, 2]
+    from_x = x * t[2, 1]
+    x *= t[1, 1]
+    x += y * t[1, 2]
+    y *= t[2, 2]
+    y += from_x
+
+
+def _scale_event(c: np.ndarray, event) -> None:
+    """One bound Pauli channel, in place: flip scales the Pauli strings with
+    Y or Z on its qubit by 1 - 2p, phase those with X or Y, and k-qubit depol
+    those not the identity on its qubits by 1 - l, l = p 4^k / (4^k - 1)."""
+    kind, qubits, p = event
+    if kind == "depol":
+        scale = 1.0 - p * 4 ** len(qubits) / (4 ** len(qubits) - 1)
+        for j, q in enumerate(qubits):  # the identity on qubits[:j], not on q
+            c[_idx(c.ndim, {**dict.fromkeys(qubits[:j], 0), q: slice(1, 4)})] *= scale
+    else:
+        c[_idx(c.ndim, {qubits[0]: slice(2, 4) if kind == "flip" else slice(1, 3)})] *= 1.0 - 2.0 * p
+
+
 def readout_effect(n: int, bound: BoundNoise | None, measured) -> np.ndarray:
-    """The readout-folded all-zeros projector on [2]*2n axes: diagonal, with
-    P(read 0 on every `measured` qubit | basis state) on the diagonal."""
-    diag = np.ones([2] * n)
+    """Pauli coefficients of the readout-folded all-zeros projector on [4]*n
+    axes: diag(1 - p01, p10) = ((1 - p01 + p10) I + (1 - p01 - p10) Z) / 2 on
+    each `measured` qubit, the identity elsewhere."""
+    axes = [np.array([1.0, 0.0, 0.0, 0.0])] * n
     for q, (p01, p10) in zip(measured, lookup_readout(() if bound is None else bound.readout, measured)):
-        diag[_idx(n, {q: 0})] *= 1.0 - p01
-        diag[_idx(n, {q: 1})] *= p10
-    return np.diag(diag.reshape(-1).astype(complex)).reshape([2] * (2 * n))
+        axes[q] = np.array([1.0 - p01 + p10, 0.0, 0.0, 1.0 - p01 - p10]) / 2
+    return functools.reduce(np.multiply.outer, axes, np.ones(()))
 
 
-def pull_back(eff: np.ndarray, gates, events, n: int) -> np.ndarray:
-    """Effect `eff` on [2]*2n axes pulled back through `gates`, last gate
-    first, each after the error `events` bound to it; works in place.
+def pull_back(coeffs: np.ndarray, gates, events) -> np.ndarray:
+    """Effect `coeffs` (Pauli coefficients on [4]*n axes) pulled back through
+    `gates`, last gate first, each after the error `events` bound to it,
+    E -> U^dagger E U; may work in place.
 
-    Every kind here has U^T = +-U (only Y has the minus sign, and it appears
-    on both sides), so U^dagger E U is the forward step with `conj` swapped.
-    The Pauli channels are self-adjoint, so the event step is the forward one.
+    Each step is local to its gate's axes: a Clifford kind is one signed
+    gather, T and TDG mix the X and Y slices of their axis, a bridge is its
+    three CX, and any other kind (CCX, CNZ) is conjugated through the dense
+    operator. Every event scales slices in place.
     """
+    c = np.ascontiguousarray(coeffs)  # the in-place steps reshape it to views
     for i in range(len(gates) - 1, -1, -1):
         for event in events[i]:
-            eff = _rho_apply_event(eff, event, n)
-        g = gates[i]
-        eff = apply_kind(eff, g.kind, g.qubits, conj=True)
-        eff = apply_kind(eff, g.kind, tuple(q + n for q in g.qubits))
-    return eff
+            _scale_event(c, event)
+        kind, axes = gates[i].kind, gates[i].qubits
+        if kind in _CLIFFORD:
+            c = _clifford_step(c, kind, axes)
+        elif kind in (GateKind.T, GateKind.TDG):
+            _phase_mix(c, kind, axes[0])
+        elif kind is GateKind.BRIDGE3:  # CX(c, m) CX(m, t) CX(c, m), a palindrome
+            for pair in ((axes[0], axes[1]), (axes[1], axes[2]), (axes[0], axes[1])):
+                c = _clifford_step(c, GateKind.CX, pair)
+        else:
+            c = _conjugate(c, kind, axes)
+    return c
 
 
 def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None) -> np.ndarray:
-    """(2^n, 2^n) effect E with Tr(E rho) = P(read 0...0 on `measured`) after
-    the noisy gates act on rho: the readout-folded all-zeros projector
-    (`readout_effect`) pulled back through the circuit (`pull_back`, the
-    Heisenberg picture), last gate first."""
+    """Pauli coefficients ([4]*n) of the effect E with Tr(E rho) = P(read
+    0...0 on `measured`) after the noisy gates act on rho: the readout-folded
+    all-zeros projector (`readout_effect`) pulled back through the circuit
+    (`pull_back`, the Heisenberg picture), last gate first."""
     if n > DENSITY_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
     measured = list(range(n)) if measured is None else list(measured)
     gates = tuple(gates)
     events = ((),) * len(gates) if bound is None else bound.events
-    return pull_back(readout_effect(n, bound, measured), gates, events, n).reshape(1 << n, 1 << n)
+    return pull_back(readout_effect(n, bound, measured), gates, events)
 
 
 def run_gates_density(gates, n: int, bound: BoundNoise | None, init: np.ndarray | None = None,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -183,17 +183,16 @@ class Evaluator:
         return self._assemble(self._parts(w))
 
     def _effect(self, parts) -> np.ndarray:
-        """The readout-folded all-zeros effect of the neuron made of `parts`
-        (simulator.zero_effect), pulled back one segment at a time from the
-        last. A suffix of segment ids found in the store continues from a
-        copy of its effect; one not found is pulled back and a copy stored,
-        while the store stays within _SUFFIX_CACHE_BYTES (past that, the rest
-        is walked without lookups). Suffixes are shared between neurons, so
-        the first neuron stores none: an evaluator of a single neuron holds
-        no effects."""
+        """The Pauli coefficients of the readout-folded all-zeros effect of
+        the neuron made of `parts` (simulator.zero_effect), pulled back one
+        segment at a time from the last. A suffix of segment ids found in the
+        store continues from a copy of its effect; one not found is pulled
+        back and a copy stored, while the store stays within
+        _SUFFIX_CACHE_BYTES (past that, the rest is walked without lookups).
+        Suffixes are shared between neurons, so the first neuron stores none:
+        an evaluator of a single neuron holds no effects."""
         frame = self._frame
-        n = frame.n
-        eff = readout_effect(n, frame.bound, frame.measured)
+        eff = readout_effect(frame.n, frame.bound, frame.measured)
         ids = tuple(i for i, _, _ in parts)
         share = bool(self._outputs)
         for j in range(len(parts) - 1, -1, -1):
@@ -203,12 +202,12 @@ class Evaluator:
                 continue
             share = share and self._effect_bytes + eff.nbytes <= _SUFFIX_CACHE_BYTES
             _, gates, events = parts[j]
-            eff = pull_back(eff, gates, events, n)
+            eff = pull_back(eff, gates, events)
             self.work["steps"] += len(gates)
             if share:
                 self._effects[ids[j:]] = eff.copy()
                 self._effect_bytes += eff.nbytes
-        return eff.reshape(1 << n, 1 << n)
+        return eff
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
         cached = self._outputs.get(w)
@@ -346,6 +345,9 @@ class SweepRow:
     baseline_accuracy: float
     searched_accuracy: float
     weights: tuple[tuple[int, ...], ...]
+    # the rate's TrainResult.work and phase_seconds
+    work: dict[str, int] = field(default_factory=dict, compare=False)
+    phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def sweep(rates, cfg: TrainConfig, log_stream=None) -> list[SweepRow]:
@@ -358,9 +360,10 @@ def sweep(rates, cfg: TrainConfig, log_stream=None) -> list[SweepRow]:
             raise ValueError(f"rate {rate} outside [0, 1]")
         run_cfg = replace(cfg, noise=replace(cfg.noise, flip_p=rate, phase_p=rate))
         result = train(run_cfg, log_stream=log_stream)
-        rows.append(
-            SweepRow(rate, result.baseline_accuracy, result.best_accuracy, result.best.neurons)
-        )
+        rows.append(SweepRow(
+            rate, result.baseline_accuracy, result.best_accuracy, result.best.neurons,
+            result.work, result.phase_seconds,
+        ))
     return rows
 
 

@@ -6,6 +6,8 @@ Only practical for small widths; that is all the tests need.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from qnz.ir import Gate, GateKind
@@ -106,6 +108,13 @@ def pauli_string(digits, qubits, n: int) -> np.ndarray:
     for q in range(n):
         full = np.kron(full, on.get(q, np.eye(2)))
     return full
+
+
+def pauli_operator(coeffs) -> np.ndarray:
+    """sum_P coeffs[P] P over every Pauli string P of coeffs' axes (index 0..3
+    = I, X, Y, Z on each qubit), one kron-built string at a time."""
+    n = np.ndim(coeffs)
+    return sum(coeffs[d] * pauli_string(d, range(n), n) for d in product(range(4), repeat=n))
 
 
 def _event_kraus(kind: str, qubits, p: float, n: int) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ import pytest
 from qnz.cli import main
 from qnz.qnn import best_exhaustive_accuracy, format_dataset, format_model, make_synthetic_dataset
 from qnz.ir import parse_circuit
+from qnz.trainer import train
 
 
 @pytest.fixture()
@@ -184,6 +185,28 @@ class TestInfer:
             acc[threads] = report["result"]["accuracy"]
         assert acc["1"] == acc["2"]
 
+    def test_reports_work(self, workdir, capsys):
+        """Neurons, routed gates and bound events of the model's distinct
+        neurons, as the trainer counts them."""
+        from qnz.noise import bind, load_noise
+        from qnz.qnn import compile_neuron, load_model
+        from qnz.topology import load_topology
+
+        m = load_model(str(workdir / "best.model"))
+        args = ("--model", str(workdir / "best.model"), "--dataset", str(workdir / "data.txt"),
+                "--topology", "chain:4", "--seed", "3")
+        code, report, _ = run_cli(capsys, "infer", *args, "--noise", "flip:0.01,depol:0.02")
+        assert code == 0
+        mapped = [compile_neuron(w, load_topology("chain:4")) for w in dict.fromkeys(m.neurons)]
+        noise = load_noise("flip:0.01,depol:0.02")
+        assert report["result"]["work"] == {
+            "neurons": len(mapped),
+            "gates": sum(len(c.physical_gates) for c in mapped),
+            "events": sum(bind(noise, c).total_events for c in mapped),
+        }
+        code, report, _ = run_cli(capsys, "infer", *args, "--backend", "ideal")
+        assert code == 0 and report["result"]["work"]["events"] == 0
+
     def test_one_evaluator_behind_infer_train_and_bench(self, workdir, capsys):
         # the same 2-neuron model under flip + phase + readout noise, scored
         # by `qnz infer`, the trainer's Evaluator and `bench --mode compare`
@@ -257,6 +280,22 @@ class TestTrainAndSweep:
         assert len(lines) == 3
         for row in report["result"]:
             assert row["searched_accuracy"] >= row["baseline_accuracy"]
+
+    def test_sweep_sums_work_and_phase_seconds(self, workdir, capsys):
+        from dataclasses import replace
+
+        from qnz.cli import load_train_config
+
+        code, report, _ = run_cli(
+            capsys, "sweep", "--config", str(workdir / "train.json"), "--rates", "0,0.05", "--seed", "5",
+        )
+        assert code == 0
+        cfg, _ = load_train_config(str(workdir / "train.json"), 5, 1)
+        runs = [train(replace(cfg, noise=replace(cfg.noise, flip_p=r, phase_p=r))) for r in (0.0, 0.05)]
+        assert report["work"] == {k: sum(r.work[k] for r in runs) for k in runs[0].work}
+        assert report["work"]["neurons"] > 0 and report["work"]["events"] > 0
+        assert set(report["phase_seconds"]) == set(runs[0].phase_seconds)
+        assert report["phase_seconds"]["infer"] > 0.0
 
 
 class TestBench:

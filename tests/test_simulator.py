@@ -3,17 +3,21 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qnz.ir import Circuit, Gate, GateKind, gate
+from qnz.ir import ARITY, Circuit, Gate, GateKind, gate
 from qnz.noise import BoundNoise, NoiseModel, bind_gates, lookup_readout
 from qnz import simulator
 from qnz.simulator import (
     SV_WIDTH_CAP,
     TRAJ_BLOCK,
     DensityProgram,
+    MappedPlan,
     ShotCounts,
     basis_state,
     born_distribution,
+    effect_matrix,
     pull_back,
     readout_effect,
     run_density,
@@ -32,6 +36,7 @@ from oracle import (
     circuit_unitary,
     density_outcome_probabilities,
     gate_unitary,
+    pauli_operator,
     pauli_string,
     random_state,
 )
@@ -233,7 +238,8 @@ class TestZeroEffect:
     def test_matches_forward_engine_and_oracle(self, n):
         """x^dagger E x equals P(0...0) of the explicit-matrix evolution and
         of DensityProgram, with every gate kind (BRIDGE3 and CNZ included
-        from width 3) and flip, phase and depol on 1-, 2- and 3-qubit gates."""
+        from width 3) and flip, phase and depol on 1-, 2- and 3-qubit gates.
+        E is held as 4^n real Pauli coefficients."""
         rng = np.random.default_rng(900 + n)
         gates, _, measured = _random_density_case(rng, n)
         if n >= 3:
@@ -247,7 +253,9 @@ class TestZeroEffect:
                         readout=((0, 0.03, 0.08), (n - 1, 0.06, 0.02)))
         bound = bind_gates(nm, gates)
         pairs = lookup_readout(bound.readout, measured)
-        eff = zero_effect(gates, n, bound, measured)
+        coeffs = zero_effect(gates, n, bound, measured)
+        assert coeffs.shape == (4,) * n and coeffs.dtype == np.float64
+        eff = effect_matrix(coeffs)
         assert eff.shape == (2**n, 2**n) and np.max(np.abs(eff.imag)) > 1e-3
         assert np.max(np.abs(eff - eff.conj().T)) < 1e-15
         inits = np.array([random_state(n, rng) for _ in range(3)])
@@ -262,7 +270,9 @@ class TestZeroEffect:
         gates, _, measured = _random_density_case(rng, 4)
         u = circuit_unitary(gates, 4)
         proj = np.diag([float(all(bit_of(i, q, 4) == 0 for q in measured)) for i in range(16)])
-        assert np.max(np.abs(zero_effect(gates, 4, None, measured) - u.conj().T @ proj @ u)) < 1e-14
+        coeffs = zero_effect(gates, 4, None, measured)
+        assert np.max(np.abs(pauli_operator(coeffs) - u.conj().T @ proj @ u)) < 1e-14
+        assert np.max(np.abs(effect_matrix(coeffs) - pauli_operator(coeffs))) < 1e-15
 
     def test_width_cap(self):
         with pytest.raises(ValueError):
@@ -286,7 +296,7 @@ class TestZeroEffect:
         ))
         plan = plan_mapped_run(mapped, bind_gates(nm, mapped.physical_gates))
         assert 5 in finals and sorted(plan.measured) != sorted(finals)
-        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        eff = effect_matrix(zero_effect(plan.gates, plan.n, plan.bound, plan.measured))
         rng = np.random.default_rng(41)
         # no qubit multipliers, so binding the dense gates gives the dense events
         events = bind_gates(nm, plan.gates).events
@@ -295,6 +305,107 @@ class TestZeroEffect:
             psi = plan.embed(random_state(3, rng))
             want = density_outcome_probabilities(plan.gates, plan.n, events, psi, plan.measured, pairs)[0]
             assert abs(np.vdot(psi, eff @ psi).real - want) <= 1e-12
+
+
+@st.composite
+def _noisy_plan(draw):
+    """A random plan on 1-8 dense axes: gates of every kind that fits, each
+    followed by random flip, phase and 1- or 2-qubit depol events, with
+    per-qubit readout entries and maybe a `readout:` wildcard; k computing
+    qubits start and end on random axes."""
+    n = draw(st.integers(1, 8))
+    rate = st.floats(0.0, 0.3)
+    gates, events = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from([k for k in GateKind if (ARITY[k] or 2) <= n]))
+        axes = draw(st.permutations(range(n)))
+        gates.append(Gate(kind, tuple(axes[: ARITY[kind] or draw(st.integers(2, n))])))
+        evs = [(name, (draw(st.integers(0, n - 1)),), draw(rate))
+               for name in draw(st.lists(st.sampled_from(["flip", "phase", "depol"]), max_size=3))]
+        if n >= 2 and draw(st.booleans()):
+            evs.append(("depol", tuple(draw(st.permutations(range(n)))[:2]), draw(rate)))
+        events.append(tuple(evs))
+    readout = [(q, draw(rate), draw(rate)) for q in draw(st.lists(st.integers(0, n - 1), max_size=n))]
+    if draw(st.booleans()):
+        readout.append((None, draw(rate), draw(rate)))
+    k = draw(st.integers(1, n))
+    starts, ends = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    bound = BoundNoise(events=tuple(events), readout=tuple(readout))
+    return MappedPlan(n, tuple(gates), k, tuple(starts[:k]), tuple(ends[:k]), (), bound)
+
+
+# (kind, axes) on 4 qubits: every kind, both orders of each 2-qubit kind,
+# neighbouring and distant axes
+_KIND_CASES = [
+    (K.X, (1,)), (K.Y, (2,)), (K.Z, (0,)), (K.H, (3,)), (K.S, (1,)), (K.T, (2,)), (K.TDG, (3,)),
+    (K.CX, (1, 2)), (K.CX, (2, 1)), (K.CX, (0, 3)), (K.CX, (3, 1)), (K.CZ, (0, 1)), (K.CZ, (3, 0)),
+    (K.SWAP, (2, 3)), (K.SWAP, (3, 0)), (K.BRIDGE3, (0, 1, 2)), (K.BRIDGE3, (3, 1, 0)),
+    (K.CCX, (2, 0, 3)), (K.CNZ, (1, 3)), (K.CNZ, (3, 0, 2)), (K.CNZ, (2, 0, 1, 3)),
+]
+
+
+class TestPauliEngine:
+    """The adjoint pass holds an effect as real coefficients over Pauli
+    strings; each step checked against the oracle's explicit matrices."""
+
+    @pytest.mark.parametrize("kind, axes", _KIND_CASES, ids=lambda v: str(getattr(v, "value", v)))
+    def test_gate_step_is_the_conjugation(self, kind, axes):
+        rng = np.random.default_rng(len(axes) * 10 + axes[0])
+        coeffs = rng.normal(size=(4,) * 4)
+        u = gate_unitary(Gate(kind, axes), 4)
+        got = pull_back(coeffs.copy(), [Gate(kind, axes)], [()])
+        want = u.conj().T @ pauli_operator(coeffs) @ u
+        assert got.dtype == np.float64
+        assert np.max(np.abs(pauli_operator(got) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("event", [
+        ("flip", (1,), 0.1), ("phase", (3,), 0.2), ("depol", (0,), 0.15),
+        ("depol", (3, 1), 0.1), ("depol", (2, 0, 3), 0.3),
+    ])
+    def test_event_step_is_the_channel(self, event):
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=(4,) * 4)
+        kind, qubits, p = event
+        strings = {"flip": [(1,)], "phase": [(3,)]}.get(
+            kind, [d for d in product(range(4), repeat=len(qubits)) if any(d)])
+        e = pauli_operator(coeffs)
+        hits = [pauli_string(d, qubits, 4) for d in strings]
+        want = (1 - p) * e + p / len(hits) * sum(h @ e @ h for h in hits)
+        # the event follows the second of two Z gates, whose product is the identity
+        gates = [Gate(K.Z, (0,)), Gate(K.Z, (0,))]
+        got = pull_back(coeffs.copy(), gates, [(), (event,)])
+        assert np.max(np.abs(pauli_operator(got) - want)) <= 1e-12
+
+    def test_readout_start_is_the_folded_projector(self):
+        bound = BoundNoise(events=(), readout=((2, 0.1, 0.3), (None, 0.05, 0.02)))
+        measured = [2, 0]
+        pairs = lookup_readout(bound.readout, measured)
+        diag = np.ones(16)
+        for i in range(16):
+            for q, (p01, p10) in zip(measured, pairs):
+                diag[i] *= p10 if bit_of(i, q, 4) else 1.0 - p01
+        coeffs = readout_effect(4, bound, measured)
+        assert np.max(np.abs(pauli_operator(coeffs) - np.diag(diag))) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=_noisy_plan(), seed=st.integers(0, 2**32 - 1))
+    def test_scoring_matches_oracle_and_forward_engine(self, plan, seed):
+        """score_run's exact path (zero_effect, then effect_outputs, which
+        sums the I and Z slices of every other axis) against the forward
+        engine and the oracle's Kraus evolution, on complex inputs."""
+        from qnz.qnn import score_run
+
+        rng = np.random.default_rng(seed)
+        xs = np.array([random_state(plan.num_computing, rng) for _ in range(3)])
+        got = score_run(None, plan, xs, "density")
+        psis = [plan.embed(x) for x in xs]
+        forward = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured).probabilities(psis)[:, 0]
+        assert np.max(np.abs(got - forward)) <= 1e-12
+        pairs = lookup_readout(plan.bound.readout, plan.measured)
+        want = density_outcome_probabilities(
+            plan.gates, plan.n, plan.bound.events, psis[0], plan.measured, pairs
+        )
+        assert abs(got[0] - want[0]) <= 1e-12
 
 
 class TestSharedSuffixes:
@@ -338,10 +449,10 @@ class TestSharedSuffixes:
                     eff = stored[suffix].copy()
                     continue
                 _, lo, hi = segments[j]
-                eff = pull_back(eff, gates[lo:hi], bound.events[lo:hi], n)
+                eff = pull_back(eff, gates[lo:hi], bound.events[lo:hi])
                 stored[suffix] = eff.copy()
                 walked += hi - lo
-            assert np.array_equal(eff.reshape(want.shape), want)
+            assert np.array_equal(eff, want)
             total += len(gates)
         assert 0 < walked < total
 
@@ -380,7 +491,7 @@ class TestDepolarizingChannel:
         ])
         forward = DensityProgram(gates, n, bound, measured).probabilities(inits)
         assert np.max(np.abs(forward - want)) <= 1e-12
-        eff = zero_effect(gates, n, bound, measured)
+        eff = effect_matrix(zero_effect(gates, n, bound, measured))
         adjoint = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
         assert np.max(np.abs(adjoint - want[:, 0])) <= 1e-12
 
@@ -400,7 +511,7 @@ class TestDepolarizingChannel:
         ideal = np.array([np.abs(run_gates_ideal(gates, n, x)) ** 2 for x in inits])
         want = (1 - mixed) * ideal + mixed / 2**n
         assert np.max(np.abs(DensityProgram(gates, n, bound).probabilities(inits) - want)) <= 1e-12
-        eff = zero_effect(gates, n, bound)
+        eff = effect_matrix(zero_effect(gates, n, bound))
         got = np.einsum("si,ij,sj->s", inits.conj(), eff, inits).real
         assert np.max(np.abs(got - want[:, 0])) <= 1e-12
 

@@ -348,13 +348,13 @@ class TestSharedSuffixes:
             eff = ev._effect(parts)
             assert np.array_equal(eff, want)
             eff *= 2.0
-            eff[0, 0] = 7.0
+            eff[(0,) * plan.n] = 7.0
         # the first pass walked every gate, the next two hit the whole neuron
         assert ev.work["steps"] - steps == len(plan.gates)
-        assert ev._effects[tuple(i for i, _, _ in parts)].shape == (2,) * (2 * plan.n)
+        assert ev._effects[tuple(i for i, _, _ in parts)].shape == (4,) * plan.n
 
     def test_byte_cap_stores_no_more_and_keeps_rows(self, monkeypatch):
-        effect_bytes = 16 * 4**4  # a complex effect at width 4
+        effect_bytes = 8 * 4**4  # the Pauli coefficients of an effect at width 4
         monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 2 * effect_bytes)
         ev = self._evaluator()
         for c in range(0, 256, 7):
