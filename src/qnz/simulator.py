@@ -1,28 +1,29 @@
-"""Execution backends: exact state-vector / density-matrix evolution, an
-exact adjoint pass over Pauli coefficients, and Monte-Carlo trajectories with
+"""Execution backends: exact state-vector evolution, exact channel evolution
+over Pauli coefficients in both directions, and Monte-Carlo trajectories with
 sampled Pauli insertions.
 
 State-vector convention: qubit 0 is the most significant bit of the amplitude
-index, so a state reshaped to [2]*n has qubit q on axis q. Density matrices
-are held on 2n axes (row axes 0..n-1, column axes n..2n-1) plus a trailing
-axis of inputs, so one gate kernel serves states and density matrices.
+index, so a state reshaped to [2]*n has qubit q on axis q.
 
-The adjoint pass (`zero_effect`) holds an effect E = sum_P c_P P as its real
-coefficients over Pauli strings: a [4]*n float tensor with qubit q on axis q
-and index 0, 1, 2, 3 for I, X, Y, Z there. It starts from ((1 - p01 + p10)/2,
-0, 0, (1 - p01 - p10)/2) = diag(1 - p01, p10) on each measured qubit and I
-elsewhere, and pulls that back one gate at a time (`pull_back`): Clifford
-kinds permute strings up to sign, T and TDG rotate the X and Y slices of
-their axis into each other by pi/4, and Pauli channels scale slices.
+The exact engine holds an operator A = sum_P a_P P as its real coefficients
+over Pauli strings: a [4]*n float tensor with qubit q on axis q and index 0,
+1, 2, 3 for I, X, Y, Z there, plus any trailing batch axes. Each gate is one
+step local to its axes (`_gate_step`): Clifford kinds permute strings up to
+sign, T and TDG rotate the X and Y slices of their axis into each other by
+pi/4, and Pauli channels scale slices. The adjoint pass (`zero_effect`) pulls
+the readout-folded all-zeros projector, diag(1 - p01, p10) on each measured
+qubit, back through them (E -> U^dagger E U); `DensityProgram` pushes each
+input's rho forward (rho -> U rho U^dagger, the transposed transfer).
 
-Trajectories evolve a batch of shots the same way, one shot per trailing-axis
-row, and draw each block of TRAJ_BLOCK shots from its own counter-based Philox
-stream keyed by (seed, block), so results are bit-identical no matter how
-blocks are batched or spread across threads.
+Trajectories evolve a batch of shots one shot per trailing-axis row of a
+state, and draw each block of TRAJ_BLOCK shots from its own counter-based
+Philox stream keyed by (seed, block), so results are bit-identical no matter
+how blocks are batched or spread across threads.
 """
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -84,8 +85,9 @@ def _exchange(arr: np.ndarray, sel_a: tuple, sel_b: tuple) -> None:
 def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: bool = False) -> np.ndarray:
     """Apply one gate kind on the given tensor axes; returns the array (may be new).
 
-    `conj` conjugates the matrix, used for the column side of density tensors.
-    All multi-qubit kinds here are real, so only the 1-qubit path honors it.
+    `conj` conjugates the matrix; only the Pauli engine's dense route
+    (`_conjugate`) uses it, on one side of an operator. All multi-qubit kinds
+    here are real, so only the 1-qubit path honors it.
     X flips its axis (a view), diagonal kinds scale the |1> slice in place,
     Y exchanges and phases the slices, and only H multiplies by its matrix.
     """
@@ -161,7 +163,7 @@ def born_distribution(state: np.ndarray, measured: list[int] | tuple[int, ...]) 
     """Marginal |amplitude|^2 distribution over the measured qubits, in order."""
     n = int(np.log2(state.size))
     probs = np.abs(np.asarray(state).reshape(-1, 1)) ** 2
-    return _outcome_dict(_marginal_distribution(probs, n, measured, None)[0], 0.0)
+    return _outcome_dict(_marginal_distribution(probs, n, measured)[0], 0.0)
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
@@ -169,50 +171,7 @@ def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-# ---------------------------------------------------------------------------
-# Density-matrix backend (exact channel evolution)
-
-# Inputs evolved together: at most this many complex entries of rho at once.
-_DENSITY_CHUNK = 1 << 16
-
-
-def _rho_apply_event(rho: np.ndarray, event, n: int) -> np.ndarray:
-    """One bound error event on rho (or, being self-adjoint, on an effect),
-    held on row axes 0..n-1 and column axes n..2n-1."""
-    kind, qubits, p = event
-    if kind == "flip":  # X rho X flips the row and the column axis of the qubit
-        q = qubits[0]
-        return (1.0 - p) * rho + p * np.flip(rho, (q, q + n))
-    if kind == "phase":  # Z rho Z negates the entries whose row and column bits differ
-        q = qubits[0]
-        hit = p * rho
-        hit[_idx(rho.ndim, {q: 0, q + n: 1})] *= -1
-        hit[_idx(rho.ndim, {q: 1, q + n: 0})] *= -1
-        return (1.0 - p) * rho + hit
-    if kind == "depol":
-        # the 4^k Pauli strings P rho P sum to 4^k I/2^k (x) Tr_k rho, so the
-        # uniform non-identity mix is one partial trace (and self-adjoint)
-        mixed = rho
-        for q in qubits:  # trace row axis q with column axis q + n, put I/2 back
-            zero, one = _idx(rho.ndim, {q: 0, q + n: 0}), _idx(rho.ndim, {q: 1, q + n: 1})
-            half = 0.5 * (mixed[zero] + mixed[one])
-            mixed = np.zeros_like(rho)
-            mixed[zero] = mixed[one] = half
-        lam = p * 4 ** len(qubits) / (4 ** len(qubits) - 1)
-        return (1.0 - lam) * rho + lam * mixed
-    raise ValueError(f"unknown event kind {kind!r}")  # pragma: no cover
-
-
-def _readout_on_distribution(probs: np.ndarray, pairs) -> np.ndarray:
-    for axis, (p01, p10) in enumerate(pairs):
-        if p01 == 0.0 and p10 == 0.0:
-            continue
-        m = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-        probs = np.moveaxis(np.tensordot(m, probs, axes=(1, axis)), 0, axis)
-    return probs
-
-
-def _marginal_distribution(diag: np.ndarray, n: int, measured, readout_pairs) -> np.ndarray:
+def _marginal_distribution(diag: np.ndarray, n: int, measured) -> np.ndarray:
     """(batch, 2^m) outcome probabilities over the measured qubits, in order,
     from (2^n, batch) basis probabilities."""
     batch = diag.shape[-1]
@@ -222,8 +181,6 @@ def _marginal_distribution(diag: np.ndarray, n: int, measured, readout_pairs) ->
         probs = probs.sum(axis=drop)
     remaining = [ax for ax in range(n) if ax in measured]
     probs = np.transpose(probs, [remaining.index(ax) for ax in measured] + [len(measured)])
-    if readout_pairs is not None:
-        probs = _readout_on_distribution(probs, readout_pairs)
     return probs.reshape(-1, batch).T
 
 
@@ -233,106 +190,82 @@ def _outcome_dict(probs: np.ndarray, floor: float) -> dict[str, float]:
     return {format(i, f"0{m}b"): float(p) for i, p in enumerate(probs) if p > floor}
 
 
-class DensityProgram:
-    """Prepared exact-evolution plan for one (gates, bound noise) pair.
-
-    The density tensor carries its inputs on a trailing batch axis, shape
-    [2]*2n + [batch], so every gate and channel is applied once per chunk of
-    inputs (at most _DENSITY_CHUNK entries of rho per chunk).
-    """
-
-    def __init__(self, gates, n: int, bound: BoundNoise | None, measured=None):
-        if n > DENSITY_WIDTH_CAP:
-            raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
-        self.n = n
-        self.gates = tuple(gates)
-        self.bound = bound
-        self.measured = list(range(n)) if measured is None else list(measured)
-        self.readout_pairs = None if bound is None else lookup_readout(bound.readout, self.measured)
-
-    def probabilities(self, inits) -> np.ndarray:
-        """(inputs, 2^m) measured-outcome probabilities, after readout, of
-        each input state row of `inits`."""
-        n = self.n
-        psis = np.asarray(inits, dtype=complex).reshape(-1, 1 << n)
-        per = max(1, _DENSITY_CHUNK >> (2 * n))
-        chunks = [self._evolve(psis[lo:lo + per]) for lo in range(0, len(psis), per)]
-        return np.concatenate(chunks) if chunks else np.zeros((0, 1 << len(self.measured)))
-
-    def _evolve(self, psis: np.ndarray) -> np.ndarray:
-        n, batch = self.n, len(psis)
-        rho = (psis.T[:, None, :] * psis.conj().T[None, :, :]).reshape([2] * (2 * n) + [batch])
-        for i, g in enumerate(self.gates):
-            rho = apply_kind(rho, g.kind, g.qubits)
-            rho = apply_kind(rho, g.kind, tuple(q + n for q in g.qubits), conj=True)
-            if self.bound is not None:
-                for event in self.bound.events[i]:
-                    rho = _rho_apply_event(rho, event, n)
-        diag = np.einsum("iib->ib", rho.reshape(1 << n, 1 << n, batch)).real.copy()
-        diag[diag < 0] = 0.0
-        return _marginal_distribution(diag, n, self.measured, self.readout_pairs)
-
-    def distribution(self, init: np.ndarray | None = None) -> dict[str, float]:
-        psi = basis_state(self.n) if init is None else init
-        return _outcome_dict(self.probabilities([psi])[0], 1e-18)
-
-
 # ---------------------------------------------------------------------------
-# Adjoint pass over Pauli coefficients (exact scoring)
+# Exact evolution over Pauli coefficients: the adjoint pass pulls an effect
+# back, the density program pushes rho forward, through the same steps
 
-# The Pauli matrix of each coefficient index on an effect axis: I, X, Y, Z.
+# The Pauli matrix of each coefficient index on an axis: I, X, Y, Z.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# One (4, 4) block per qubit between Pauli coefficients and an operator's
+# entries at (row bit, column bit) 00, 01, 10, 11: M = sum_P c_P P, and back
+# c_P = Tr(P M) / 2^k, since each P is Hermitian.
+_TO_ENTRIES = _PAULI.reshape(4, 4).T
+_TO_PAULI = _PAULI.reshape(4, 4).conj() / 2
 # Kinds that map every Pauli string to a signed Pauli string under conjugation.
 _CLIFFORD = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
                        GateKind.CX, GateKind.CZ, GateKind.SWAP})
+# Inputs evolved together: at most this many Pauli coefficients at once.
+_DENSITY_CHUNK = 1 << 16
+
+
+def _per_axis(mats, c: np.ndarray) -> np.ndarray:
+    """c with mats[q] (rows x c.shape[q]) contracted into its axis q, for
+    each leading axis q that `mats` covers; the other axes ride along."""
+    for q, mat in enumerate(mats):
+        shape = c.shape
+        c = mat @ c.reshape(math.prod(shape[:q]), shape[q], -1)
+        c = c.reshape(shape[:q] + (len(mat),) + shape[q + 1:])
+    return c
 
 
 def effect_matrix(coeffs: np.ndarray) -> np.ndarray:
     """The dense (2^k, 2^k) operator sum_P coeffs[P] P of coefficients on k axes."""
     k = coeffs.ndim
-    m = coeffs
-    for _ in range(k):  # leading Pauli axis -> trailing (row, column) pair
-        m = np.tensordot(m, _PAULI, axes=(0, 0))
+    m = _per_axis([_TO_ENTRIES] * k, coeffs).reshape((2,) * (2 * k))
     return m.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(1 << k, 1 << k)
 
 
 def _conjugate(c: np.ndarray, kind: GateKind, axes) -> np.ndarray:
-    """U^dagger E U through the dense operator, c_P = Tr(P E) / 2^n. Every
-    kind has U^T = +-U (only Y has the minus sign, and it appears on both
-    sides), so that is the forward step with `conj` swapped."""
-    n = c.ndim
-    m = apply_kind(effect_matrix(c).reshape((2,) * (2 * n)), kind, axes, conj=True)
-    m = apply_kind(m, kind, tuple(q + n for q in axes))
-    m = m.transpose([a for q in range(n) for a in (q, q + n)])
-    for _ in range(n):  # leading (row, column) pair -> trailing Pauli axis
-        m = np.tensordot(m, _PAULI.conj(), axes=((0, 1), (1, 2))) / 2
-    return m.real.copy()
+    """U^dagger E U through the dense operator on the gate's axes; other and
+    trailing axes ride along. A kind on the row bits is U M, on the column
+    bits M U^T, so conj(U) M U^T is U^dagger M U because every kind has
+    U^T = +-U (only Y has the minus sign, on both sides)."""
+    k = len(axes)
+    block = np.moveaxis(c, axes, range(k))
+    m = _per_axis([_TO_ENTRIES] * k, block).reshape((2,) * (2 * k) + block.shape[k:])
+    m = apply_kind(m, kind, tuple(range(0, 2 * k, 2)), conj=True)
+    m = apply_kind(m, kind, tuple(range(1, 2 * k, 2)))
+    back = _per_axis([_TO_PAULI] * k, m.reshape(block.shape)).real
+    return np.ascontiguousarray(np.moveaxis(back, range(k), axes))
 
 
 @functools.cache
-def _transfer(kind: GateKind, flipped: bool = False) -> np.ndarray:
+def _transfer(kind: GateKind, flipped: bool, forward: bool) -> np.ndarray:
     """The real (4^k, 4^k) matrix of E -> U^dagger E U on a k-qubit kind's
-    axes; `flipped` puts a 2-qubit kind's first qubit on the higher axis."""
+    axes, or with `forward` of rho -> U rho U^dagger (its transpose);
+    `flipped` puts a 2-qubit kind's first qubit on the higher axis."""
+    if forward:
+        return _transfer(kind, flipped, False).T
     k = ARITY[kind]
     axes = tuple(range(k))[:: -1 if flipped else 1]
-    return np.array([_conjugate(e.reshape((4,) * k), kind, axes).ravel() for e in np.eye(4**k)]).T
+    return _conjugate(np.eye(4**k).reshape((4,) * k + (4**k,)), kind, axes).reshape(4**k, 4**k)
 
 
 @functools.cache
-def _signed_gather(kind: GateKind, flipped: bool):
+def _signed_gather(kind: GateKind, flipped: bool, forward: bool):
     """A Clifford kind's transfer as the source of each Pauli string (None
     where each is its own) and the strings whose sign flips."""
-    t = _transfer(kind, flipped)
+    t = _transfer(kind, flipped, forward)
     src = np.abs(t).argmax(axis=1)
     negated = np.flatnonzero(t[np.arange(len(t)), src] < 0).tolist()
     return (None if (src == np.arange(len(t))).all() else src), negated
 
 
-def _clifford_step(c: np.ndarray, kind: GateKind, axes) -> np.ndarray:
-    """c'_Q = +-c_P where U Q U^dagger = +-P: one gather over the block of
-    the gate's axes and a few negated slices."""
+def _clifford_step(c: np.ndarray, kind: GateKind, axes, forward: bool) -> np.ndarray:
+    """c'_Q = +-c_P where U Q U^dagger = +-P (forward: U^dagger Q U): one
+    gather over the block of the gate's axes and a few negated slices."""
     lo, hi = min(axes), max(axes)
-    src, negated = _signed_gather(kind, axes[0] > axes[-1])
+    src, negated = _signed_gather(kind, axes[0] > axes[-1], forward)
     if hi - lo > 1:  # two axes apart: gather the pair around the axes between them
         pair = src.reshape(4, 4)
         v = c.reshape(4**lo, 4, 4 ** (hi - lo - 1), 4, -1)[:, pair // 4, :, pair % 4]
@@ -348,10 +281,10 @@ def _clifford_step(c: np.ndarray, kind: GateKind, axes) -> np.ndarray:
     return v.reshape(c.shape)
 
 
-def _phase_mix(c: np.ndarray, kind: GateKind, q: int) -> None:
+def _phase_mix(c: np.ndarray, kind: GateKind, q: int, forward: bool) -> None:
     """T and TDG keep I and Z and rotate X into Y, c'_X = a c_X + b c_Y and
-    c'_Y = a c_Y - b c_X: in place on the X and Y slices of axis q."""
-    t = _transfer(kind)
+    c'_Y = a c_Y - b c_X (forward: -b): in place on the X and Y slices of axis q."""
+    t = _transfer(kind, False, forward)
     v = c.reshape(4**q, 4, -1)
     x, y = v[:, 1], v[:, 2]
     from_x = x * t[2, 1]
@@ -361,10 +294,30 @@ def _phase_mix(c: np.ndarray, kind: GateKind, q: int) -> None:
     y += from_x
 
 
+def _gate_step(c: np.ndarray, kind: GateKind, axes, forward: bool = False) -> np.ndarray:
+    """c through one gate, E -> U^dagger E U, or with `forward` rho -> U rho
+    U^dagger (the transposed transfer); may work in place. Each step is local
+    to the gate's axes: a Clifford kind is one signed gather, T and TDG mix
+    the X and Y slices of their axis, a bridge is its three CX, and any other
+    kind (CCX, CNZ) goes through the dense operator on its axes; those two
+    are real and self-inverse, so one step serves both directions."""
+    if kind in _CLIFFORD:
+        return _clifford_step(c, kind, axes, forward)
+    if kind in (GateKind.T, GateKind.TDG):
+        _phase_mix(c, kind, axes[0], forward)
+        return c
+    if kind is GateKind.BRIDGE3:  # CX(c, m) CX(m, t) CX(c, m), a palindrome
+        for pair in ((axes[0], axes[1]), (axes[1], axes[2]), (axes[0], axes[1])):
+            c = _clifford_step(c, GateKind.CX, pair, forward)
+        return c
+    return _conjugate(c, kind, axes)
+
+
 def _scale_event(c: np.ndarray, event) -> None:
     """One bound Pauli channel, in place: flip scales the Pauli strings with
     Y or Z on its qubit by 1 - 2p, phase those with X or Y, and k-qubit depol
-    those not the identity on its qubits by 1 - l, l = p 4^k / (4^k - 1)."""
+    those not the identity on its qubits by 1 - l, l = p 4^k / (4^k - 1).
+    Diagonal in this basis, so it is the same step in both directions."""
     kind, qubits, p = event
     if kind == "depol":
         scale = 1.0 - p * 4 ** len(qubits) / (4 ** len(qubits) - 1)
@@ -374,40 +327,34 @@ def _scale_event(c: np.ndarray, event) -> None:
         c[_idx(c.ndim, {qubits[0]: slice(2, 4) if kind == "flip" else slice(1, 3)})] *= 1.0 - 2.0 * p
 
 
+def _readout_rows(bound: BoundNoise | None, measured) -> list[np.ndarray]:
+    """Per measured qubit, the (2, 4) table Tr(F_o P) of its readout-folded
+    outcome projectors F_0 = diag(1 - p01, p10) and F_1 = diag(p01, 1 - p10)
+    (rows) against I, X, Y, Z (columns)."""
+    return [np.array([[1.0 - p01 + p10, 0.0, 0.0, 1.0 - p01 - p10],
+                      [1.0 + p01 - p10, 0.0, 0.0, p01 + p10 - 1.0]])
+            for p01, p10 in lookup_readout(() if bound is None else bound.readout, measured)]
+
+
 def readout_effect(n: int, bound: BoundNoise | None, measured) -> np.ndarray:
     """Pauli coefficients of the readout-folded all-zeros projector on [4]*n
-    axes: diag(1 - p01, p10) = ((1 - p01 + p10) I + (1 - p01 - p10) Z) / 2 on
-    each `measured` qubit, the identity elsewhere."""
+    axes: F_0 = ((1 - p01 + p10) I + (1 - p01 - p10) Z) / 2 on each
+    `measured` qubit, the identity elsewhere."""
     axes = [np.array([1.0, 0.0, 0.0, 0.0])] * n
-    for q, (p01, p10) in zip(measured, lookup_readout(() if bound is None else bound.readout, measured)):
-        axes[q] = np.array([1.0 - p01 + p10, 0.0, 0.0, 1.0 - p01 - p10]) / 2
+    for q, rows in zip(measured, _readout_rows(bound, measured)):
+        axes[q] = rows[0] / 2
     return functools.reduce(np.multiply.outer, axes, np.ones(()))
 
 
 def pull_back(coeffs: np.ndarray, gates, events) -> np.ndarray:
     """Effect `coeffs` (Pauli coefficients on [4]*n axes) pulled back through
     `gates`, last gate first, each after the error `events` bound to it,
-    E -> U^dagger E U; may work in place.
-
-    Each step is local to its gate's axes: a Clifford kind is one signed
-    gather, T and TDG mix the X and Y slices of their axis, a bridge is its
-    three CX, and any other kind (CCX, CNZ) is conjugated through the dense
-    operator. Every event scales slices in place.
-    """
+    E -> U^dagger E U (`_gate_step`); may work in place."""
     c = np.ascontiguousarray(coeffs)  # the in-place steps reshape it to views
     for i in range(len(gates) - 1, -1, -1):
         for event in events[i]:
             _scale_event(c, event)
-        kind, axes = gates[i].kind, gates[i].qubits
-        if kind in _CLIFFORD:
-            c = _clifford_step(c, kind, axes)
-        elif kind in (GateKind.T, GateKind.TDG):
-            _phase_mix(c, kind, axes[0])
-        elif kind is GateKind.BRIDGE3:  # CX(c, m) CX(m, t) CX(c, m), a palindrome
-            for pair in ((axes[0], axes[1]), (axes[1], axes[2]), (axes[0], axes[1])):
-                c = _clifford_step(c, GateKind.CX, pair)
-        else:
-            c = _conjugate(c, kind, axes)
+        c = _gate_step(c, gates[i].kind, gates[i].qubits)
     return c
 
 
@@ -422,6 +369,52 @@ def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None) -> np.nd
     gates = tuple(gates)
     events = ((),) * len(gates) if bound is None else bound.events
     return pull_back(readout_effect(n, bound, measured), gates, events)
+
+
+class DensityProgram:
+    """Prepared exact-evolution plan for one (gates, bound noise) pair.
+
+    Each input's rho = |psi><psi| is held as its real Pauli coefficients,
+    r_P = Tr(P rho) / 2^n, on [4]*n axes plus a trailing axis of inputs, and
+    pushed forward gate by gate through the adjoint pass's steps
+    (`_gate_step`), each gate's events after it; at most _DENSITY_CHUNK
+    coefficients per chunk of inputs.
+    """
+
+    def __init__(self, gates, n: int, bound: BoundNoise | None, measured=None):
+        if n > DENSITY_WIDTH_CAP:
+            raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
+        self.n = n
+        self.gates = tuple(gates)
+        self.events = ((),) * len(self.gates) if bound is None else bound.events
+        self.measured = list(range(n)) if measured is None else list(measured)
+        # Tr(F_o rho) on each measured axis, Tr(I rho) = 2 r_I on every other
+        trace = np.array([[2.0, 0.0, 0.0, 0.0]])
+        self.readout = _readout_rows(bound, self.measured) + [trace] * (n - len(self.measured))
+
+    def probabilities(self, inits) -> np.ndarray:
+        """(inputs, 2^m) measured-outcome probabilities, after readout, of
+        each input state row of `inits`."""
+        n = self.n
+        psis = np.asarray(inits, dtype=complex).reshape(-1, 1 << n)
+        per = max(1, _DENSITY_CHUNK >> (2 * n))
+        chunks = [self._evolve(psis[lo:lo + per]) for lo in range(0, len(psis), per)]
+        return np.concatenate(chunks) if chunks else np.zeros((0, 1 << len(self.measured)))
+
+    def _evolve(self, psis: np.ndarray) -> np.ndarray:
+        n, batch, col = self.n, len(psis), psis.T
+        rho = col.reshape((2, 1) * n + (batch,)) * col.conj().reshape((1, 2) * n + (batch,))
+        r = np.ascontiguousarray(_per_axis([_TO_PAULI] * n, rho.reshape((4,) * n + (batch,))).real)
+        for g, events in zip(self.gates, self.events):
+            r = _gate_step(r, g.kind, g.qubits, forward=True)
+            for event in events:
+                _scale_event(r, event)
+        probs = _per_axis(self.readout, np.moveaxis(r, self.measured, range(len(self.measured))))
+        return np.maximum(probs.reshape(-1, batch).T, 0.0)
+
+    def distribution(self, init: np.ndarray | None = None) -> dict[str, float]:
+        psi = basis_state(self.n) if init is None else init
+        return _outcome_dict(self.probabilities([psi])[0], 1e-18)
 
 
 def run_gates_density(gates, n: int, bound: BoundNoise | None, init: np.ndarray | None = None,
@@ -561,7 +554,7 @@ def trajectory_counts(
                 _apply_pauli_rows(arr, qubits_of[e], hit_row[lo:hi], codes)
                 k += 1
         probs = np.abs(arr.reshape(1 << n, batch)) ** 2
-        return np.cumsum(_marginal_distribution(probs, n, measured, None), axis=1)
+        return np.cumsum(_marginal_distribution(probs, n, measured), axis=1)
 
     blocks_per = -(-shots // TRAJ_BLOCK)
     blocks = [(s, b) for s in range(len(psis)) for b in range(blocks_per)]

@@ -160,17 +160,19 @@ class TestStateHelpers:
 
 
 def _random_density_case(rng: np.random.Generator, n: int):
-    """Every 1-qubit kind, CX/CZ/SWAP and (from width 3) one CCX, shuffled, with
-    flip + phase + depol bound and a readout table on qubits 0 and n-1; the
-    measured subset is reordered and, from width 3, drops one qubit."""
+    """Every 1-qubit kind, CX/CZ/SWAP and (from width 3) one CCX, one BRIDGE3
+    and one CNZ on min(n, 4) qubits, shuffled, with flip + phase + depol bound,
+    a readout table on qubits 0 and n-1 and a `readout:` wildcard for the
+    others; the measured subset is reordered and, from width 3, drops one qubit."""
     gates = [Gate(k, (int(rng.integers(n)),)) for k in (K.X, K.Y, K.Z, K.H, K.S, K.T, K.TDG)]
     for k in (K.CX, K.CZ, K.SWAP):
         gates.append(Gate(k, tuple(int(q) for q in rng.choice(n, 2, replace=False))))
     if n >= 3:
-        gates.append(Gate(K.CCX, tuple(int(q) for q in rng.choice(n, 3, replace=False))))
+        for k, arity in ((K.CCX, 3), (K.BRIDGE3, 3), (K.CNZ, min(n, 4))):
+            gates.append(Gate(k, tuple(int(q) for q in rng.choice(n, arity, replace=False))))
     gates = [gates[i] for i in rng.permutation(len(gates))]
     nm = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.04,
-                    readout=((0, 0.03, 0.08), (n - 1, 0.06, 0.02)))
+                    readout=((0, 0.03, 0.08), (n - 1, 0.06, 0.02), (None, 0.04, 0.05)))
     middle = [int(q) for q in rng.permutation(np.arange(1, n - 1))[: max(0, n - 3)]]
     return gates, bind_gates(nm, gates), [n - 1] + middle + [0]
 
@@ -180,7 +182,7 @@ class TestDensityAgainstKraus:
     def test_matches_explicit_channel_evolution(self, n):
         rng = np.random.default_rng(700 + n)
         gates, bound, measured = _random_density_case(rng, n)
-        assert {len(g.qubits) for g in gates} == ({1, 2, 3} if n >= 3 else {1, 2})
+        assert {len(g.qubits) for g in gates} == ({1, 2, 3, min(n, 4)} if n >= 3 else {1, 2})
         init = random_state(n, rng)
         got = run_gates_density(gates, n, bound, init, measured)
         want = density_outcome_probabilities(
@@ -238,14 +240,10 @@ class TestZeroEffect:
     def test_matches_forward_engine_and_oracle(self, n):
         """x^dagger E x equals P(0...0) of the explicit-matrix evolution and
         of DensityProgram, with every gate kind (BRIDGE3 and CNZ included
-        from width 3) and flip, phase and depol on 1-, 2- and 3-qubit gates.
+        from width 3) and flip, phase and depol on 1- to 4-qubit gates.
         E is held as 4^n real Pauli coefficients."""
         rng = np.random.default_rng(900 + n)
         gates, _, measured = _random_density_case(rng, n)
-        if n >= 3:
-            gates.append(Gate(K.BRIDGE3, tuple(int(q) for q in rng.choice(n, 3, replace=False))))
-            gates.append(Gate(K.CNZ, tuple(int(q) for q in rng.choice(n, 3, replace=False))))
-            gates = [gates[i] for i in rng.permutation(len(gates))]
         # H T H on every qubit last, so the effect is complex and a swapped
         # conj (U E U^dagger in place of U^dagger E U) shows
         gates += [Gate(k, (q,)) for q in range(n) for k in (K.H, K.T, K.H)]
@@ -458,25 +456,18 @@ class TestSharedSuffixes:
 
 
 class TestDepolarizingChannel:
-    """A k-qubit depol event is one partial trace, (1 - l) rho + l I/2^k (x) Tr_k rho
-    with l = p 4^k / (4^k - 1), in place of the 4^k - 1 Pauli strings."""
+    """A k-qubit depol event is (1 - l) rho + l I/2^k (x) Tr_k rho with
+    l = p 4^k / (4^k - 1): one scaling of the Pauli strings not the identity
+    on its qubits, in place of the 4^k - 1 Pauli strings (the step itself is
+    TestPauliEngine.test_event_step_is_the_channel)."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_pauli_sum_forward_and_adjoint(self, k):
+        # through a circuit: the forward engine and the pulled-back effect
+        # against the oracle's explicit Kraus evolution
         n, p = 4, 0.3
         rng = np.random.default_rng(60 + k)
         qubits = tuple(int(q) for q in rng.choice(n, k, replace=False))
-        # the step itself, on non-Hermitian matrices carried on a batch axis
-        mats = rng.normal(size=(2, 2**n, 2**n)) + 1j * rng.normal(size=(2, 2**n, 2**n))
-        got = simulator._rho_apply_event(
-            np.moveaxis(mats, 0, -1).reshape([2] * (2 * n) + [2]), ("depol", qubits, p), n
-        ).reshape(2**n, 2**n, 2)
-        strings = [pauli_string(d, qubits, n) for d in product(range(4), repeat=k) if any(d)]
-        for b, m in enumerate(mats):
-            want = (1 - p) * m + p / len(strings) * sum(s @ m @ s.conj().T for s in strings)
-            assert np.max(np.abs(got[..., b] - want)) <= 1e-12
-        # through a circuit: the forward engine and the pulled-back effect
-        # against the oracle's explicit Kraus evolution
         middle = Gate((K.H, K.CX, K.CCX)[k - 1], qubits)
         layer = [Gate(kind, (q,)) for q in range(n) for kind in (K.H, K.T)]
         gates = layer + [middle] + layer[::-1]
