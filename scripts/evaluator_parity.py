@@ -5,9 +5,10 @@ evaluator's rows for all 256 8-entry weights on the bundled dataset (chain:4),
 and one per search strategy of a 2-neuron `train` run (exhaustive, skipped on
 trajectories, and 400-proposal hill climbing and random search): its log
 (iteration, weights, accuracy), best model, best and baseline accuracy,
-`evaluations`, `cache_hits` and `work` without `steps` and `compiled` (which
-count shared work). Those two are printed beside the digest, outside it, so
-a change meant to keep shared work as it was shows when it moves it. One
+`evaluations`, `cache_hits` and `work` without `steps`, `walks` and
+`compiled` (which count shared work). Those three are printed beside the
+digest, outside it, so a change meant to keep shared work as it was shows
+when it moves it. One
 more digest covers the rows of 64 seeded 16-entry weights on a synthetic
 dataset (linear_chain(6)).
 Run it on two trees and diff the output:
@@ -57,6 +58,8 @@ CONFIGS = [
 ]
 # (strategy, max_iters): the exhaustive run covers the 2^16-model space and the baseline
 STRATEGIES = [("exhaustive", 2**16 + 1), ("hill_climb", 400), ("random_search", 400)]
+# work counters of shared work, printed outside the train digests
+SHARED = ("steps", "walks", "compiled")
 
 
 def digest(obj) -> str:
@@ -109,13 +112,13 @@ def main() -> None:
                 "baseline_accuracy": result.baseline_accuracy,
                 "evaluations": result.evaluations,
                 "cache_hits": result.cache_hits,
-                "work": {k: v for k, v in result.work.items() if k not in ("steps", "compiled")},
+                "work": {k: v for k, v in result.work.items() if k not in SHARED},
             }
             moved = report(f"{label} {backend} {strategy} log", np.array([e.accuracy for e in result.log]))
             print(
                 f"{label} {backend} {strategy} train {digest(run)} "
                 f"best {result.best_accuracy} work {run['work']} "
-                f"steps {result.work['steps']} compiled {result.work['compiled']}" + moved
+                + " ".join(f"{k} {result.work[k]}" for k in SHARED) + moved
             )
     wide = make_synthetic_dataset(5, 16, k=4)
     noise = parse_noise_shorthand("flip:0.05,phase:0.05")

@@ -151,23 +151,24 @@ def accuracies(outputs, labels) -> np.ndarray:
     return (Model.predict_from_outputs(outputs) == labels).mean(axis=-1)
 
 
-def scan_blocks(row, n: int, n_neurons: int, labels, limit: int, best=(-1.0, ()), on_block=None):
+def scan_blocks(rows, n: int, n_neurons: int, labels, limit: int, best=(-1.0, ()), on_block=None):
     """Score the first `limit` models in flat code order (the last neuron's
     code varies fastest) and return the first strict improvement on `best`,
     an (accuracy, code tuple) pair, which comes back unchanged if none beats it.
 
     One block per code prefix of the other neurons: every block is one
     comparison, and `on_block(prefix, accs)`, when given, sees it as soon as it
-    is scored, accs[c] scoring the model prefix + (c,). `row(code)` is one
-    neuron's outputs over the samples; it is called only for the codes the scan
-    reaches.
+    is scored, accs[c] scoring the model prefix + (c,). `rows(codes)` stacks
+    one neuron's outputs over the samples for each of `codes`; it is called
+    once, with every code the scan reaches: range(min(2^n, limit)), which
+    holds every code of every prefix too.
     """
     size = 2**n
     total = min(limit, size**n_neurons)
-    last = np.array([row(c) for c in range(min(size, total))])
+    table = rows(range(min(size, total)))
     for start in range(0, total, size):
         prefix = tuple(start // size ** (n_neurons - 1 - j) % size for j in range(n_neurons - 1))
-        accs = accuracies([row(c) for c in prefix] + [last[: total - start]], labels)
+        accs = accuracies([table[c] for c in prefix] + [table[: total - start]], labels)
         if on_block is not None:
             on_block(prefix, accs)
         j = int(np.argmax(accs))  # the block's first maximum

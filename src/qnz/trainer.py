@@ -6,9 +6,11 @@ The compiler restores the canonical mapping after every block, so a block's
 routed gates and bound noise do not depend on its neighbours: the evaluator
 compiles, binds and plans a neuron only when it brings a block the run has
 not seen, assembles every other neuron from the blocks it already holds, and
-pulls the effect of each common suffix of blocks back once. Results are
-cached by weight vector, and the baseline model is always the first
-incumbent, so the reported best can never fall below it.
+pulls the effect of each common suffix of blocks back once, for a whole batch
+of neurons at a time when the exhaustive strategy scans. Results are cached
+by weight vector, and the baseline model is always the first incumbent, so
+the reported best can never fall below it. The search log is kept as columns
+of weight codes and accuracies and read back as entries on demand.
 
 Search strategies stand in for a learned controller behind one interface:
 exhaustive enumeration (the oracle for small spaces), first-improvement hill
@@ -88,21 +90,48 @@ class LogEntry(NamedTuple):
     elapsed_ms: float
 
 
+class LogColumns(NamedTuple):
+    """A run's log as columns: the weight code of each neuron and the
+    accuracy of every entry, and the size and elapsed_ms of every block of
+    entries logged together."""
+
+    codes: np.ndarray  # (entries, neurons)
+    accuracy: np.ndarray  # (entries,)
+    block_sizes: list[int]
+    block_ms: list[float]
+
+
+def _entries(first: int, codes: np.ndarray, accs: np.ndarray, elapsed_ms, weights):
+    """Log entries numbered from `first`, one per row of `codes`."""
+    for i, (row, acc, ms) in enumerate(zip(codes.tolist(), accs.tolist(), elapsed_ms), first):
+        yield LogEntry(i, tuple(map(weights, row)), acc, ms)
+
+
 @dataclass(frozen=True)
 class TrainResult:
-    """`cache_hits` counts log entries whose model was scored earlier in the run."""
+    """`cache_hits` counts log entries whose model was scored earlier in the
+    run; `log` reads the entries back from `columns` on first use."""
 
     best: Model
     best_accuracy: float
     baseline_accuracy: float
-    log: tuple[LogEntry, ...]
     phase_seconds: dict[str, float]
     evaluations: int
     cache_hits: int
     # routed neurons evaluated, their gates, their bound events, the gate
     # steps the evaluator applied (gates minus those shared suffixes skipped),
-    # and the neurons it compiled (the others were assembled from blocks)
+    # its pull_back calls (`Evaluator._walk`), and the neurons it compiled
+    # (the others were assembled from blocks)
     work: dict[str, int]
+    columns: LogColumns = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def log(self) -> tuple[LogEntry, ...]:
+        n = self.best.input_length
+        weights = functools.cache(lambda c: weights_from_code(c, n))
+        cols = self.columns
+        elapsed = np.repeat(cols.block_ms, cols.block_sizes).tolist()
+        return tuple(_entries(0, cols.codes, cols.accuracy, elapsed, weights))
 
 
 def _spans(boundaries, end: int) -> list[tuple[int, int]]:
@@ -123,7 +152,9 @@ class Evaluator:
     table without compiling. The exact backends pull the all-zeros effect
     back one segment at a time, last first, and keep the effect of each
     suffix of segment ids, so neurons that end in the same segments pull
-    that suffix back once (see `_effect`).
+    that suffix back once; `neuron_rows` walks a batch of neurons together
+    (see `_walk`) and `neuron_outputs` is a batch of one. The trajectory
+    backend scores one neuron at a time.
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -138,7 +169,7 @@ class Evaluator:
         self.labels = cfg.dataset.labels()
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
-        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "compiled": 0}
+        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "walks": 0, "compiled": 0}
         # logical segment gates -> (id, dense routed gates, their dense events)
         self._segments: dict[tuple, tuple[int, tuple, tuple]] = {}
         # the last compiled plan; its frame (width, axes, readout) serves every assembled one
@@ -182,53 +213,103 @@ class Evaluator:
         """Neuron `w`'s dense plan, assembled from the segment table."""
         return self._assemble(self._parts(w))
 
-    def _effect(self, parts) -> np.ndarray:
-        """The Pauli coefficients of the readout-folded all-zeros effect of
-        the neuron made of `parts` (simulator.zero_effect), pulled back one
-        segment at a time from the last. A suffix of segment ids found in the
-        store continues from a copy of its effect; one not found is pulled
-        back and a copy stored, while the store stays within
-        _SUFFIX_CACHE_BYTES (past that, the rest is walked without lookups).
-        Suffixes are shared between neurons, so the first neuron stores none:
-        an evaluator of a single neuron holds no effects."""
+    def _walk(self, batch):
+        """Yield (i, effect) for the neuron made of `batch[i]`'s parts once
+        its effect is pulled back: the Pauli coefficients of its
+        readout-folded all-zeros effect (simulator.zero_effect), contiguous.
+        Neurons of one suffix may share the array, and the walk reads it on,
+        so it is the caller's to modify only once the walk is done.
+
+        Goes through the trie of suffixes of segment ids, shortest first. A
+        neuron continues from the longest suffix the store holds; each
+        distinct suffix past those is pulled back once, and all that lead
+        with one segment go through it stacked on a trailing axis, in one
+        `pull_back` call. New suffixes are stored while the store stays within
+        _SUFFIX_CACHE_BYTES, and the batch is split so that the effects of one
+        suffix length stay within it too. An evaluator's first batch neither
+        looks up nor stores any: an evaluator of one neuron holds no effects."""
         frame = self._frame
-        eff = readout_effect(frame.n, frame.bound, frame.measured)
-        ids = tuple(i for i, _, _ in parts)
+        top = readout_effect(frame.n, frame.bound, frame.measured)
         share = bool(self._outputs)
-        for j in range(len(parts) - 1, -1, -1):
-            stored = self._effects.get(ids[j:]) if share else None
-            if stored is not None:
-                eff = stored.copy()
-                continue
-            share = share and self._effect_bytes + eff.nbytes <= _SUFFIX_CACHE_BYTES
-            _, gates, events = parts[j]
-            eff = pull_back(eff, gates, events)
-            self.work["steps"] += len(gates)
-            if share:
-                self._effects[ids[j:]] = eff.copy()
-                self._effect_bytes += eff.nbytes
-        return eff
+        per = max(1, _SUFFIX_CACHE_BYTES // top.nbytes)
+        for lo in range(0, len(batch), per):
+            start = {(): top}  # the effects walks continue from: none walked, or stored
+            pending: dict[int, dict] = {}  # by length, each suffix to walk -> its leading part
+            ends: dict[tuple[int, ...], list[int]] = {}  # neurons, by their whole suffix
+            for i, parts in enumerate(batch[lo:lo + per], lo):
+                ids = tuple(seg for seg, _, _ in parts)
+                j = len(ids)
+                while share and j and ids[j - 1:] in self._effects:
+                    j -= 1
+                if j == 0:
+                    yield i, self._effects[ids].copy()
+                    continue
+                start[ids[j:]] = self._effects.get(ids[j:], top)
+                for k in range(j):
+                    pending.setdefault(len(ids) - k, {})[ids[k:]] = parts[k]
+                ends.setdefault(ids, []).append(i)
+            walked: dict[tuple[int, ...], np.ndarray] = {}  # at the previous length
+            for length in sorted(pending):
+                groups: dict[int, tuple[tuple, list]] = {}  # by leading segment id
+                for s, part in pending[length].items():
+                    groups.setdefault(part[0], (part, []))[1].append(s)
+                walked, prev = {}, walked
+                for (_, gates, events), suffixes in groups.values():
+                    stack = np.stack([prev[s[1:]] if s[1:] in prev else start[s[1:]] for s in suffixes], -1)
+                    out = pull_back(stack, gates, events)
+                    self.work["walks"] += 1
+                    self.work["steps"] += len(gates) * len(suffixes)
+                    for k, s in enumerate(suffixes):
+                        walked[s] = out[..., k]
+                        if share and self._effect_bytes + top.nbytes <= _SUFFIX_CACHE_BYTES:
+                            self._effects[s] = walked[s].copy()
+                            self._effect_bytes += top.nbytes
+                        for i in ends.get(s, ()):
+                            yield i, np.ascontiguousarray(walked[s])
+
+    def _score(self, ws: list[tuple[int, ...]]) -> None:
+        """Score neurons `ws`, none of them cached, into the cache: the
+        trajectory backend one neuron at a time, the exact ones in one walk."""
+        cfg = self.cfg
+        if cfg.backend == "trajectories":
+            for w in ws:
+                parts = self._parts(w)
+                plan = self._assemble(parts)
+                self._outputs[w] = self._timed("infer", lambda: score_run(
+                    w, plan, self.xs, cfg.backend, cfg.shots, cfg.seed, threads=cfg.threads,
+                ))
+                self.work["steps"] += len(plan.gates)
+                self._count(parts)
+            return
+        batch = [self._parts(w) for w in ws]
+
+        def infer() -> None:
+            for i, eff in self._walk(batch):
+                self._outputs[ws[i]] = effect_outputs(eff, self._frame, self.xs)
+
+        self._timed("infer", infer)
+        for parts in batch:
+            self._count(parts)
+
+    def _count(self, parts) -> None:
+        self.work["neurons"] += 1
+        self.work["gates"] += sum(len(g) for _, g, _ in parts)
+        self.work["events"] += sum(len(e) for _, _, events in parts for e in events)
+
+    def neuron_rows(self, ws) -> np.ndarray:
+        """The outputs of each neuron of `ws` over the samples, stacked: shape
+        (len(ws), samples). The distinct neurons not cached yet are scored
+        together, on the exact backends in one walk (`_walk`)."""
+        new = [w for w in dict.fromkeys(ws) if w not in self._outputs]
+        if new:
+            self._score(new)
+        return np.array([self._outputs[w] for w in ws])
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
-        cached = self._outputs.get(w)
-        if cached is not None:
-            return cached
-        cfg = self.cfg
-        parts = self._parts(w)
-        gates = sum(len(g) for _, g, _ in parts)
-        if cfg.backend == "trajectories":
-            plan = self._assemble(parts)
-            out = self._timed("infer", lambda: score_run(
-                w, plan, self.xs, cfg.backend, cfg.shots, cfg.seed, threads=cfg.threads,
-            ))
-            self.work["steps"] += gates
-        else:
-            out = self._timed("infer", lambda: effect_outputs(self._effect(parts), self._frame, self.xs))
-        self.work["neurons"] += 1
-        self.work["gates"] += gates
-        self.work["events"] += sum(len(e) for _, _, events in parts for e in events)
-        self._outputs[w] = out
-        return out
+        """Neuron `w`'s outputs over the samples: a batch of one."""
+        if w not in self._outputs:
+            self._score([w])
+        return self._outputs[w]
 
     def model_accuracy(self, m: Model) -> float:
         return float(accuracies([self.neuron_outputs(w) for w in m.neurons], self.labels))
@@ -245,40 +326,46 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
     """Run the four-stage loop under the configured strategy.
 
     Proposals are tuples of weight codes (`weights_from_code`), one per
-    neuron, scored from the evaluator's per-neuron output rows. The log gets
-    one entry per proposal; `log_stream`, when given, receives each entry as
-    it is logged. Exhaustive enumeration scores a block of proposals at once
-    (`scan_blocks`) and logs them once the block is scored, so its entries
+    neuron, scored from the evaluator's per-neuron output rows. The log is
+    kept as columns, one block of entries at a time (`LogColumns`), and read
+    back as one entry per proposal (`TrainResult.log`); `log_stream`, when
+    given, receives each entry once its block is logged. Exhaustive
+    enumeration scores every neuron it reaches in one batched call
+    (`Evaluator.neuron_rows`), then scores a block of proposals at once
+    (`scan_blocks`) and logs each block once it is scored, so its entries
     arrive once per block (a single neuron is one block of 2^N). It ignores
     the convergence patience (stopping early would forfeit the global argmax)
-    but still respects max_iters.
+    but still respects max_iters. Hill climbing and random search score and
+    log one proposal at a time.
     """
     ev = Evaluator(cfg)
     n = cfg.initial.input_length
     weights = functools.cache(lambda c: weights_from_code(c, n))
-    log: list[LogEntry] = []
+    code_type = np.uint64 if n <= 64 else object
+    blocks: list[tuple[np.ndarray, np.ndarray, float]] = []  # (codes, accuracies, elapsed_ms)
+    logged = 0
     t_start = time.perf_counter()
 
-    def row(code: int) -> np.ndarray:
-        return ev.neuron_outputs(weights(code))
-
-    def record(models, accs) -> None:
-        """Log each weight-vector tuple of `models` with its accuracy."""
+    def record(codes: np.ndarray, accs: np.ndarray) -> None:
+        """Log a block: `codes` (entries, neurons) scored `accs`."""
+        nonlocal logged
         elapsed = (time.perf_counter() - t_start) * 1e3
-        for neurons, acc in zip(models, accs):
-            entry = LogEntry(len(log), neurons, acc, elapsed)
-            log.append(entry)
-            if log_stream is not None:
+        if log_stream is not None:
+            for entry in _entries(logged, codes, accs, [elapsed] * len(accs), weights):
                 log_stream(entry)
+        blocks.append((codes, accs, elapsed))
+        logged += len(accs)
 
     def score(codes: tuple[int, ...]) -> float:
-        acc = float(accuracies([row(c) for c in codes], ev.labels))
-        record([tuple(map(weights, codes))], [acc])
+        acc = float(accuracies([ev.neuron_outputs(weights(c)) for c in codes], ev.labels))
+        record(np.array([codes], dtype=code_type), np.array([acc]))
         return acc
 
     def on_block(prefix: tuple[int, ...], accs: np.ndarray) -> None:
-        head = tuple(map(weights, prefix))
-        record([head + (weights(c),) for c in range(len(accs))], accs.tolist())
+        codes = np.empty((len(accs), len(prefix) + 1), dtype=code_type)
+        codes[:, :-1] = prefix
+        codes[:, -1] = np.arange(len(accs))
+        record(codes, accs)
 
     base = tuple(code_from_weights(w) for w in cfg.initial.neurons)
     baseline_acc = score(base)
@@ -286,7 +373,7 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
     since_improvement = 0
 
     def budget_left() -> bool:
-        return len(log) <= cfg.max_iters and since_improvement < cfg.patience
+        return logged <= cfg.max_iters and since_improvement < cfg.patience
 
     def consider(codes: tuple[int, ...]) -> float:
         nonlocal best, best_acc, since_improvement
@@ -306,7 +393,8 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
 
     if cfg.strategy == "exhaustive":
         best_acc, best = scan_blocks(
-            row, n, len(base), ev.labels, cfg.max_iters, (best_acc, best), on_block
+            lambda codes: ev.neuron_rows([weights(c) for c in codes]),
+            n, len(base), ev.labels, cfg.max_iters, (best_acc, best), on_block,
         )
     elif cfg.strategy == "random_search":
         while budget_left():
@@ -327,15 +415,20 @@ def train(cfg: TrainConfig, log_stream=None) -> TrainResult:
                     current = draw()
                     current_acc = consider(current)
 
+    codes = np.concatenate([c for c, _, _ in blocks])
+    ordered = codes[np.lexsort(codes.T)]  # equal models side by side
     return TrainResult(
         best=cfg.initial if best == base else Model(tuple(map(weights, best))),
         best_accuracy=best_acc,
         baseline_accuracy=baseline_acc,
-        log=tuple(log),
         phase_seconds=dict(ev.phase_seconds),
-        evaluations=len(log),
-        cache_hits=len(log) - len({e.weights for e in log}),
+        evaluations=logged,
+        cache_hits=int(np.count_nonzero((ordered[1:] == ordered[:-1]).all(axis=1))),
         work=dict(ev.work),
+        columns=LogColumns(
+            codes, np.concatenate([a for _, a, _ in blocks]),
+            [len(a) for _, a, _ in blocks], [ms for _, _, ms in blocks],
+        ),
     )
 
 

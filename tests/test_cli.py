@@ -250,10 +250,47 @@ class TestTrainAndSweep:
         assert code == 0
         res = report["result"]
         assert res["best_accuracy"] >= res["baseline_accuracy"]
-        assert set(res["work"]) == {"neurons", "gates", "events", "steps", "compiled"}
+        assert set(res["work"]) == {"neurons", "gates", "events", "steps", "walks", "compiled"}
         events = [json.loads(line) for line in err.strip().splitlines()]
         assert events[0]["iter"] == 0
         assert {"iter", "weights", "accuracy", "elapsed_ms"} <= events[0].keys()
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "hill_climb", "random_search"])
+    def test_log_streams_the_result_log(self, workdir, capsys, monkeypatch, strategy):
+        from qnz import cli
+
+        results = []
+
+        def keeping(cfg, log_stream=None):
+            results.append(train(cfg, log_stream))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train", keeping)
+        config = json.loads((workdir / "train.json").read_text())
+        # exhaustive: two whole blocks of 256 entries and part of a third
+        config.update(strategy=strategy, max_iters=600, patience=600)
+        (workdir / "log.json").write_text(json.dumps(config))
+        code, report, err = run_cli(
+            capsys, "train", "--config", str(workdir / "log.json"), "--seed", "5", "--log"
+        )
+        assert code == 0
+        (result,) = results
+        assert [json.loads(line) for line in err.strip().splitlines()] == [
+            {"iter": e.iteration, "weights": [list(w) for w in e.weights],
+             "accuracy": e.accuracy, "elapsed_ms": e.elapsed_ms}
+            for e in result.log
+        ]
+        assert report["result"]["evaluations"] == len(result.log) == 601
+
+    def test_train_without_log_builds_no_entries(self, workdir, capsys, monkeypatch):
+        from qnz import trainer
+
+        def refused(*fields):
+            raise AssertionError("a log entry was built")
+
+        monkeypatch.setattr(trainer, "LogEntry", refused)
+        code, report, _ = run_cli(capsys, "train", "--config", str(workdir / "train.json"), "--seed", "5")
+        assert code == 0 and report["result"]["evaluations"] == 13
 
     def test_train_missing_field(self, workdir, capsys):
         (workdir / "bad.json").write_text(json.dumps({"strategy": "exhaustive"}))

@@ -22,10 +22,12 @@ from qnz.qnn import (
     neuron_outputs,
     weights_from_code,
 )
-from qnz.simulator import plan_mapped_run, zero_effect
+from qnz.simulator import plan_mapped_run, pull_back, zero_effect
 from qnz.topology import coupling_graph, linear_chain
 from qnz.trainer import (
+    STRATEGIES,
     Evaluator,
+    LogEntry,
     TrainConfig,
     sweep,
     sweep_rows_as_dicts,
@@ -137,7 +139,11 @@ class TestExhaustiveParity:
             [(e.iteration, e.weights, e.accuracy) for e in r.log],
             r.best, r.best_accuracy, r.baseline_accuracy, r.evaluations, r.cache_hits, r.work,
         )
-        assert got == sequential_exhaustive(cfg)
+        want = sequential_exhaustive(cfg)
+        # the reference walks one neuron at a time; train walks the scan's neurons together
+        without_walks = [{k: v for k, v in work.items() if k != "walks"} for work in (got[-1], want[-1])]
+        assert got[:-1] + (without_walks[0],) == want[:-1] + (without_walks[1],)
+        assert r.work["walks"] <= want[-1]["walks"]
 
 
 # Logs of 24 proposals recorded before the strategies proposed weight codes:
@@ -345,7 +351,7 @@ class TestSharedSuffixes:
         parts = ev._parts(w)
         steps = ev.work["steps"]
         for _ in range(3):
-            eff = ev._effect(parts)
+            [(_, eff)] = ev._walk([parts])
             assert np.array_equal(eff, want)
             eff *= 2.0
             eff[(0,) * plan.n] = 7.0
@@ -386,6 +392,74 @@ class TestSharedSuffixes:
         assert work["steps"] == work["gates"]
         work = train(replace(cfg, backend="density")).work
         assert work["steps"] < work["gates"]
+
+
+class TestBatchedRows:
+    """`Evaluator.neuron_rows` walks a batch of neurons together; its rows are
+    bit-equal to per-neuron rows of fresh evaluators."""
+
+    NOISE = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.02, readout=((0, 0.03, 0.08), (3, 0.06, 0.02)))
+
+    @staticmethod
+    def _batch(n: int) -> tuple[list[int], list[int]]:
+        """Codes scored before the batch, and the batch: new codes, w/-w
+        pairs, duplicates and the codes scored before."""
+        codes = np.random.default_rng(n).integers(2**n, size=16).tolist()
+        before, new = codes[:4], codes[4:]
+        return before, new + [c ^ (2**n - 1) for c in new[:5]] + new[:3] + before
+
+    @pytest.mark.parametrize("backend", ["ideal", "density"])
+    @pytest.mark.parametrize("n, graph", [
+        (4, linear_chain(2)), (8, linear_chain(4)), (16, GRID),
+    ], ids=["4-chain", "8-chain", "16-grid"])
+    def test_batch_equals_fresh_per_neuron_rows(self, backend, n, graph):
+        dataset = make_synthetic_dataset(5, 8, k=n.bit_length() - 1)
+        cfg = base_config(
+            dataset, model([1] * n), backend=backend, noise=self.NOISE, graph=graph,
+            strategy="random_search",
+        )
+        before, batch = self._batch(n)
+        ws = [weights_from_code(c, n) for c in batch]
+        ev, one_by_one = Evaluator(cfg), Evaluator(cfg)
+        for other in (ev, one_by_one):
+            other.neuron_outputs(weights_from_code(before[0], n))  # the first batch stores none
+            other.neuron_rows([weights_from_code(c, n) for c in before[1:]])
+        rows = ev.neuron_rows(ws)
+        fresh = np.array([Evaluator(cfg).neuron_outputs(w) for w in ws])
+        assert rows.shape == (len(ws), len(dataset.samples))
+        assert np.array_equal(rows, fresh)
+        # the same neurons one at a time apply the same steps in more walks
+        for w in ws:
+            one_by_one.neuron_outputs(w)
+        assert ev.work["steps"] == one_by_one.work["steps"]
+        assert ev.work["walks"] < one_by_one.work["walks"]
+        assert 0 < ev._effect_bytes <= trainer._SUFFIX_CACHE_BYTES
+
+    def test_batch_splits_under_a_small_cap(self, monkeypatch):
+        stacked = []
+
+        def recording(coeffs, gates, events):
+            stacked.append(coeffs.shape[-1])
+            return pull_back(coeffs, gates, events)
+
+        monkeypatch.setattr(trainer, "pull_back", recording)
+        cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE)
+        ws = [weights_from_code(c, 8) for c in range(0, 256, 5)]
+
+        def batched() -> tuple[Evaluator, np.ndarray]:
+            ev = Evaluator(cfg)
+            ev.neuron_outputs(cfg.initial.neurons[0])
+            stacked.clear()
+            return ev, ev.neuron_rows(ws)
+
+        _, want = batched()
+        assert max(stacked) > 3
+        effect_bytes = 8 * 4**4  # the Pauli coefficients of an effect at width 4
+        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 3 * effect_bytes)
+        ev, rows = batched()
+        assert max(stacked) <= 3
+        assert np.array_equal(rows, want)
+        assert len(ev._effects) == 3 and ev._effect_bytes == 3 * effect_bytes
 
 
 def _segments(w) -> set:
@@ -502,6 +576,40 @@ class TestSweep:
         assert dicts[0]["rate"] == 0.0
         csv = sweep_to_csv(rows)
         assert csv.splitlines()[0] == "rate,baseline_accuracy,searched_accuracy,weights"
+
+
+class TestColumnLog:
+    """`train` keeps its log as columns and reads it back entry by entry."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_log_equals_entries_scored_one_by_one(self, strategy):
+        cfg = base_config(
+            small_dataset(), model([1, 1, 1, 1], [1, -1, 1, 1]), strategy=strategy,
+            max_iters=300, patience=300, noise=NoiseModel(flip_p=0.02, phase_p=0.01),
+        )
+        streamed = []
+        r = train(cfg, log_stream=streamed.append)
+        reference = Evaluator(cfg)
+        want = tuple(
+            LogEntry(i, e.weights, reference.model_accuracy(Model(e.weights)), e.elapsed_ms)
+            for i, e in enumerate(streamed)
+        )
+        assert r.log == want == tuple(streamed)
+        assert r.evaluations == len(r.log) == (257 if strategy == "exhaustive" else 301)
+        assert r.cache_hits == len(r.log) - len({e.weights for e in r.log})
+        assert all(a.elapsed_ms <= b.elapsed_ms for a, b in zip(r.log, r.log[1:]))
+
+    def test_no_entries_built_without_a_stream(self, monkeypatch):
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return LogEntry(*fields)
+
+        monkeypatch.setattr(trainer, "LogEntry", counted)
+        r = train(base_config(small_dataset(), model([1, 1, 1, 1], [1, 1, 1, 1])))
+        assert built == [] and r.evaluations == 257
+        assert len(r.log) == len(built) == 257
 
 
 def test_log_stream_receives_entries():
