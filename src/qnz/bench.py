@@ -14,7 +14,7 @@ import numpy as np
 from .ir import Circuit, Gate, GateKind, expand_to_basis
 from .mapper import compile, naive_route
 from .noise import NoiseModel
-from .qnn import Dataset, Model, accuracies, neuron_circuit, neuron_outputs
+from .qnn import Dataset, Model, accuracies, check_fits, neuron_circuit, neuron_outputs
 from .topology import CouplingGraph
 
 COMPLEXITY_CLASSES = {"simple": 1, "middle": 3, "complex": 5}
@@ -125,6 +125,7 @@ def _model_accuracy_density(
     m: Model, dataset: Dataset, noise: NoiseModel, g: CouplingGraph, router: str
 ) -> tuple[float, int, float]:
     """(accuracy, total swaps, compile ms) for one model under one router."""
+    check_fits(m, dataset)
     swaps = 0
     elapsed = 0.0
     xs = dataset.inputs()

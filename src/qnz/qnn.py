@@ -202,6 +202,16 @@ class Dataset:
         return np.array([l for _, l in self.samples])
 
 
+def check_fits(model: Model, dataset: Dataset) -> None:
+    """Raise ValueError unless `dataset` holds samples of `model`'s input length."""
+    if not dataset.samples:
+        raise ValueError(f"dataset has no samples for a model of input length {model.input_length}")
+    if dataset.dim != model.input_length:
+        raise ValueError(
+            f"dataset samples have length {dataset.dim}, the model's input length is {model.input_length}"
+        )
+
+
 def _output_table(dataset: Dataset) -> np.ndarray:
     """Closed-form neuron outputs for every weight code: shape (2^N, samples)."""
     xs = dataset.inputs()
@@ -364,8 +374,7 @@ def accuracy(
     Each distinct neuron is compiled and evaluated once over all samples;
     `work`, when given, counts them as `neuron_outputs` does.
     """
-    if not dataset.samples:
-        raise ValueError("dataset is empty")
+    check_fits(model, dataset)
     xs = dataset.inputs()
     outputs = {
         w: neuron_outputs(

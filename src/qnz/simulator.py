@@ -204,8 +204,6 @@ _TO_PAULI = _PAULI.reshape(4, 4).conj() / 2
 # Kinds that map every Pauli string to a signed Pauli string under conjugation.
 _CLIFFORD = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
                        GateKind.CX, GateKind.CZ, GateKind.SWAP})
-# Inputs evolved together: at most this many Pauli coefficients at once.
-_DENSITY_CHUNK = 1 << 16
 
 
 def _per_axis(mats, c: np.ndarray) -> np.ndarray:
@@ -377,8 +375,7 @@ class DensityProgram:
     Each input's rho = |psi><psi| is held as its real Pauli coefficients,
     r_P = Tr(P rho) / 2^n, on [4]*n axes plus a trailing axis of inputs, and
     pushed forward gate by gate through the adjoint pass's steps
-    (`_gate_step`), each gate's events after it; at most _DENSITY_CHUNK
-    coefficients per chunk of inputs.
+    (`_gate_step`), each gate's events after it.
     """
 
     def __init__(self, gates, n: int, bound: BoundNoise | None, measured=None):
@@ -394,15 +391,10 @@ class DensityProgram:
 
     def probabilities(self, inits) -> np.ndarray:
         """(inputs, 2^m) measured-outcome probabilities, after readout, of
-        each input state row of `inits`."""
+        each input state row of `inits`, all evolved together."""
         n = self.n
-        psis = np.asarray(inits, dtype=complex).reshape(-1, 1 << n)
-        per = max(1, _DENSITY_CHUNK >> (2 * n))
-        chunks = [self._evolve(psis[lo:lo + per]) for lo in range(0, len(psis), per)]
-        return np.concatenate(chunks) if chunks else np.zeros((0, 1 << len(self.measured)))
-
-    def _evolve(self, psis: np.ndarray) -> np.ndarray:
-        n, batch, col = self.n, len(psis), psis.T
+        col = np.asarray(inits, dtype=complex).reshape(-1, 1 << n).T
+        batch = col.shape[1]
         rho = col.reshape((2, 1) * n + (batch,)) * col.conj().reshape((1, 2) * n + (batch,))
         r = np.ascontiguousarray(_per_axis([_TO_PAULI] * n, rho.reshape((4,) * n + (batch,))).real)
         for g, events in zip(self.gates, self.events):

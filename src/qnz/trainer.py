@@ -33,6 +33,7 @@ from .qnn import (
     Dataset,
     Model,
     accuracies,
+    check_fits,
     code_from_weights,
     effect_outputs,
     neuron_circuit,
@@ -76,6 +77,7 @@ class TrainConfig:
             )
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        check_fits(self.initial, self.dataset)
 
     def space_size(self) -> int:
         return (2 ** self.initial.input_length) ** len(self.initial.neurons)
@@ -119,9 +121,9 @@ class TrainResult:
     evaluations: int
     cache_hits: int
     # routed neurons evaluated, their gates, their bound events, the gate
-    # steps the evaluator applied (gates minus those shared suffixes skipped),
-    # its pull_back calls (`Evaluator._walk`), and the neurons it compiled
-    # (the others were assembled from blocks)
+    # steps the evaluator applied (gates minus those of stored suffixes it
+    # reused), its pull_back calls (`Evaluator._walk`), and the neurons it
+    # compiled (the others were assembled from blocks)
     work: dict[str, int]
     columns: LogColumns = field(repr=False, compare=False)
 
@@ -132,6 +134,13 @@ class TrainResult:
         cols = self.columns
         elapsed = np.repeat(cols.block_ms, cols.block_sizes).tolist()
         return tuple(_entries(0, cols.codes, cols.accuracy, elapsed, weights))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` as a contiguous array that refuses writes."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def _spans(boundaries, end: int) -> list[tuple[int, int]]:
@@ -216,85 +225,72 @@ class Evaluator:
     def _walk(self, batch):
         """Yield (i, effect) for the neuron made of `batch[i]`'s parts once
         its effect is pulled back: the Pauli coefficients of its
-        readout-folded all-zeros effect (simulator.zero_effect), contiguous.
-        Neurons of one suffix may share the array, and the walk reads it on,
-        so it is the caller's to modify only once the walk is done.
+        readout-folded all-zeros effect (simulator.zero_effect), contiguous
+        and read-only, so neurons of one suffix may share the array.
 
         Goes through the trie of suffixes of segment ids, shortest first. A
         neuron continues from the longest suffix the store holds; each
         distinct suffix past those is pulled back once, and all that lead
         with one segment go through it stacked on a trailing axis, in one
-        `pull_back` call. New suffixes are stored while the store stays within
-        _SUFFIX_CACHE_BYTES, and the batch is split so that the effects of one
-        suffix length stay within it too. An evaluator's first batch neither
-        looks up nor stores any: an evaluator of one neuron holds no effects."""
+        `pull_back` call, from the previous length's effects, else from the
+        store, else from the readout effect. Each new effect is stored while
+        the store stays within _SUFFIX_CACHE_BYTES; the others live only
+        until the next suffix length is walked, and the batch is split so
+        that the effects of one suffix length stay within the cap too."""
         frame = self._frame
         top = readout_effect(frame.n, frame.bound, frame.measured)
-        share = bool(self._outputs)
         per = max(1, _SUFFIX_CACHE_BYTES // top.nbytes)
         for lo in range(0, len(batch), per):
-            start = {(): top}  # the effects walks continue from: none walked, or stored
             pending: dict[int, dict] = {}  # by length, each suffix to walk -> its leading part
             ends: dict[tuple[int, ...], list[int]] = {}  # neurons, by their whole suffix
             for i, parts in enumerate(batch[lo:lo + per], lo):
                 ids = tuple(seg for seg, _, _ in parts)
                 j = len(ids)
-                while share and j and ids[j - 1:] in self._effects:
+                while j and ids[j - 1:] in self._effects:
                     j -= 1
                 if j == 0:
-                    yield i, self._effects[ids].copy()
+                    yield i, self._effects[ids]
                     continue
-                start[ids[j:]] = self._effects.get(ids[j:], top)
                 for k in range(j):
                     pending.setdefault(len(ids) - k, {})[ids[k:]] = parts[k]
                 ends.setdefault(ids, []).append(i)
-            walked: dict[tuple[int, ...], np.ndarray] = {}  # at the previous length
+            walked: dict[tuple[int, ...], np.ndarray] = {}  # unstored, at the previous length
             for length in sorted(pending):
                 groups: dict[int, tuple[tuple, list]] = {}  # by leading segment id
                 for s, part in pending[length].items():
                     groups.setdefault(part[0], (part, []))[1].append(s)
                 walked, prev = {}, walked
                 for (_, gates, events), suffixes in groups.values():
-                    stack = np.stack([prev[s[1:]] if s[1:] in prev else start[s[1:]] for s in suffixes], -1)
+                    stack = np.stack([prev[s[1:]] if s[1:] in prev else self._effects.get(s[1:], top)
+                                      for s in suffixes], -1)
                     out = pull_back(stack, gates, events)
                     self.work["walks"] += 1
                     self.work["steps"] += len(gates) * len(suffixes)
                     for k, s in enumerate(suffixes):
-                        walked[s] = out[..., k]
-                        if share and self._effect_bytes + top.nbytes <= _SUFFIX_CACHE_BYTES:
-                            self._effects[s] = walked[s].copy()
+                        if self._effect_bytes + top.nbytes <= _SUFFIX_CACHE_BYTES:
+                            eff = self._effects[s] = _read_only(out[..., k])
                             self._effect_bytes += top.nbytes
+                        else:
+                            eff = walked[s] = out[..., k]
                         for i in ends.get(s, ()):
-                            yield i, np.ascontiguousarray(walked[s])
+                            yield i, _read_only(eff)
 
     def _score(self, ws: list[tuple[int, ...]]) -> None:
-        """Score neurons `ws`, none of them cached, into the cache: the
-        trajectory backend one neuron at a time, the exact ones in one walk."""
+        """Score neurons `ws`, none of them cached, into the cache: the exact
+        backends in one walk, the trajectory backend one neuron at a time."""
         cfg = self.cfg
-        if cfg.backend == "trajectories":
-            for w in ws:
-                parts = self._parts(w)
-                plan = self._assemble(parts)
-                self._outputs[w] = self._timed("infer", lambda: score_run(
-                    w, plan, self.xs, cfg.backend, cfg.shots, cfg.seed, threads=cfg.threads,
-                ))
-                self.work["steps"] += len(plan.gates)
-                self._count(parts)
-            return
         batch = [self._parts(w) for w in ws]
-
-        def infer() -> None:
-            for i, eff in self._walk(batch):
-                self._outputs[ws[i]] = effect_outputs(eff, self._frame, self.xs)
-
-        self._timed("infer", infer)
-        for parts in batch:
-            self._count(parts)
-
-    def _count(self, parts) -> None:
-        self.work["neurons"] += 1
-        self.work["gates"] += sum(len(g) for _, g, _ in parts)
-        self.work["events"] += sum(len(e) for _, _, events in parts for e in events)
+        gates = sum(len(g) for parts in batch for _, g, _ in parts)
+        self.work["neurons"] += len(batch)
+        self.work["gates"] += gates
+        self.work["events"] += sum(len(e) for parts in batch for _, _, events in parts for e in events)
+        if cfg.backend == "trajectories":  # no shared suffixes: every gate is a step
+            self.work["steps"] += gates
+            rows = ((i, score_run(ws[i], self._assemble(parts), self.xs, cfg.backend, cfg.shots,
+                                  cfg.seed, threads=cfg.threads)) for i, parts in enumerate(batch))
+        else:
+            rows = ((i, effect_outputs(eff, self._frame, self.xs)) for i, eff in self._walk(batch))
+        self._timed("infer", lambda: self._outputs.update((ws[i], row) for i, row in rows))
 
     def neuron_rows(self, ws) -> np.ndarray:
         """The outputs of each neuron of `ws` over the samples, stacked: shape
@@ -307,9 +303,7 @@ class Evaluator:
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
         """Neuron `w`'s outputs over the samples: a batch of one."""
-        if w not in self._outputs:
-            self._score([w])
-        return self._outputs[w]
+        return self.neuron_rows([w])[0]
 
     def model_accuracy(self, m: Model) -> float:
         return float(accuracies([self.neuron_outputs(w) for w in m.neurons], self.labels))
@@ -447,10 +441,11 @@ def sweep(rates, cfg: TrainConfig, log_stream=None) -> list[SweepRow]:
     """Train at each error rate with the config's noise model, its flip and
     phase rates both set to the rate (depol, readout and per-qubit multipliers
     are kept)."""
-    rows = []
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate {rate} outside [0, 1]")
+    rows = []
+    for rate in rates:
         run_cfg = replace(cfg, noise=replace(cfg.noise, flip_p=rate, phase_p=rate))
         result = train(run_cfg, log_stream=log_stream)
         rows.append(SweepRow(

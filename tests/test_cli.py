@@ -156,6 +156,18 @@ class TestInfer:
         assert 0.0 <= report["result"]["accuracy"] <= 1.0
         assert report["result"]["samples"] == 10
 
+    def test_dataset_of_another_length_is_json_error(self, workdir, capsys):
+        (workdir / "short.txt").write_text(format_dataset(make_synthetic_dataset(2, 10, k=2)))
+        code, _, err = run_cli(
+            capsys, "infer", "--model", str(workdir / "best.model"),
+            "--dataset", str(workdir / "short.txt"), "--backend", "density", "--seed", "3",
+        )
+        assert code == 1
+        assert json.loads(err.strip()) == {
+            "error": "ValueError",
+            "message": "dataset samples have length 4, the model's input length is 8",
+        }
+
     def test_threads_reach_trajectories_and_keep_accuracy(self, workdir, capsys, monkeypatch):
         import qnz.qnn as qnn_module
 
@@ -292,6 +304,21 @@ class TestTrainAndSweep:
         code, report, _ = run_cli(capsys, "train", "--config", str(workdir / "train.json"), "--seed", "5")
         assert code == 0 and report["result"]["evaluations"] == 13
 
+    @pytest.mark.parametrize("backend", ["density", "trajectories"])
+    @pytest.mark.parametrize("data, message", [
+        ("dim 8\n", "dataset has no samples for a model of input length 8"),
+        (format_dataset(make_synthetic_dataset(2, 10, k=2)),
+         "dataset samples have length 4, the model's input length is 8"),
+    ], ids=["empty", "short"])
+    def test_dataset_that_does_not_fit_is_json_error(self, workdir, capsys, backend, data, message):
+        (workdir / "unfit.txt").write_text(data)
+        config = json.loads((workdir / "train.json").read_text())
+        config.update(dataset=str(workdir / "unfit.txt"), backend=backend, shots=16)
+        (workdir / "unfit.json").write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "train", "--config", str(workdir / "unfit.json"), "--seed", "5")
+        assert code == 1
+        assert json.loads(err.strip()) == {"error": "ValueError", "message": message}
+
     def test_train_missing_field(self, workdir, capsys):
         (workdir / "bad.json").write_text(json.dumps({"strategy": "exhaustive"}))
         code, _, err = run_cli(
@@ -366,6 +393,19 @@ class TestBench:
         rows = report["result"]["comparison"]
         assert len(rows) == 3
         assert rows[0]["router"] == "ours"
+
+    def test_compare_rejects_a_dataset_that_does_not_fit(self, workdir, capsys):
+        (workdir / "empty.txt").write_text("dim 8\n")
+        code, _, err = run_cli(
+            capsys, "bench", "--mode", "compare", "--topology", "chain:4",
+            "--baseline-model", str(workdir / "best.model"),
+            "--searched-model", str(workdir / "best.model"),
+            "--dataset", str(workdir / "empty.txt"),
+        )
+        assert code == 1
+        assert json.loads(err.strip()) == {
+            "error": "ValueError", "message": "dataset has no samples for a model of input length 8",
+        }
 
     def test_compare_requires_models(self, workdir, capsys):
         code, _, err = run_cli(

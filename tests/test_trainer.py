@@ -328,22 +328,26 @@ class TestSharedSuffixes:
         assert ev.work["neurons"] == 256
         assert 0 < ev.work["steps"] < ev.work["gates"] / 2
 
-    def test_one_neuron_stores_no_effects(self):
+    def test_one_neuron_walks_each_gate_once(self):
         cfg = base_config(small_dataset(), model([1, -1, 1, 1]), noise=NoiseModel(flip_p=0.05))
         ev = Evaluator(cfg)
         ev.model_accuracy(cfg.initial)
-        assert ev._effects == {} and ev._effect_bytes == 0
         assert ev.work["steps"] == ev.work["gates"] > 0
+        # its suffixes are stored, so a repeat walk applies no step
+        parts = ev._parts(cfg.initial.neurons[0])
+        [(_, eff)] = ev._walk([parts])
+        assert ev.work["steps"] == ev.work["gates"]
+        assert eff is ev._effects[tuple(i for i, _, _ in parts)]
 
     NOISE = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.02, readout=((0, 0.03, 0.08), (3, 0.06, 0.02)))
 
     def _evaluator(self, **kw) -> Evaluator:
         cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE, **kw)
         ev = Evaluator(cfg)
-        ev.neuron_outputs(cfg.initial.neurons[0])  # the first neuron stores none
+        ev.neuron_outputs(cfg.initial.neurons[0])
         return ev
 
-    def test_returned_effect_mutated_leaves_the_stored_one(self):
+    def test_returned_effect_is_read_only(self):
         ev = self._evaluator()
         w = weights_from_code(0b10010110, 8)
         plan = ev.plan(w)
@@ -352,12 +356,14 @@ class TestSharedSuffixes:
         steps = ev.work["steps"]
         for _ in range(3):
             [(_, eff)] = ev._walk([parts])
-            assert np.array_equal(eff, want)
-            eff *= 2.0
-            eff[(0,) * plan.n] = 7.0
-        # the first pass walked every gate, the next two hit the whole neuron
-        assert ev.work["steps"] - steps == len(plan.gates)
-        assert ev._effects[tuple(i for i, _, _ in parts)].shape == (4,) * plan.n
+            assert np.array_equal(eff, want) and eff.flags.c_contiguous
+            with pytest.raises(ValueError):
+                eff *= 2.0
+            with pytest.raises(ValueError):
+                eff[(0,) * plan.n] = 7.0
+        # the first pass walked the segments the store lacked, the next two hit the whole neuron
+        assert 0 < ev.work["steps"] - steps < len(plan.gates)
+        assert np.array_equal(ev._effects[tuple(i for i, _, _ in parts)], want)
 
     def test_byte_cap_stores_no_more_and_keeps_rows(self, monkeypatch):
         effect_bytes = 8 * 4**4  # the Pauli coefficients of an effect at width 4
@@ -422,7 +428,7 @@ class TestBatchedRows:
         ws = [weights_from_code(c, n) for c in batch]
         ev, one_by_one = Evaluator(cfg), Evaluator(cfg)
         for other in (ev, one_by_one):
-            other.neuron_outputs(weights_from_code(before[0], n))  # the first batch stores none
+            other.neuron_outputs(weights_from_code(before[0], n))
             other.neuron_rows([weights_from_code(c, n) for c in before[1:]])
         rows = ev.neuron_rows(ws)
         fresh = np.array([Evaluator(cfg).neuron_outputs(w) for w in ws])
@@ -562,11 +568,15 @@ class TestSweep:
         sweep([0.0, 0.02], base_config(small_dataset(), model([1, 1, 1, 1]), noise=nm, max_iters=3))
         assert seen == [replace(nm, flip_p=r, phase_p=r) for r in (0.0, 0.02)]
 
-    def test_rate_validation(self):
-        ds = small_dataset()
-        cfg = base_config(ds, model([1, 1, 1, 1]))
-        with pytest.raises(ValueError):
-            sweep([1.5], cfg)
+    def test_rate_validation(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(trainer, "train", lambda cfg, log_stream=None: trained.append(cfg))
+        cfg = base_config(small_dataset(), model([1, 1, 1, 1]))
+        for rates in ([1.5], [0.01, 0.02, 2.0]):
+            with pytest.raises(ValueError):
+                sweep(rates, cfg)
+        # every rate is checked before any is trained
+        assert trained == []
 
     def test_serialization(self):
         ds = small_dataset()
