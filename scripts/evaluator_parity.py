@@ -5,11 +5,10 @@ evaluator's rows for all 256 8-entry weights on the bundled dataset (chain:4),
 and one per search strategy of a 2-neuron `train` run (exhaustive, skipped on
 trajectories, and 400-proposal hill climbing and random search): its log
 (iteration, weights, accuracy), best model, best and baseline accuracy,
-`evaluations`, `cache_hits` and `work` without `steps`, `walks` and
-`compiled` (which count shared work). Those three are printed beside the
-digest, outside it, so a change meant to keep shared work as it was shows
-when it moves it. One
-more digest covers the rows of 64 seeded 16-entry weights on a synthetic
+`evaluations`, `cache_hits` and `work` without `steps` and `walks` (which
+count shared work). Those two are printed beside the digest, outside it, so a
+change meant to keep shared work as it was shows when it moves it. One more
+digest covers the rows of 64 seeded 16-entry weights on a synthetic
 dataset (linear_chain(6)).
 Run it on two trees and diff the output:
 
@@ -59,7 +58,7 @@ CONFIGS = [
 # (strategy, max_iters): the exhaustive run covers the 2^16-model space and the baseline
 STRATEGIES = [("exhaustive", 2**16 + 1), ("hill_climb", 400), ("random_search", 400)]
 # work counters of shared work, printed outside the train digests
-SHARED = ("steps", "walks", "compiled")
+SHARED = ("steps", "walks")
 
 
 def digest(obj) -> str:

@@ -168,33 +168,33 @@ def decompose_cnz(g: Gate, aux_base: int, available_aux: int | None = None) -> l
     return forward + [apex] + forward[::-1]
 
 
-def decompose_ccx(g: Gate) -> list[Gate]:
-    """Standard Clifford+T Toffoli network: 6 CX (tagged g1..g6) plus dressing.
+# The Clifford+T Toffoli network on (a, b, t), a and b the controls and t the
+# target: per gate its kind, the positions of its qubits in (a, b, t), and its
+# tag. Rows 0-10 couple t to each control (g1-g4); g5 and g6 couple a and b.
+CCX_NETWORK: tuple[tuple[GateKind, tuple[int, ...], str | None], ...] = (
+    (GateKind.H, (2,), None),
+    (GateKind.CX, (1, 2), "g1"),
+    (GateKind.TDG, (2,), None),
+    (GateKind.CX, (0, 2), "g2"),
+    (GateKind.T, (2,), None),
+    (GateKind.CX, (1, 2), "g3"),
+    (GateKind.TDG, (2,), None),
+    (GateKind.CX, (0, 2), "g4"),
+    (GateKind.T, (1,), None),
+    (GateKind.T, (2,), None),
+    (GateKind.H, (2,), None),
+    (GateKind.CX, (0, 1), "g5"),
+    (GateKind.T, (0,), None),
+    (GateKind.TDG, (1,), None),
+    (GateKind.CX, (0, 1), "g6"),
+)
 
-    g1-g4 alternate between the (second control, target) and (first control,
-    target) pairs; g5 and g6 couple the two controls.
-    """
+
+def decompose_ccx(g: Gate) -> list[Gate]:
+    """The Toffoli network `CCX_NETWORK` on the gate's qubits."""
     if g.kind is not GateKind.CCX:
         raise ValueError("decompose_ccx expects a ccx gate")
-    a, b, t = g.qubits
-    K = GateKind
-    return [
-        Gate(K.H, (t,)),
-        Gate(K.CX, (b, t), "g1"),
-        Gate(K.TDG, (t,)),
-        Gate(K.CX, (a, t), "g2"),
-        Gate(K.T, (t,)),
-        Gate(K.CX, (b, t), "g3"),
-        Gate(K.TDG, (t,)),
-        Gate(K.CX, (a, t), "g4"),
-        Gate(K.T, (b,)),
-        Gate(K.T, (t,)),
-        Gate(K.H, (t,)),
-        Gate(K.CX, (a, b), "g5"),
-        Gate(K.T, (a,)),
-        Gate(K.TDG, (b,)),
-        Gate(K.CX, (a, b), "g6"),
-    ]
+    return [Gate(kind, tuple(g.qubits[i] for i in pos), tag) for kind, pos, tag in CCX_NETWORK]
 
 
 def decompose_swap(g: Gate) -> list[Gate]:

@@ -2,13 +2,13 @@
 
 The weight-block router places the computing and auxiliary register
 interleaved along a chain of physical qubits and routes every block in two
-phases. Forward phase, per ladder CCX: g1-g4 of the Toffoli network run on
-existing couplings, one SWAP just before g5 brings the two controls adjacent.
-Backward phase, per uncompute CCX: one SWAP before g1 restores the triple to
-its resting slots, then g5 and g6 run across the middle qubit as a single
-bridge detour, legal because that qubit is back in |0> by then. Every block
-therefore ends with the mapping it started with, so error locations are
-independent of which blocks a weight vector produces.
+phases. Forward phase, per ladder CCX: g1-g4 of the Toffoli network
+(`ir.CCX_NETWORK`) run on existing couplings, one SWAP just before g5 brings
+the two controls adjacent. Backward phase, per uncompute CCX: one SWAP before
+g1 restores the triple to its resting slots, then g5 and g6 run across the
+middle qubit as a single bridge detour, legal because that qubit is back in
+|0> by then. Every block therefore ends with the mapping it started with, so
+error locations are independent of which blocks a weight vector produces.
 
 The greedy baseline (`naive_route`) swaps along shortest paths with no
 restoration guarantee and is only here for comparison.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .ir import Circuit, Gate, GateKind, decompose_cnz
+from .ir import CCX_NETWORK, Circuit, Gate, GateKind, decompose_cnz
 from .topology import CouplingGraph, Mapping, NoChainFound, find_chain
 
 
@@ -137,20 +137,10 @@ class _Router:
         self.gates.append(Gate(GateKind.SWAP, (pa, pb)))
         self.mapping = self.mapping.with_swap(pa, pb)
 
-    def _dressed_g1_to_g4(self, a: int, b: int, t: int):
-        """First 11 gates of the Toffoli network; needs t between the controls."""
-        K = GateKind
-        self.emit(K.H, t)
-        self.emit(K.CX, b, t, tag="g1")
-        self.emit(K.TDG, t)
-        self.emit(K.CX, a, t, tag="g2")
-        self.emit(K.T, t)
-        self.emit(K.CX, b, t, tag="g3")
-        self.emit(K.TDG, t)
-        self.emit(K.CX, a, t, tag="g4")
-        self.emit(K.T, b)
-        self.emit(K.T, t)
-        self.emit(K.H, t)
+    def emit_network(self, rows, a: int, b: int, t: int):
+        """Rows of `CCX_NETWORK` on the physical qubits of (a, b, t)."""
+        abt = (self.phys(a), self.phys(b), self.phys(t))
+        self.gates.extend(Gate(kind, tuple(abt[i] for i in pos), tag) for kind, pos, tag in rows)
 
     def route_ccx_forward(self, a: int, b: int, t: int):
         ca, cb, ct = self.pos(a), self.pos(b), self.pos(t)
@@ -159,16 +149,11 @@ class _Router:
                 f"forward CCX expects its target between the controls, got chain "
                 f"positions a={ca} b={cb} t={ct}"
             )
-        self._dressed_g1_to_g4(a, b, t)
+        self.emit_network(CCX_NETWORK[:11], a, b, t)
         # One SWAP before g5: push the target out to the higher slot, pulling
         # the far control next to the other one.
-        outer = a if self.pos(a) > self.pos(b) else b
-        self.emit_swap(t, outer)
-        K = GateKind
-        self.emit(K.CX, a, b, tag="g5")
-        self.emit(K.T, a)
-        self.emit(K.TDG, b)
-        self.emit(K.CX, a, b, tag="g6")
+        self.emit_swap(t, a if ca > cb else b)
+        self.emit_network(CCX_NETWORK[11:], a, b, t)
 
     def route_ccx_backward(self, a: int, b: int, t: int):
         ca, cb, ct = self.pos(a), self.pos(b), self.pos(t)
@@ -183,9 +168,9 @@ class _Router:
         # One SWAP before g1 undoes the forward displacement and puts the
         # target back between the controls.
         self.emit_swap(t, adj)
-        self._dressed_g1_to_g4(a, b, t)
+        self.emit_network(CCX_NETWORK[:11], a, b, t)
         # g5 and g6 both need the control pair, now at distance 2 across the
-        # target, which is back in |0> after the dressed block above. A full
+        # target, which is back in |0> after rows 0-10 of the network. A full
         # 3-CX bridge per gate would repeat CX(control, middle) twice in a
         # row; with that pair cancelled, one detour of four CX realizes
         # g5, T, Tdg, g6 exactly and returns the middle qubit to |0>.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Gate, GateKind
+from .ir import Gate, GateKind, decompose_bridge3, decompose_swap
 
 FLIP_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.CCX})
 PHASE_KINDS = frozenset({GateKind.Z, GateKind.CZ})
@@ -91,15 +91,10 @@ class BoundNoise:
         return sum(len(e) for e in self.events)
 
 
-def _constituent_cx(g: Gate) -> list[tuple[int, int]]:
-    """CX realizations of composite gates, for per-CX error accounting."""
-    if g.kind is GateKind.SWAP:
-        a, b = g.qubits
-        return [(a, b), (b, a), (a, b)]
-    if g.kind is GateKind.BRIDGE3:
-        c, m, t = g.qubits
-        return [(c, m), (m, t), (c, m)]
-    raise ValueError(g.kind)
+def _constituent_cx(g: Gate) -> list[tuple[int, ...]]:
+    """The CX of a SWAP or bridge composite, for per-CX error accounting."""
+    decompose = decompose_swap if g.kind is GateKind.SWAP else decompose_bridge3
+    return [cx.qubits for cx in decompose(g)]
 
 
 def _gate_events(noise: NoiseModel, g: Gate) -> tuple[Event, ...]:

@@ -193,6 +193,8 @@ class Dataset:
 
     @property
     def dim(self) -> int:
+        if not self.samples:
+            raise ValueError("dataset has no samples")
         return len(self.samples[0][0])
 
     def inputs(self) -> np.ndarray:
@@ -338,7 +340,8 @@ def neuron_outputs(
     """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
     for every input row of `xs`: shape (samples,).
 
-    The one evaluation path of qnz: the noise is bound (not for the ideal
+    The path of `accuracy`, `qnz infer` and `bench` (the trainer scores
+    through `trainer.Evaluator`): the noise is bound (not for the ideal
     backend), the dense run planned once, and every input scored (`score_run`).
     `work`, when given, counts the neuron, its routed gates and its bound
     events (keys "neurons", "gates", "events").

@@ -2,15 +2,15 @@
 
 A proposal's neurons are built as circuits, routed with the fixed-mapping
 compiler, bound to the noise model and evaluated on the chosen backend.
-The compiler restores the canonical mapping after every block, so a block's
-routed gates and bound noise do not depend on its neighbours: the evaluator
-compiles, binds and plans a neuron only when it brings a block the run has
-not seen, assembles every other neuron from the blocks it already holds, and
-pulls the effect of each common suffix of blocks back once, for a whole batch
-of neurons at a time when the exhaustive strategy scans. Results are cached
-by weight vector, and the baseline model is always the first incumbent, so
-the reported best can never fall below it. The search log is kept as columns
-of weight codes and accuracies and read back as entries on demand.
+The compiler restores the canonical mapping after every block, so every
+routed block is the same body between layers of single-qubit X gates: the
+evaluator compiles, binds and plans one probe neuron per run, assembles every
+neuron from the probe's routed gates, and pulls the effect of each common
+suffix of blocks back once, for a whole batch of neurons at a time when the
+exhaustive strategy scans. Results are cached by weight vector, and the
+baseline model is always the first incumbent, so the reported best can never
+fall below it. The search log is kept as columns of weight codes and
+accuracies and read back as entries on demand.
 
 Search strategies stand in for a learned controller behind one interface:
 exhaustive enumeration (the oracle for small spaces), first-improvement hill
@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mapper import compile
+from .ir import Gate
+from .mapper import MappingNotCanonical, compile
 from .noise import NoiseModel, bind
 from .qnn import (
     BACKENDS,
@@ -122,8 +123,7 @@ class TrainResult:
     cache_hits: int
     # routed neurons evaluated, their gates, their bound events, the gate
     # steps the evaluator applied (gates minus those of stored suffixes it
-    # reused), its pull_back calls (`Evaluator._walk`), and the neurons it
-    # compiled (the others were assembled from blocks)
+    # reused), and its pull_back calls (`Evaluator._walk`)
     work: dict[str, int]
     columns: LogColumns = field(repr=False, compare=False)
 
@@ -153,14 +153,15 @@ class Evaluator:
     """Caches per-neuron sample outputs by weight vector, with one table of
     routed segments and one store of pulled-back suffix effects per run.
 
-    A segment is one block of a neuron circuit (or its H-layer tail). The
-    table maps each logical segment to its routed gates and bound events on
-    dense axes and an id. A neuron that brings a segment the table lacks is
-    compiled, bound and planned whole, and its plan is sliced at the routed
-    block boundaries into the table; every other neuron is assembled from the
-    table without compiling. The exact backends pull the all-zeros effect
-    back one segment at a time, last first, and keep the effect of each
-    suffix of segment ids, so neurons that end in the same segments pull
+    The run compiles, binds and plans one probe neuron, entry 0 flipped, and
+    slices its plan into one piece per logical gate: one routed gate per X
+    and H, the whole routed body for the C^(k-1)Z block (MappingNotCanonical
+    if that block does not restore the mapping). A segment is one block of a
+    neuron circuit (or its H-layer tail); the table maps each logical segment
+    to an id and its routed gates and bound events on dense axes, put
+    together from its gates' pieces. The exact backends pull the all-zeros
+    effect back one segment at a time, last first, and keep the effect of
+    each suffix of segment ids, so neurons that end in the same segments pull
     that suffix back once; `neuron_rows` walks a batch of neurons together
     (see `_walk`) and `neuron_outputs` is a batch of one. The trajectory
     backend scores one neuron at a time.
@@ -172,17 +173,32 @@ class Evaluator:
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
-        c = neuron_circuit(cfg.initial.neurons[0])
-        self.graph = cfg.graph if cfg.graph is not None else linear_chain(c.width)
+        n = cfg.initial.input_length
+        # entry 0 flipped: X on every computing qubit, the one block, X again, the H tail
+        probe = neuron_circuit(weights_from_code(1 << (n - 1), n))
+        self.graph = cfg.graph if cfg.graph is not None else linear_chain(probe.width)
         self.xs = cfg.dataset.inputs()
         self.labels = cfg.dataset.labels()
         self._outputs: dict[tuple[int, ...], np.ndarray] = {}
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
-        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "walks": 0, "compiled": 0}
+        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "walks": 0}
+        mapped = self._timed("map", lambda: compile(probe, self.graph))
+        if mapped.block_mappings != (mapped.initial_mapping,):
+            raise MappingNotCanonical("the routed block does not restore the initial mapping")
+        bound = None if cfg.backend == "ideal" else self._timed("bind", lambda: bind(cfg.noise, mapped))
+        # the probe's plan; its frame (width, axes, readout) serves every assembled one
+        self._frame = plan = plan_mapped_run(mapped, bound)
+        events = ((),) * len(plan.gates) if plan.bound is None else plan.bound.events
+        # logical gate -> (dense routed gates, their dense events): one gate per
+        # X and H, the whole routed body for the block (the probe's gate k)
+        self._pieces: dict[Gate, tuple[tuple, tuple]] = {}
+        body, lo = len(plan.gates) - len(probe.gates) + 1, 0
+        for i, g in enumerate(probe.gates):
+            hi = lo + (body if i == probe.num_computing else 1)
+            self._pieces[g] = (plan.gates[lo:hi], events[lo:hi])
+            lo = hi
         # logical segment gates -> (id, dense routed gates, their dense events)
         self._segments: dict[tuple, tuple[int, tuple, tuple]] = {}
-        # the last compiled plan; its frame (width, axes, readout) serves every assembled one
-        self._frame: MappedPlan | None = None
         # suffix of segment ids -> its pulled-back effect, and their bytes
         self._effects: dict[tuple[int, ...], np.ndarray] = {}
         self._effect_bytes = 0
@@ -194,22 +210,15 @@ class Evaluator:
         return out
 
     def _parts(self, w: tuple[int, ...]) -> list[tuple[int, tuple, tuple]]:
-        """Neuron `w`'s segment table entries in gate order, compiling it
-        first if it brings a segment the table lacks."""
+        """Neuron `w`'s segment table entries in gate order; a segment the
+        table lacks is put together from the pieces of its gates."""
         circ = self._timed("circ", lambda: neuron_circuit(w))
-        logical = [circ.gates[lo:hi] for lo, hi in _spans(circ.block_boundaries, len(circ.gates))]
-        if not all(seg in self._segments for seg in logical):
-            cfg = self.cfg
-            mapped = self._timed("map", lambda: compile(circ, self.graph))
-            bound = None if cfg.backend == "ideal" else self._timed("bind", lambda: bind(cfg.noise, mapped))
-            plan = plan_mapped_run(mapped, bound)
-            events = ((),) * len(plan.gates) if plan.bound is None else plan.bound.events
-            spans = _spans(mapped.block_boundaries, len(mapped.physical_gates))
-            for seg, (lo, hi) in zip(logical, spans):
-                self._segments.setdefault(seg, (len(self._segments), plan.gates[lo:hi], events[lo:hi]))
-            self._frame = plan
-            self.work["compiled"] += 1
-        return [self._segments[seg] for seg in logical]
+        segs = [circ.gates[lo:hi] for lo, hi in _spans(circ.block_boundaries, len(circ.gates))]
+        for seg in segs:
+            if seg not in self._segments:
+                gates, events = zip(*(self._pieces[g] for g in seg))
+                self._segments[seg] = (len(self._segments), sum(gates, ()), sum(events, ()))
+        return [self._segments[seg] for seg in segs]
 
     def _assemble(self, parts) -> MappedPlan:
         frame = self._frame

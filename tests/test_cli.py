@@ -262,7 +262,7 @@ class TestTrainAndSweep:
         assert code == 0
         res = report["result"]
         assert res["best_accuracy"] >= res["baseline_accuracy"]
-        assert set(res["work"]) == {"neurons", "gates", "events", "steps", "walks", "compiled"}
+        assert set(res["work"]) == {"neurons", "gates", "events", "steps", "walks"}
         events = [json.loads(line) for line in err.strip().splitlines()]
         assert events[0]["iter"] == 0
         assert {"iter", "weights", "accuracy", "elapsed_ms"} <= events[0].keys()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qnz.ir import Circuit, Gate, GateKind, decompose_cnz, gate
+from qnz.ir import Circuit, Gate, GateKind, decompose_ccx, decompose_cnz, gate
 from qnz.mapper import (
     MappingNotCanonical,
     check_legal,
@@ -90,6 +90,23 @@ class TestRouteCnzBlock:
         block = decompose_cnz(gate(K.CNZ, 0, 1, 2, 3), aux_base=4)
         with pytest.raises(MappingNotCanonical):
             route_cnz_block(block, mapping, chain)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_forward_ccx_is_the_network_with_one_swap_before_g5(self, n):
+        chain = [7, 3, 9, 2, 5, 8, 0, 1][: 2 * n]
+        mapping = initial_interleaved_mapping(n, chain)
+        block = decompose_cnz(gate(K.CNZ, *range(n + 1)), aux_base=n + 1)
+        frag = route_cnz_block(block, mapping, chain)
+        at = 0
+        for ccx, (index, pa, pb) in zip(block[: n - 1], frag.swap_events):
+            before = Gate(K.CCX, tuple(mapping.physical_of(q) for q in ccx.qubits))
+            mapping = mapping.with_swap(pa, pb)
+            after = Gate(K.CCX, tuple(mapping.physical_of(q) for q in ccx.qubits))
+            assert index == at + 11
+            assert frag.gates[at : at + 16] == (
+                *decompose_ccx(before)[:11], Gate(K.SWAP, (pa, pb)), *decompose_ccx(after)[11:]
+            )
+            at += 16
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_restoration_for_all_sizes(self, n):

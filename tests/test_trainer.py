@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnz import trainer
+from qnz.mapper import MappingNotCanonical
 from qnz.noise import NoiseModel, bind, parse_noise_shorthand
 from qnz.qnn import (
     Dataset,
@@ -468,17 +469,10 @@ class TestBatchedRows:
         assert len(ev._effects) == 3 and ev._effect_bytes == 3 * effect_bytes
 
 
-def _segments(w) -> set:
-    """The logical segments of neuron `w`: its blocks and its H-layer tail."""
-    circ = neuron_circuit(w)
-    bounds = circ.block_boundaries
-    tail = bounds[-1][1] if bounds else 0
-    return {circ.gates[lo:hi] for lo, hi in [*bounds, (tail, len(circ.gates))]}
-
-
 class TestSegmentTable:
-    """The evaluator compiles a neuron only when it brings a segment its table
-    lacks and assembles the others; an assembled plan is the whole-circuit plan."""
+    """The evaluator compiles one probe neuron per run and assembles every
+    neuron from the probe's routed pieces; an assembled plan is the
+    whole-circuit plan."""
 
     NOISE = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((None, 0.02, 0.04),))
 
@@ -494,6 +488,9 @@ class TestSegmentTable:
         n=st.sampled_from([2, 4, 8, 16]), on_grid=st.booleans(),
         fracs=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=5),
     )
+    # 32 entries: width 8, one probe piece per computing qubit and up to 16 blocks
+    @example(n=32, on_grid=False, fracs=[0.3, 0.61])
+    @example(n=32, on_grid=True, fracs=[0.45, 0.9])
     def test_assembled_run_equals_whole_compile(self, n, on_grid, fracs):
         codes = [int(f * 2**n) for f in fracs]
         width = neuron_circuit((1,) * n).width
@@ -514,7 +511,10 @@ class TestSegmentTable:
                 fresh = neuron_outputs(w, mapped, ds.inputs(), backend, self.NOISE, shots, cfg.seed)
                 assert np.array_equal(ev.neuron_outputs(w), fresh)
 
-    def test_compiles_only_neurons_that_bring_a_new_segment(self, monkeypatch):
+    @pytest.mark.parametrize("backend, shots, codes", [
+        ("density", 0, range(256)), ("trajectories", 16, (0, 1, 90, 255)),
+    ], ids=["density", "trajectories"])
+    def test_compiles_once_per_run(self, monkeypatch, backend, shots, codes):
         compiled = []
 
         def counted(circ, graph):
@@ -523,17 +523,28 @@ class TestSegmentTable:
 
         compile_ = trainer.compile
         monkeypatch.setattr(trainer, "compile", counted)
-        cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE)
+        cfg = base_config(
+            load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE,
+            backend=backend, shots=shots,
+        )
         ev = Evaluator(cfg)
-        seen, want = set(), 0
-        for c in range(256):
-            w = weights_from_code(c, 8)
-            ev.neuron_outputs(w)
-            want += not _segments(w) <= seen
-            seen |= _segments(w)
-        assert ev.work["compiled"] == len(compiled) == want < 256
-        assert ev.work["neurons"] == 256
+        for c in codes:
+            ev.neuron_outputs(weights_from_code(c, 8))
+        assert len(compiled) == 1
+        assert ev.work["neurons"] == len(codes)
+        assert "compiled" not in ev.work
         assert ev.phase_seconds["map"] > 0.0
+
+    def test_rejects_a_block_that_moves_the_mapping(self, monkeypatch):
+        def moved(circ, graph):
+            mapped = compile_(circ, graph)
+            m = mapped.initial_mapping
+            return replace(mapped, block_mappings=(m.with_swap(*m.physical[:2]),))
+
+        compile_ = trainer.compile
+        monkeypatch.setattr(trainer, "compile", moved)
+        with pytest.raises(MappingNotCanonical):
+            Evaluator(base_config(small_dataset(), model([1] * 4)))
 
 
 class TestSweep:
