@@ -2,14 +2,17 @@
 
 For each noise configuration it prints one SHA-256 digest of the trainer
 evaluator's rows for all 256 8-entry weights on the bundled dataset (chain:4),
-and one per search strategy of a 2-neuron `train` run (exhaustive, skipped on
+scored one neuron at a time, and one of the same rows scored as one batch
+(`neuron_rows`, as the exhaustive strategy asks for them). It prints one more
+per search strategy of a 2-neuron `train` run (exhaustive, skipped on
 trajectories, and 400-proposal hill climbing and random search): its log
 (iteration, weights, accuracy), best model, best and baseline accuracy,
-`evaluations`, `cache_hits` and `work` without `steps` and `walks` (which
-count shared work). Those two are printed beside the digest, outside it, so a
-change meant to keep shared work as it was shows when it moves it. One more
-digest covers the rows of 64 seeded 16-entry weights on a synthetic
-dataset (linear_chain(6)).
+`evaluations`, `cache_hits` and `work` without `steps` and `walks`. Those
+two count the exact engine's passes and gate steps, which depend on how the
+evaluator splits and shares work, so they are printed beside the digest,
+outside it: a change meant to keep that work as it was shows when it moves
+it. One more digest covers the rows of 64 seeded 16-entry weights on a
+synthetic dataset (linear_chain(6)), scored one at a time.
 Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 scripts/evaluator_parity.py > a.txt
@@ -20,7 +23,8 @@ A change that moves row bits by design (new arithmetic) is compared with a
 tolerance instead: `--dump FILE` saves every row array and the accuracy of
 every log entry, and `--against FILE` adds, per row array, the max |delta|
 against such a dump, and per train log the number of entries whose
-accuracy differs:
+accuracy differs, then one line per such entry (iteration, weight codes,
+accuracy in the dump and here):
 
     PYTHONPATH=/other/tree/src python3 scripts/evaluator_parity.py --dump base.npz
     PYTHONPATH=src python3 scripts/evaluator_parity.py --against base.npz
@@ -39,6 +43,7 @@ from qnz.qnn import (
     Model,
     best_exhaustive_accuracy,
     bundled_dataset_path,
+    code_from_weights,
     load_dataset,
     make_synthetic_dataset,
     weights_from_code,
@@ -57,7 +62,8 @@ CONFIGS = [
 ]
 # (strategy, max_iters): the exhaustive run covers the 2^16-model space and the baseline
 STRATEGIES = [("exhaustive", 2**16 + 1), ("hill_climb", 400), ("random_search", 400)]
-# work counters of shared work, printed outside the train digests
+# work counters of the exact engine's passes and gate steps, which depend on
+# how the evaluator splits and shares work; printed outside the train digests
 SHARED = ("steps", "walks")
 
 
@@ -78,9 +84,10 @@ def main() -> None:
     base = dict(np.load(args.against)) if args.against else None
     kept: dict[str, np.ndarray] = {}
 
-    def report(key: str, values: np.ndarray) -> str:
-        """Keep `values` under `key`; against a dump, the max |delta| of rows
-        or the count of differing log accuracies."""
+    def report(key: str, values: np.ndarray, log=()) -> str:
+        """Keep `values` under `key`; against a dump, the max |delta| of rows,
+        or the count of differing log accuracies and a line per entry of `log`
+        whose accuracy differs."""
         kept[key] = values
         if base is None:
             return ""
@@ -88,7 +95,12 @@ def main() -> None:
             return f" max|d| {np.max(np.abs(values - base[key])):.3g}"
         if values.shape != base[key].shape:
             return f" length {len(values)} against {len(base[key])}"
-        return f" moved {int(np.count_nonzero(values != base[key]))}/{len(values)}"
+        moved = np.flatnonzero(values != base[key])
+        return f" moved {len(moved)}/{len(values)}" + "".join(
+            f"\n  moved entry {i} codes {tuple(map(code_from_weights, log[i].weights))}"
+            f" {float(base[key][i])} -> {float(values[i])}"
+            for i in moved
+        )
 
     dataset = load_dataset(bundled_dataset_path())
     _, baseline = best_exhaustive_accuracy(dataset)
@@ -100,6 +112,9 @@ def main() -> None:
         ev = Evaluator(cfg)
         rows = np.array([ev.neuron_outputs(weights_from_code(c, 8)) for c in range(256)])
         print(f"{label} {backend} rows {digest(rows)}" + report(f"{label} {backend} rows", rows))
+        rows = Evaluator(cfg).neuron_rows([weights_from_code(c, 8) for c in range(256)])
+        key = f"{label} {backend} batch rows"
+        print(f"{key} {digest(rows)}" + report(key, rows))
         for strategy, max_iters in STRATEGIES:
             if strategy == "exhaustive" and backend == "trajectories":
                 continue
@@ -113,7 +128,9 @@ def main() -> None:
                 "cache_hits": result.cache_hits,
                 "work": {k: v for k, v in result.work.items() if k not in SHARED},
             }
-            moved = report(f"{label} {backend} {strategy} log", np.array([e.accuracy for e in result.log]))
+            moved = report(
+                f"{label} {backend} {strategy} log", np.array([e.accuracy for e in result.log]), result.log,
+            )
             print(
                 f"{label} {backend} {strategy} train {digest(run)} "
                 f"best {result.best_accuracy} work {run['work']} "

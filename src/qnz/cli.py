@@ -258,6 +258,8 @@ def cmd_train(args) -> dict:
     t0 = time.perf_counter()
     result = train(cfg, log_stream=_log_stream if args.log else None)
     train_ms = (time.perf_counter() - t0) * 1e3
+    if args.log:  # the stream ends with where the run's time and work went
+        print(json.dumps({"work": result.work, "phase_seconds": result.phase_seconds}), file=sys.stderr)
     payload = {
         "best_weights": [list(w) for w in result.best.neurons],
         "best_accuracy": result.best_accuracy,
@@ -407,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--log",
         action="store_true",
-        help="stream evaluation events to stderr (exhaustive search: once per block of 2^N)",
+        help="stream evaluation events to stderr (exhaustive search: once per block of 2^N), "
+        "then one line of work counters and phase seconds",
     )
     p.set_defaults(fn=cmd_train)
 

@@ -48,48 +48,44 @@ def code_from_weights(w) -> int:
     return sum(1 << (n - 1 - i) for i, v in enumerate(w) if v == -1)
 
 
+def flip_list(w) -> tuple[int, ...]:
+    """The entries `circ_of_weights` flips, in order: the -1 entries, or the
+    +1 entries if more than half are -1 (the output ignores the global sign)."""
+    flips = tuple(i for i, v in enumerate(w) if v == -1)
+    return flips if len(flips) <= len(w) // 2 else tuple(i for i, v in enumerate(w) if v == 1)
+
+
+def x_layer(a: int | None, b: int | None, k: int) -> list[int]:
+    """Qubits of the merged X layer between the blocks of flipped entries a
+    and b (None: no block), in gate order. Each block is wrapped in X on the
+    qubits where its index bit is 0, and adjacent X X cancels."""
+    def wrapper(i):
+        return set() if i is None else {q for q in range(k) if not (i >> (k - 1 - q)) & 1}
+
+    return sorted(wrapper(a) ^ wrapper(b))
+
+
 def circ_of_weights(w) -> Circuit:
     """Sign-flip circuit realizing diag(w) up to global sign.
 
-    If more than half the entries are -1 the whole vector is negated first,
-    bounding the block count at N/2; the neuron output is invariant under
-    that global sign. Each block flips one amplitude: X on the qubits where
-    the index bit is 0, around one C^(k-1)Z on all k qubits. X wrappers of
-    consecutive blocks are merged (adjacent X X cancels).
+    One block per entry of `flip_list(w)`, which bounds the block count at
+    N/2: it flips one amplitude, X on the qubits where the index bit is 0
+    around one C^(k-1)Z on all k qubits, with the X wrappers of consecutive
+    blocks merged (`x_layer`). The last block also holds the trailing X layer.
     """
     w = check_weights(w)
-    n = len(w)
-    k = n.bit_length() - 1
-    flips = [i for i, v in enumerate(w) if v == -1]
-    if len(flips) > n // 2:
-        flips = [i for i, v in enumerate(w) if v == 1]
-    num_aux = max(k - 2, 0)
-    if not flips:
-        return Circuit(k, num_aux, (), block_boundaries=())
-
-    def wrapper(i: int) -> set[int]:
-        return {q for q in range(k) if not (i >> (k - 1 - q)) & 1}
-
+    k = len(w).bit_length() - 1
+    flips = flip_list(w)
     gates: list[Gate] = []
     boundaries: list[tuple[int, int]] = []
-    start = 0
-    prev: set[int] = set()
-    for j, i in enumerate(flips):
-        for q in sorted(wrapper(i) ^ prev):
-            gates.append(Gate(GateKind.X, (q,)))
-        if k == 1:
-            gates.append(Gate(GateKind.Z, (0,)))
-        else:
-            gates.append(Gate(GateKind.CNZ, tuple(range(k))))
-        prev = wrapper(i)
-        end = len(gates)
-        if j == len(flips) - 1:
-            for q in sorted(prev):
-                gates.append(Gate(GateKind.X, (q,)))
-            end = len(gates)
-        boundaries.append((start, end))
-        start = end
-    return Circuit(k, num_aux, tuple(gates), block_boundaries=tuple(boundaries))
+    for a, i, b in zip((None,) + flips, flips, flips[1:] + (None,)):
+        start = len(gates)
+        gates += [Gate(GateKind.X, (q,)) for q in x_layer(a, i, k)]
+        gates.append(Gate(GateKind.Z, (0,)) if k == 1 else Gate(GateKind.CNZ, tuple(range(k))))
+        if b is None:
+            gates += [Gate(GateKind.X, (q,)) for q in x_layer(i, None, k)]
+        boundaries.append((start, len(gates)))
+    return Circuit(k, max(k - 2, 0), tuple(gates), block_boundaries=tuple(boundaries))
 
 
 def neuron_circuit(w) -> Circuit:
@@ -418,6 +414,8 @@ def parse_dataset(text: str, seed: int = 0) -> Dataset:
         samples.append((x, int(parts[dim])))
     if dim is None:
         raise ValueError("missing 'dim' header")
+    if not samples:
+        raise ValueError(f"dataset declares dim {dim} but has no samples")
     return Dataset(tuple(samples), seed)
 
 

@@ -12,8 +12,9 @@ step local to its axes (`_gate_step`): Clifford kinds permute strings up to
 sign, T and TDG rotate the X and Y slices of their axis into each other by
 pi/4, and Pauli channels scale slices. The adjoint pass (`zero_effect`) pulls
 the readout-folded all-zeros projector, diag(1 - p01, p10) on each measured
-qubit, back through them (E -> U^dagger E U); `DensityProgram` pushes each
-input's rho forward (rho -> U rho U^dagger, the transposed transfer).
+qubit, back through them (E -> U^dagger E U, `pull_back`); `push_forward`
+pushes each input's rho forward (rho -> U rho U^dagger, the transposed
+transfer), for `DensityProgram` and the trainer's prefix tables.
 
 Trajectories evolve a batch of shots one shot per trailing-axis row of a
 state, and draw each block of TRAJ_BLOCK shots from its own counter-based
@@ -356,6 +357,27 @@ def pull_back(coeffs: np.ndarray, gates, events) -> np.ndarray:
     return c
 
 
+def push_forward(coeffs: np.ndarray, gates, events) -> np.ndarray:
+    """rho's coefficients `coeffs` (plus trailing batch axes) pushed forward
+    through `gates`, each gate's `events` after it, rho -> U rho U^dagger
+    (`_gate_step`); may work in place."""
+    c = np.ascontiguousarray(coeffs)
+    for g, evs in zip(gates, events):
+        c = _gate_step(c, g.kind, g.qubits, forward=True)
+        for event in evs:
+            _scale_event(c, event)
+    return c
+
+
+def density_coeffs(inits, n: int) -> np.ndarray:
+    """Pauli coefficients r_P = Tr(P rho) / 2^n of rho = |psi><psi| for each
+    state row psi of `inits`: [4]*n axes plus a trailing axis of inputs."""
+    col = np.asarray(inits, dtype=complex).reshape(-1, 1 << n).T
+    batch = col.shape[1]
+    rho = col.reshape((2, 1) * n + (batch,)) * col.conj().reshape((1, 2) * n + (batch,))
+    return np.ascontiguousarray(_per_axis([_TO_PAULI] * n, rho.reshape((4,) * n + (batch,))).real)
+
+
 def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None) -> np.ndarray:
     """Pauli coefficients ([4]*n) of the effect E with Tr(E rho) = P(read
     0...0 on `measured`) after the noisy gates act on rho: the readout-folded
@@ -373,9 +395,9 @@ class DensityProgram:
     """Prepared exact-evolution plan for one (gates, bound noise) pair.
 
     Each input's rho = |psi><psi| is held as its real Pauli coefficients,
-    r_P = Tr(P rho) / 2^n, on [4]*n axes plus a trailing axis of inputs, and
-    pushed forward gate by gate through the adjoint pass's steps
-    (`_gate_step`), each gate's events after it.
+    r_P = Tr(P rho) / 2^n, on [4]*n axes plus a trailing axis of inputs
+    (`density_coeffs`), and pushed forward gate by gate through the adjoint
+    pass's steps (`push_forward`), each gate's events after it.
     """
 
     def __init__(self, gates, n: int, bound: BoundNoise | None, measured=None):
@@ -392,17 +414,9 @@ class DensityProgram:
     def probabilities(self, inits) -> np.ndarray:
         """(inputs, 2^m) measured-outcome probabilities, after readout, of
         each input state row of `inits`, all evolved together."""
-        n = self.n
-        col = np.asarray(inits, dtype=complex).reshape(-1, 1 << n).T
-        batch = col.shape[1]
-        rho = col.reshape((2, 1) * n + (batch,)) * col.conj().reshape((1, 2) * n + (batch,))
-        r = np.ascontiguousarray(_per_axis([_TO_PAULI] * n, rho.reshape((4,) * n + (batch,))).real)
-        for g, events in zip(self.gates, self.events):
-            r = _gate_step(r, g.kind, g.qubits, forward=True)
-            for event in events:
-                _scale_event(r, event)
+        r = push_forward(density_coeffs(inits, self.n), self.gates, self.events)
         probs = _per_axis(self.readout, np.moveaxis(r, self.measured, range(len(self.measured))))
-        return np.maximum(probs.reshape(-1, batch).T, 0.0)
+        return np.maximum(probs.reshape(-1, r.shape[-1]).T, 0.0)
 
     def distribution(self, init: np.ndarray | None = None) -> dict[str, float]:
         psi = basis_state(self.n) if init is None else init

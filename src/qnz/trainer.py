@@ -1,16 +1,14 @@
 """Error-aware weight search: compile, bind, evaluate, keep the incumbent.
 
-A proposal's neurons are built as circuits, routed with the fixed-mapping
-compiler, bound to the noise model and evaluated on the chosen backend.
-The compiler restores the canonical mapping after every block, so every
-routed block is the same body between layers of single-qubit X gates: the
-evaluator compiles, binds and plans one probe neuron per run, assembles every
-neuron from the probe's routed gates, and pulls the effect of each common
-suffix of blocks back once, for a whole batch of neurons at a time when the
-exhaustive strategy scans. Results are cached by weight vector, and the
-baseline model is always the first incumbent, so the reported best can never
-fall below it. The search log is kept as columns of weight codes and
-accuracies and read back as entries on demand.
+A proposal's neurons are routed with the fixed-mapping compiler, bound to the
+noise model and evaluated on the chosen backend. The compiler restores the
+canonical mapping after every block, so a neuron is its flip list: the
+evaluator compiles, binds and plans one probe neuron per run and scores every
+neuron from the probe's routed pieces, on the exact backends from a memoized
+suffix half and, for a batch, prefix tables of the inputs. Rows are cached by
+flip list, and the baseline model is always the first incumbent, so the
+reported best can never fall below it. The search log is kept as columns of
+weight codes and accuracies and read back as entries on demand.
 
 Search strategies stand in for a learned controller behind one interface:
 exhaustive enumeration (the oracle for small spaces), first-improvement hill
@@ -18,6 +16,7 @@ climbing with random restarts, and uniform random search.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import time
 from dataclasses import dataclass, field, replace
@@ -37,16 +36,27 @@ from .qnn import (
     check_fits,
     code_from_weights,
     effect_outputs,
+    flip_list,
     neuron_circuit,
     scan_blocks,
     score_run,
     weights_from_code,
+    x_layer,
 )
-from .simulator import MappedPlan, derive_seed, plan_mapped_run, pull_back, readout_effect
+from .simulator import (
+    MappedPlan,
+    density_coeffs,
+    derive_seed,
+    plan_mapped_run,
+    pull_back,
+    push_forward,
+    readout_effect,
+)
 from .topology import CouplingGraph, linear_chain
 
 STRATEGIES = ("exhaustive", "hill_climb", "random_search")
-# Effects an evaluator keeps for shared suffixes: at most this many bytes.
+# An evaluator's byte budget: for its memo of suffix halves, and for the
+# prefix tables of one batch.
 _SUFFIX_CACHE_BYTES = 1 << 26
 
 
@@ -121,9 +131,10 @@ class TrainResult:
     phase_seconds: dict[str, float]
     evaluations: int
     cache_hits: int
-    # routed neurons evaluated, their gates, their bound events, the gate
-    # steps the evaluator applied (gates minus those of stored suffixes it
-    # reused), and its pull_back calls (`Evaluator._walk`)
+    # weight vectors scored, their routed gates and bound events; `steps`,
+    # the gate steps the exact engine applied to suffix halves, prefix tables
+    # and lone neurons' first X layers (every gate of a flip list run under
+    # trajectories), and `walks`, its pull_back and push_forward passes
     work: dict[str, int]
     columns: LogColumns = field(repr=False, compare=False)
 
@@ -136,35 +147,48 @@ class TrainResult:
         return tuple(_entries(0, cols.codes, cols.accuracy, elapsed, weights))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """`a` as a contiguous array that refuses writes."""
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+class _Piece(NamedTuple):
+    """Dense routed gates, the events bound to each, and how many events."""
+
+    gates: tuple[Gate, ...]
+    events: tuple
+    n_events: int
 
 
-def _spans(boundaries, end: int) -> list[tuple[int, int]]:
-    """A neuron's segments: its blocks, which run back to back from gate 0,
-    then the H-layer tail up to `end`."""
-    return [*boundaries, (boundaries[-1][1] if boundaries else 0, end)]
+def _piece(gates, events) -> _Piece:
+    events = tuple(events)
+    return _Piece(tuple(gates), events, sum(map(len, events)))
+
+
+def _cat(pieces) -> _Piece:
+    """Routed pieces back to back."""
+    pieces = list(pieces)
+    return _piece((g for p in pieces for g in p.gates), (e for p in pieces for e in p.events))
 
 
 class Evaluator:
-    """Caches per-neuron sample outputs by weight vector, with one table of
-    routed segments and one store of pulled-back suffix effects per run.
+    """Caches per-neuron sample outputs. A neuron is its flip list
+    (`flip_list`), and its exact outputs come from two memoized halves.
 
     The run compiles, binds and plans one probe neuron, entry 0 flipped, and
-    slices its plan into one piece per logical gate: one routed gate per X
-    and H, the whole routed body for the C^(k-1)Z block (MappingNotCanonical
-    if that block does not restore the mapping). A segment is one block of a
-    neuron circuit (or its H-layer tail); the table maps each logical segment
-    to an id and its routed gates and bound events on dense axes, put
-    together from its gates' pieces. The exact backends pull the all-zeros
-    effect back one segment at a time, last first, and keep the effect of
-    each suffix of segment ids, so neurons that end in the same segments pull
-    that suffix back once; `neuron_rows` walks a batch of neurons together
-    (see `_walk`) and `neuron_outputs` is a batch of one. The trajectory
-    backend scores one neuron at a time.
+    slices its plan into the routed X gate of each logical qubit, the routed
+    C^(k-1)Z body (MappingNotCanonical if it moves the mapping) and the H
+    tail. Flip list f is the X layer before f[0] (`x_layer`), per flip the
+    body and the X layer to the next flip, then the tail: `plan`, which the
+    trajectory backend runs whole, one neuron at a time.
+
+    The suffix half S(t) is the readout-folded all-zeros effect pulled back
+    through the tail and the blocks of flips t, down to the body of t[0]:
+    S(t[1:]) pulled back through the X layer between t[0] and t[1], then the
+    body. A neuron scored alone is S(f) pulled back through its first X
+    layer, the plain adjoint pass. A batch of B neurons is split at entry
+    s = floor(log2(B) / 2), lowered until 2^s prefix tables fit
+    _SUFFIX_CACHE_BYTES: the prefix half R(p) is every input's rho pushed
+    forward through the blocks of the flips p below s. The neurons of one
+    prefix and one first suffix flip are then one matrix product of stacked
+    suffixes with R(p), through the X layer between them, which is diagonal
+    in the Pauli basis (`_diagonal`). The memo of suffixes stays within the
+    same budget; a suffix past it is rebuilt wherever it is used.
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -174,34 +198,29 @@ class Evaluator:
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
         n = cfg.initial.input_length
-        # entry 0 flipped: X on every computing qubit, the one block, X again, the H tail
+        self.k = k = n.bit_length() - 1
+        # entry 0 flipped: X on every computing qubit, the body, X again, the H tail
         probe = neuron_circuit(weights_from_code(1 << (n - 1), n))
         self.graph = cfg.graph if cfg.graph is not None else linear_chain(probe.width)
         self.xs = cfg.dataset.inputs()
         self.labels = cfg.dataset.labels()
-        self._outputs: dict[tuple[int, ...], np.ndarray] = {}
+        self._flip_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # each w counted in `work` -> flip list
+        self._rows: dict[tuple[int, ...], np.ndarray] = {}  # by flip list, over the samples
         self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
         self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "walks": 0}
         mapped = self._timed("map", lambda: compile(probe, self.graph))
         if mapped.block_mappings != (mapped.initial_mapping,):
             raise MappingNotCanonical("the routed block does not restore the initial mapping")
         bound = None if cfg.backend == "ideal" else self._timed("bind", lambda: bind(cfg.noise, mapped))
-        # the probe's plan; its frame (width, axes, readout) serves every assembled one
+        # the probe's plan; its frame (width, axes, readout) serves every neuron
         self._frame = plan = plan_mapped_run(mapped, bound)
         events = ((),) * len(plan.gates) if plan.bound is None else plan.bound.events
-        # logical gate -> (dense routed gates, their dense events): one gate per
-        # X and H, the whole routed body for the block (the probe's gate k)
-        self._pieces: dict[Gate, tuple[tuple, tuple]] = {}
-        body, lo = len(plan.gates) - len(probe.gates) + 1, 0
-        for i, g in enumerate(probe.gates):
-            hi = lo + (body if i == probe.num_computing else 1)
-            self._pieces[g] = (plan.gates[lo:hi], events[lo:hi])
-            lo = hi
-        # logical segment gates -> (id, dense routed gates, their dense events)
-        self._segments: dict[tuple, tuple[int, tuple, tuple]] = {}
-        # suffix of segment ids -> its pulled-back effect, and their bytes
-        self._effects: dict[tuple[int, ...], np.ndarray] = {}
-        self._effect_bytes = 0
+        end = len(plan.gates)  # each X and H is one routed gate
+        self._x = [_piece(plan.gates[q:q + 1], events[q:q + 1]) for q in range(k)]
+        self._body = _piece(plan.gates[k:end - 2 * k], events[k:end - 2 * k])
+        self._tail = _piece(plan.gates[end - k:], events[end - k:])
+        self._layers: dict[tuple, _Piece] = {}  # (a, b) -> the X layer between flips a and b
+        self._suffixes: dict[tuple[int, ...], np.ndarray] = {}  # the memo: t -> S(t)
 
     def _timed(self, phase: str, fn):
         t0 = time.perf_counter()
@@ -209,106 +228,114 @@ class Evaluator:
         self.phase_seconds[phase] += time.perf_counter() - t0
         return out
 
-    def _parts(self, w: tuple[int, ...]) -> list[tuple[int, tuple, tuple]]:
-        """Neuron `w`'s segment table entries in gate order; a segment the
-        table lacks is put together from the pieces of its gates."""
-        circ = self._timed("circ", lambda: neuron_circuit(w))
-        segs = [circ.gates[lo:hi] for lo, hi in _spans(circ.block_boundaries, len(circ.gates))]
-        for seg in segs:
-            if seg not in self._segments:
-                gates, events = zip(*(self._pieces[g] for g in seg))
-                self._segments[seg] = (len(self._segments), sum(gates, ()), sum(events, ()))
-        return [self._segments[seg] for seg in segs]
+    def _layer(self, a: int | None, b: int | None) -> _Piece:
+        """The routed X layer between the blocks of flips a and b (`x_layer`)."""
+        if (a, b) not in self._layers:
+            self._layers[a, b] = _cat(self._x[q] for q in x_layer(a, b, self.k))
+        return self._layers[a, b]
 
-    def _assemble(self, parts) -> MappedPlan:
-        frame = self._frame
-        bound = frame.bound
-        if bound is not None:
-            bound = replace(bound, events=tuple(e for _, _, events in parts for e in events))
-        return replace(frame, gates=tuple(g for _, gates, _ in parts for g in gates), bound=bound)
+    def _pieces(self, f: tuple[int, ...]):
+        """The routed pieces of the neuron of flip list `f`, in gate order."""
+        for a, b in zip((None,) + f, f + (None,)):
+            yield self._layer(a, b)
+            if b is not None:
+                yield self._body
+        yield self._tail
 
     def plan(self, w: tuple[int, ...]) -> MappedPlan:
-        """Neuron `w`'s dense plan, assembled from the segment table."""
-        return self._assemble(self._parts(w))
+        """Neuron `w`'s dense plan, put together from its flip list's pieces."""
+        whole, frame = _cat(self._pieces(flip_list(w))), self._frame
+        bound = None if frame.bound is None else replace(frame.bound, events=whole.events)
+        return replace(frame, gates=whole.gates, bound=bound)
 
-    def _walk(self, batch):
-        """Yield (i, effect) for the neuron made of `batch[i]`'s parts once
-        its effect is pulled back: the Pauli coefficients of its
-        readout-folded all-zeros effect (simulator.zero_effect), contiguous
-        and read-only, so neurons of one suffix may share the array.
+    def _pass(self, run, coeffs: np.ndarray, piece: _Piece) -> np.ndarray:
+        """`run` (pull_back or push_forward) of `coeffs` through `piece`, counted."""
+        self.work["walks"] += 1
+        self.work["steps"] += len(piece.gates)
+        return run(coeffs, piece.gates, piece.events)
 
-        Goes through the trie of suffixes of segment ids, shortest first. A
-        neuron continues from the longest suffix the store holds; each
-        distinct suffix past those is pulled back once, and all that lead
-        with one segment go through it stacked on a trailing axis, in one
-        `pull_back` call, from the previous length's effects, else from the
-        store, else from the readout effect. Each new effect is stored while
-        the store stays within _SUFFIX_CACHE_BYTES; the others live only
-        until the next suffix length is walked, and the batch is split so
-        that the effects of one suffix length stay within the cap too."""
-        frame = self._frame
-        top = readout_effect(frame.n, frame.bound, frame.measured)
-        per = max(1, _SUFFIX_CACHE_BYTES // top.nbytes)
-        for lo in range(0, len(batch), per):
-            pending: dict[int, dict] = {}  # by length, each suffix to walk -> its leading part
-            ends: dict[tuple[int, ...], list[int]] = {}  # neurons, by their whole suffix
-            for i, parts in enumerate(batch[lo:lo + per], lo):
-                ids = tuple(seg for seg, _, _ in parts)
-                j = len(ids)
-                while j and ids[j - 1:] in self._effects:
-                    j -= 1
-                if j == 0:
-                    yield i, self._effects[ids]
-                    continue
-                for k in range(j):
-                    pending.setdefault(len(ids) - k, {})[ids[k:]] = parts[k]
-                ends.setdefault(ids, []).append(i)
-            walked: dict[tuple[int, ...], np.ndarray] = {}  # unstored, at the previous length
-            for length in sorted(pending):
-                groups: dict[int, tuple[tuple, list]] = {}  # by leading segment id
-                for s, part in pending[length].items():
-                    groups.setdefault(part[0], (part, []))[1].append(s)
-                walked, prev = {}, walked
-                for (_, gates, events), suffixes in groups.values():
-                    stack = np.stack([prev[s[1:]] if s[1:] in prev else self._effects.get(s[1:], top)
-                                      for s in suffixes], -1)
-                    out = pull_back(stack, gates, events)
-                    self.work["walks"] += 1
-                    self.work["steps"] += len(gates) * len(suffixes)
-                    for k, s in enumerate(suffixes):
-                        if self._effect_bytes + top.nbytes <= _SUFFIX_CACHE_BYTES:
-                            eff = self._effects[s] = _read_only(out[..., k])
-                            self._effect_bytes += top.nbytes
-                        else:
-                            eff = walked[s] = out[..., k]
-                        for i in ends.get(s, ()):
-                            yield i, _read_only(eff)
+    def _suffix(self, t: tuple[int, ...]) -> np.ndarray:
+        """S(t), contiguous and read-only. It is stored while the memo stays
+        within _SUFFIX_CACHE_BYTES, and rebuilt from S(t[1:]) otherwise."""
+        eff = self._suffixes.get(t)
+        if eff is not None:
+            return eff
+        if t:
+            piece = _cat([self._body, self._layer(t[0], t[1] if len(t) > 1 else None)])
+            eff = self._pass(pull_back, np.array(self._suffix(t[1:])), piece)
+        else:
+            frame = self._frame
+            eff = self._pass(pull_back, readout_effect(frame.n, frame.bound, frame.measured), self._tail)
+        eff.flags.writeable = False  # pull_back hands back a contiguous array
+        if (len(self._suffixes) + 1) * eff.nbytes <= _SUFFIX_CACHE_BYTES:  # every S(t) has one size
+            self._suffixes[t] = eff
+        return eff
+
+    def _diagonal(self, a: int | None, b: int | None) -> np.ndarray:
+        """The X layer between flips a and b as the factor it puts on each
+        Pauli coefficient: X negates Y and Z, and bound channels scale."""
+        layer = self._layer(a, b)
+        return pull_back(np.ones((4,) * self._frame.n), layer.gates, layer.events)
+
+    def _exact_rows(self, flips: list[tuple[int, ...]], batch: int) -> np.ndarray:
+        """Outputs of distinct flip lists `flips`, (len(flips), samples), as a batch of `batch`."""
+        frame, xs = self._frame, self.xs
+        n = frame.n
+        s = (batch.bit_length() - 1) // 2
+        while s and (8 * 4**n * len(xs)) << s > _SUFFIX_CACHE_BYTES:
+            s -= 1
+        if s == 0:
+            return np.array([effect_outputs(
+                self._pass(pull_back, np.array(self._suffix(f)), self._layer(None, f[0] if f else None)),
+                frame, xs,
+            ) for f in flips])
+        groups: dict = {}  # (prefix, first suffix flip) -> [(suffix, row)]
+        for i, f in enumerate(flips):
+            j = bisect.bisect_left(f, s)
+            groups.setdefault((f[:j], f[j] if j < len(f) else None), []).append((f[j:], i))
+        tables = {(): density_coeffs([frame.embed(x) for x in xs], n)}
+        for p in sorted({p[:h] for p, _ in groups for h in range(1, len(p) + 1)}, key=len):
+            piece = _cat([self._layer(p[-2] if len(p) > 1 else None, p[-1]), self._body])
+            tables[p] = self._pass(push_forward, tables[p[:-1]].copy(), piece)  # R(p) from R(p[:-1])
+        rows = np.empty((len(flips), len(xs)))
+        per = max(1, _SUFFIX_CACHE_BYTES // (8 * 4**n))  # suffixes stacked at once
+        for (p, b), group in groups.items():
+            half = tables[p] * self._diagonal(p[-1] if p else None, b)[..., None]
+            for lo in range(0, len(group), per):
+                suffixes, idx = zip(*group[lo:lo + per])
+                stack = np.stack([self._suffix(q) for q in suffixes]).reshape(len(idx), -1)
+                rows[list(idx)] = stack @ half.reshape(len(stack[0]), -1)
+        return rows * 2.0**n
 
     def _score(self, ws: list[tuple[int, ...]]) -> None:
-        """Score neurons `ws`, none of them cached, into the cache: the exact
-        backends in one walk, the trajectory backend one neuron at a time."""
-        cfg = self.cfg
-        batch = [self._parts(w) for w in ws]
-        gates = sum(len(g) for parts in batch for _, g, _ in parts)
-        self.work["neurons"] += len(batch)
-        self.work["gates"] += gates
-        self.work["events"] += sum(len(e) for parts in batch for _, _, events in parts for e in events)
-        if cfg.backend == "trajectories":  # no shared suffixes: every gate is a step
-            self.work["steps"] += gates
-            rows = ((i, score_run(ws[i], self._assemble(parts), self.xs, cfg.backend, cfg.shots,
-                                  cfg.seed, threads=cfg.threads)) for i, parts in enumerate(batch))
+        """Count neurons `ws`, none seen before, and score their flip lists
+        that have no row yet; w and -w of one flip list share its row."""
+        cfg, gates = self.cfg, {}
+        flips = self._timed("circ", lambda: list(map(flip_list, ws)))
+        for f in flips:
+            pieces = list(self._pieces(f))
+            gates[f] = sum(len(p.gates) for p in pieces)
+            self.work["gates"] += gates[f]
+            self.work["events"] += sum(p.n_events for p in pieces)
+        self.work["neurons"] += len(ws)
+        self._flip_of.update(zip(ws, flips))
+        new = {f: w for f, w in zip(flips, ws) if f not in self._rows}
+        if cfg.backend == "trajectories":  # every gate is a step
+            self.work["steps"] += sum(gates[f] for f in new)
+            rows = self._timed("infer", lambda: [score_run(
+                w, self.plan(w), self.xs, cfg.backend, cfg.shots, cfg.seed, threads=cfg.threads,
+            ) for w in new.values()])
         else:
-            rows = ((i, effect_outputs(eff, self._frame, self.xs)) for i, eff in self._walk(batch))
-        self._timed("infer", lambda: self._outputs.update((ws[i], row) for i, row in rows))
+            rows = self._timed("infer", lambda: self._exact_rows(list(new), len(ws)) if new else [])
+        self._rows.update(zip(new, rows))
 
     def neuron_rows(self, ws) -> np.ndarray:
         """The outputs of each neuron of `ws` over the samples, stacked: shape
-        (len(ws), samples). The distinct neurons not cached yet are scored
-        together, on the exact backends in one walk (`_walk`)."""
-        new = [w for w in dict.fromkeys(ws) if w not in self._outputs]
+        (len(ws), samples). The neurons not seen yet are scored together."""
+        new = [w for w in dict.fromkeys(ws) if w not in self._flip_of]
         if new:
             self._score(new)
-        return np.array([self._outputs[w] for w in ws])
+        return np.array([self._rows[self._flip_of[w]] for w in ws])
 
     def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
         """Neuron `w`'s outputs over the samples: a batch of one."""

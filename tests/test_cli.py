@@ -291,7 +291,8 @@ class TestTrainAndSweep:
             {"iter": e.iteration, "weights": [list(w) for w in e.weights],
              "accuracy": e.accuracy, "elapsed_ms": e.elapsed_ms}
             for e in result.log
-        ]
+        ] + [{"work": result.work, "phase_seconds": result.phase_seconds}]
+        assert result.work == report["result"]["work"]
         assert report["result"]["evaluations"] == len(result.log) == 601
 
     def test_train_without_log_builds_no_entries(self, workdir, capsys, monkeypatch):
@@ -306,7 +307,7 @@ class TestTrainAndSweep:
 
     @pytest.mark.parametrize("backend", ["density", "trajectories"])
     @pytest.mark.parametrize("data, message", [
-        ("dim 8\n", "dataset has no samples for a model of input length 8"),
+        ("dim 8\n", "dataset declares dim 8 but has no samples"),
         (format_dataset(make_synthetic_dataset(2, 10, k=2)),
          "dataset samples have length 4, the model's input length is 8"),
     ], ids=["empty", "short"])
@@ -404,7 +405,7 @@ class TestBench:
         )
         assert code == 1
         assert json.loads(err.strip()) == {
-            "error": "ValueError", "message": "dataset has no samples for a model of input length 8",
+            "error": "ValueError", "message": "dataset declares dim 8 but has no samples",
         }
 
     def test_compare_requires_models(self, workdir, capsys):

@@ -426,10 +426,11 @@ class TestFileFormats:
             parse_dataset("0.5 0.5 0\n")
 
     def test_header_only_dataset_has_no_dim(self):
-        ds = parse_dataset("dim 8\n")
+        with pytest.raises(ValueError, match="dataset declares dim 8 but has no samples"):
+            parse_dataset("dim 8\n")
         for call in (format_dataset, best_exhaustive_accuracy):
             with pytest.raises(ValueError, match="dataset has no samples"):
-                call(ds)
+                call(Dataset((), 0))
 
     def test_model_round_trip(self):
         m = model(weights_from_code(37, 8), weights_from_code(200, 8))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import density_outcome_probabilities
 
 from qnz import trainer
+from qnz.ir import GateKind
 from qnz.mapper import MappingNotCanonical
-from qnz.noise import NoiseModel, bind, parse_noise_shorthand
+from qnz.noise import NoiseModel, bind, lookup_readout, parse_noise_shorthand
 from qnz.qnn import (
     Dataset,
     Model,
@@ -16,14 +18,16 @@ from qnz.qnn import (
     bundled_dataset_path,
     code_from_weights,
     compile_neuron,
+    flip_list,
     load_dataset,
     make_synthetic_dataset,
     model,
     neuron_circuit,
     neuron_outputs,
     weights_from_code,
+    x_layer,
 )
-from qnz.simulator import plan_mapped_run, pull_back, zero_effect
+from qnz.simulator import density_coeffs, plan_mapped_run, pull_back, push_forward, zero_effect
 from qnz.topology import coupling_graph, linear_chain
 from qnz.trainer import (
     STRATEGIES,
@@ -106,7 +110,10 @@ class TestExhaustive:
 
 def sequential_exhaustive(cfg):
     """The exhaustive strategy as a sequential loop over Models in flat code
-    order, keeping the first strict improvement over the incumbent."""
+    order, keeping the first strict improvement over the incumbent. Its rows
+    are scored as `train` asks for them: the baseline's alone, then one batch
+    of every code the scan reaches (a batch's rows may differ from rows scored
+    alone in the last bits, which can break exact ties between neurons)."""
     ev = Evaluator(cfg)
     n, k = cfg.initial.input_length, len(cfg.initial.neurons)
 
@@ -115,6 +122,7 @@ def sequential_exhaustive(cfg):
         return float(np.mean(m.predict_from_outputs(outs) == ev.labels))
 
     log = [(0, cfg.initial.neurons, acc(cfg.initial))]
+    ev.neuron_rows([weights_from_code(c, n) for c in range(min(2**n, cfg.max_iters))])
     best, best_acc = cfg.initial, log[0][2]
     for flat in range(min(cfg.max_iters, cfg.space_size())):
         m = Model(tuple(weights_from_code(flat >> (n * (k - 1 - j)) & (2**n - 1), n) for j in range(k)))
@@ -140,11 +148,7 @@ class TestExhaustiveParity:
             [(e.iteration, e.weights, e.accuracy) for e in r.log],
             r.best, r.best_accuracy, r.baseline_accuracy, r.evaluations, r.cache_hits, r.work,
         )
-        want = sequential_exhaustive(cfg)
-        # the reference walks one neuron at a time; train walks the scan's neurons together
-        without_walks = [{k: v for k, v in work.items() if k != "walks"} for work in (got[-1], want[-1])]
-        assert got[:-1] + (without_walks[0],) == want[:-1] + (without_walks[1],)
-        assert r.work["walks"] <= want[-1]["walks"]
+        assert got == sequential_exhaustive(cfg)
 
 
 # Logs of 24 proposals recorded before the strategies proposed weight codes:
@@ -311,8 +315,8 @@ GRID = coupling_graph(
 
 
 class TestSharedSuffixes:
-    """The evaluator pulls each distinct suffix of routed blocks back once per
-    run; its rows stay bit-equal to fresh uncached evaluations."""
+    """The evaluator memoizes the suffix half of every flip list it meets; a
+    neuron scored alone stays bit-equal to a fresh uncached evaluation."""
 
     @pytest.mark.parametrize("noise", [
         NoiseModel(flip_p=0.05), NoiseModel(phase_p=0.05),
@@ -334,11 +338,11 @@ class TestSharedSuffixes:
         ev = Evaluator(cfg)
         ev.model_accuracy(cfg.initial)
         assert ev.work["steps"] == ev.work["gates"] > 0
-        # its suffixes are stored, so a repeat walk applies no step
-        parts = ev._parts(cfg.initial.neurons[0])
-        [(_, eff)] = ev._walk([parts])
-        assert ev.work["steps"] == ev.work["gates"]
-        assert eff is ev._effects[tuple(i for i, _, _ in parts)]
+        # -w has the same flip list: the same routed circuit, so its row is
+        # shared and no step is applied
+        w = cfg.initial.neurons[0]
+        assert np.array_equal(ev.neuron_outputs(tuple(-v for v in w)), ev.neuron_outputs(w))
+        assert ev.work["neurons"] == 2 and 2 * ev.work["steps"] == ev.work["gates"]
 
     NOISE = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.02, readout=((0, 0.03, 0.08), (3, 0.06, 0.02)))
 
@@ -351,31 +355,44 @@ class TestSharedSuffixes:
     def test_returned_effect_is_read_only(self):
         ev = self._evaluator()
         w = weights_from_code(0b10010110, 8)
+        f = flip_list(w)
         plan = ev.plan(w)
-        want = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
-        parts = ev._parts(w)
         steps = ev.work["steps"]
-        for _ in range(3):
-            [(_, eff)] = ev._walk([parts])
-            assert np.array_equal(eff, want) and eff.flags.c_contiguous
-            with pytest.raises(ValueError):
-                eff *= 2.0
-            with pytest.raises(ValueError):
-                eff[(0,) * plan.n] = 7.0
-        # the first pass walked the segments the store lacked, the next two hit the whole neuron
+        eff = ev._suffix(f)
+        assert eff.flags.c_contiguous and ev._suffixes[f] is eff
+        with pytest.raises(ValueError):
+            eff *= 2.0
+        with pytest.raises(ValueError):
+            eff[(0,) * plan.n] = 7.0
+        # the memo lacked some of the suffixes of f; asked again, it applies no step
         assert 0 < ev.work["steps"] - steps < len(plan.gates)
-        assert np.array_equal(ev._effects[tuple(i for i, _, _ in parts)], want)
+        steps = ev.work["steps"]
+        assert ev._suffix(f) is eff and ev.work["steps"] == steps
+        # pulled back through the first X layer, S(f) is the whole neuron's effect
+        layer = ev._layer(None, f[0])
+        whole = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        assert np.array_equal(pull_back(np.array(eff), layer.gates, layer.events), whole)
 
     def test_byte_cap_stores_no_more_and_keeps_rows(self, monkeypatch):
+        ws = [weights_from_code(c, 8) for c in range(256)]
+        want = self._evaluator().neuron_rows(ws)
         effect_bytes = 8 * 4**4  # the Pauli coefficients of an effect at width 4
+        table_bytes = 50 * effect_bytes  # one prefix table: 50 samples
+        # two effects: no prefix table fits, so every neuron is scored alone
         monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 2 * effect_bytes)
         ev = self._evaluator()
+        rows = ev.neuron_rows(ws)
         for c in range(0, 256, 7):
-            w = weights_from_code(c, 8)
-            fresh = neuron_outputs(w, compile_neuron(w, ev.graph), ev.xs, "density", self.NOISE)
-            assert np.array_equal(ev.neuron_outputs(w), fresh)
-        assert len(ev._effects) == 2 and ev._effect_bytes == 2 * effect_bytes
+            fresh = neuron_outputs(ws[c], compile_neuron(ws[c], ev.graph), ev.xs, "density", self.NOISE)
+            assert np.array_equal(rows[c], fresh)
+        assert len(ev._suffixes) == 2
         assert ev.work["steps"] < ev.work["gates"]
+        # two prefix tables: a split after entry 0, and more suffixes than the memo holds
+        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 2 * table_bytes)
+        ev = self._evaluator()
+        assert np.max(np.abs(ev.neuron_rows(ws) - want)) <= 1e-12
+        memo_bytes = len(ev._suffixes) * effect_bytes
+        assert memo_bytes <= 2 * table_bytes < len({flip_list(w) for w in ws}) * effect_bytes
 
     @pytest.mark.parametrize("backend", ["ideal", "density"])
     def test_shared_suffixes_save_steps_on_a_grid(self, backend):
@@ -396,14 +413,20 @@ class TestSharedSuffixes:
             backend="trajectories", shots=64, max_iters=20,
         )
         work = train(cfg).work
-        assert work["steps"] == work["gates"]
+        # the 16 codes hold 8 w/-w pairs; 5 pairs share a flip list, so one
+        # routed circuit and one row, and every other gate is a step
+        circuits = {flip_list(weights_from_code(c, 4)): c for c in range(16)}
+        plan = Evaluator(cfg).plan
+        assert work["neurons"] == 16 and len(circuits) == 11
+        assert work["steps"] == sum(len(plan(weights_from_code(c, 4)).gates) for c in circuits.values())
         work = train(replace(cfg, backend="density")).work
         assert work["steps"] < work["gates"]
 
 
 class TestBatchedRows:
-    """`Evaluator.neuron_rows` walks a batch of neurons together; its rows are
-    bit-equal to per-neuron rows of fresh evaluators."""
+    """`Evaluator.neuron_rows` scores a batch of neurons from prefix and
+    suffix halves; its rows are within 1e-12 of per-neuron rows of fresh
+    evaluators."""
 
     NOISE = NoiseModel(flip_p=0.07, phase_p=0.05, depol_p=0.02, readout=((0, 0.03, 0.08), (3, 0.06, 0.02)))
 
@@ -434,39 +457,81 @@ class TestBatchedRows:
         rows = ev.neuron_rows(ws)
         fresh = np.array([Evaluator(cfg).neuron_outputs(w) for w in ws])
         assert rows.shape == (len(ws), len(dataset.samples))
-        assert np.array_equal(rows, fresh)
-        # the same neurons one at a time apply the same steps in more walks
+        # a prefix table is new arithmetic, so rows may differ in the last bits
+        assert np.max(np.abs(rows - fresh)) <= 1e-12
+        # the same neurons one at a time take more passes through the engine
         for w in ws:
             one_by_one.neuron_outputs(w)
-        assert ev.work["steps"] == one_by_one.work["steps"]
         assert ev.work["walks"] < one_by_one.work["walks"]
-        assert 0 < ev._effect_bytes <= trainer._SUFFIX_CACHE_BYTES
+        assert {k: v for k, v in ev.work.items() if k not in ("steps", "walks")} == {
+            k: v for k, v in one_by_one.work.items() if k not in ("steps", "walks")}
+        assert 0 < len(ev._suffixes) * ev._suffixes[()].nbytes <= trainer._SUFFIX_CACHE_BYTES
 
-    def test_batch_splits_under_a_small_cap(self, monkeypatch):
-        stacked = []
 
-        def recording(coeffs, gates, events):
-            stacked.append(coeffs.shape[-1])
-            return pull_back(coeffs, gates, events)
+class TestHalves:
+    """A batch splits each flip list at one entry: prefix tables push every
+    input's rho forward, suffix halves pull the effect back, and an X layer
+    joins them."""
 
-        monkeypatch.setattr(trainer, "pull_back", recording)
+    NOISE = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((None, 0.02, 0.04), (1, 0.05, 0.01)))
+
+    @staticmethod
+    def _oracle_row(ev: Evaluator, w, xs) -> np.ndarray:
+        plan = ev.plan(w)
+        readout = lookup_readout(plan.bound.readout, plan.measured)
+        return np.array([
+            density_outcome_probabilities(
+                plan.gates, plan.n, plan.bound.events, plan.embed(x), plan.measured, readout,
+            )[0]
+            for x in xs
+        ])
+
+    # (entries, device, codes, neurons and samples checked against the oracle)
+    @pytest.mark.parametrize("n, graph, codes, checks", [
+        (8, linear_chain(4), range(256), (3, 2)),
+        (16, GRID, np.random.default_rng(16).integers(2**16, size=64).tolist(), (1, 1)),
+    ], ids=["8-chain", "16-grid"])
+    def test_batched_rows_match_lone_rows_and_the_oracle(self, monkeypatch, n, graph, codes, checks):
+        tables = []
+        monkeypatch.setattr(trainer, "push_forward", lambda *a: tables.append(a[0].shape) or push_forward(*a))
+        dataset = make_synthetic_dataset(5, 8, k=n.bit_length() - 1)
+        cfg = base_config(dataset, model([1] * n), noise=self.NOISE, graph=graph, strategy="random_search")
+        ws = [weights_from_code(c, n) for c in codes]
+        ev = Evaluator(cfg)
+        rows = ev.neuron_rows(ws)
+        assert tables  # split after entry s > 0
+        lone = Evaluator(cfg)
+        assert np.max(np.abs(rows - np.array([lone.neuron_outputs(w) for w in ws]))) <= 1e-12
+        neurons, samples = checks
+        for i in np.random.default_rng(n).choice(len(ws), size=neurons, replace=False):
+            want = self._oracle_row(ev, ws[i], dataset.inputs()[:samples])
+            assert np.max(np.abs(rows[i, :samples] - want)) <= 1e-12
+
+    def test_a_batch_of_one_builds_no_prefix_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(trainer, "density_coeffs", lambda *a: built.append(a) or density_coeffs(*a))
         cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE)
-        ws = [weights_from_code(c, 8) for c in range(0, 256, 5)]
+        ev = Evaluator(cfg)
+        for c in (0, 3, 90, 255):
+            ev.neuron_rows([weights_from_code(c, 8)])
+        assert built == []
+        ev.neuron_rows([weights_from_code(c, 8) for c in range(16)])
+        assert len(built) == 1
 
-        def batched() -> tuple[Evaluator, np.ndarray]:
-            ev = Evaluator(cfg)
-            ev.neuron_outputs(cfg.initial.neurons[0])
-            stacked.clear()
-            return ev, ev.neuron_rows(ws)
-
-        _, want = batched()
-        assert max(stacked) > 3
-        effect_bytes = 8 * 4**4  # the Pauli coefficients of an effect at width 4
-        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 3 * effect_bytes)
-        ev, rows = batched()
-        assert max(stacked) <= 3
-        assert np.array_equal(rows, want)
-        assert len(ev._effects) == 3 and ev._effect_bytes == 3 * effect_bytes
+    @pytest.mark.parametrize("n, graph", [(8, linear_chain(4)), (16, GRID)], ids=["8-chain", "16-grid"])
+    def test_x_layer_is_its_diagonal(self, n, graph):
+        cfg = base_config(
+            make_synthetic_dataset(5, 4, k=n.bit_length() - 1), model([1] * n), noise=self.NOISE,
+            graph=graph, strategy="random_search",
+        )
+        ev = Evaluator(cfg)
+        rng = np.random.default_rng(n)
+        for a, b in [(None, None), (None, 0), (0, n - 1), (3, 5), (n - 2, None)]:
+            layer = ev._layer(a, b)
+            assert [g.kind for g in layer.gates] == [GateKind.X] * len(x_layer(a, b, n.bit_length() - 1))
+            c = rng.normal(size=(4,) * ev._frame.n)
+            want = pull_back(c.copy(), layer.gates, layer.events)
+            assert np.max(np.abs(ev._diagonal(a, b) * c - want)) <= 1e-15
 
 
 class TestSegmentTable:
@@ -611,6 +676,9 @@ class TestColumnLog:
         streamed = []
         r = train(cfg, log_stream=streamed.append)
         reference = Evaluator(cfg)
+        if strategy == "exhaustive":  # rows as train scores them: the baseline's, then one batch
+            reference.model_accuracy(cfg.initial)
+            reference.neuron_rows([weights_from_code(c, 4) for c in range(16)])
         want = tuple(
             LogEntry(i, e.weights, reference.model_accuracy(Model(e.weights)), e.elapsed_ms)
             for i, e in enumerate(streamed)
