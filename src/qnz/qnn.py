@@ -26,6 +26,7 @@ BACKENDS = ("ideal", "density", "trajectories")
 # Exhaustive scans (weight tables, pair search) stop at 2^20 points.
 EXHAUSTIVE_CAP_BITS = 20
 EXHAUSTIVE_SPACE_CAP = 2**EXHAUSTIVE_CAP_BITS
+_SCAN_CHUNK_BYTES = 1 << 20  # the booleans of one comparison in `scan_blocks`
 
 
 def check_weights(w) -> tuple[int, ...]:
@@ -132,9 +133,12 @@ class Model:
     def predict_from_outputs(outputs) -> np.ndarray:
         """Predicted classes from per-neuron outputs, each a scalar or an
         array over samples (arrays broadcast)."""
-        if len(outputs) == 1:
-            return np.where(outputs[0] >= 0.5, 0, 1)
-        return np.where(outputs[0] >= outputs[1], 0, 1)
+        return np.where(_class0(outputs), 0, 1)
+
+
+def _class0(outputs) -> np.ndarray:
+    """Model's rule as booleans: True where the prediction is class 0."""
+    return outputs[0] >= (0.5 if len(outputs) == 1 else outputs[1])
 
 
 def model(*neurons) -> Model:
@@ -144,7 +148,7 @@ def model(*neurons) -> Model:
 def accuracies(outputs, labels) -> np.ndarray:
     """Fraction of correct predictions along the last axis, from one output
     array per neuron (arrays broadcast) under Model.predict_from_outputs' rule."""
-    return (Model.predict_from_outputs(outputs) == labels).mean(axis=-1)
+    return (_class0(outputs) == np.equal(labels, 0)).mean(axis=-1)
 
 
 def scan_blocks(rows, n: int, n_neurons: int, labels, limit: int, best=(-1.0, ()), on_block=None):
@@ -152,24 +156,29 @@ def scan_blocks(rows, n: int, n_neurons: int, labels, limit: int, best=(-1.0, ()
     code varies fastest) and return the first strict improvement on `best`,
     an (accuracy, code tuple) pair, which comes back unchanged if none beats it.
 
-    One block per code prefix of the other neurons: every block is one
-    comparison, and `on_block(prefix, accs)`, when given, sees it as soon as it
-    is scored, accs[c] scoring the model prefix + (c,). `rows(codes)` stacks
-    one neuron's outputs over the samples for each of `codes`; it is called
-    once, with every code the scan reaches: range(min(2^n, limit)), which
-    holds every code of every prefix too.
+    One block per code prefix of the other neurons, scored in chunks of one
+    comparison of at most _SCAN_CHUNK_BYTES booleans; `on_block(prefix, accs)`,
+    when given, sees each block in order, accs[c] scoring the model prefix +
+    (c,). `rows(codes)` stacks one neuron's outputs over the samples for each
+    of `codes`; it is called once, with every code the scan reaches:
+    range(min(2^n, limit)), which holds every code of every prefix too.
     """
     size = 2**n
     total = min(limit, size**n_neurons)
     table = rows(range(min(size, total)))
-    for start in range(0, total, size):
-        prefix = tuple(start // size ** (n_neurons - 1 - j) % size for j in range(n_neurons - 1))
-        accs = accuracies([table[c] for c in prefix] + [table[: total - start]], labels)
-        if on_block is not None:
-            on_block(prefix, accs)
-        j = int(np.argmax(accs))  # the block's first maximum
-        if accs[j] > best[0]:
-            best = (float(accs[j]), prefix + (j,))
+    step = max(1, _SCAN_CHUNK_BYTES // table.size) * size  # the codes of one chunk's blocks
+    for lo in range(0, total, step):
+        chunk = range(lo, min(total, lo + step), size)
+        prefixes = [tuple(s // size ** (n_neurons - 1 - j) % size for j in range(n_neurons - 1))
+                    for s in chunk]
+        heads = [table[[p[j] for p in prefixes], None] for j in range(n_neurons - 1)]
+        for start, prefix, accs in zip(chunk, prefixes, accuracies(heads + [table[None]], labels)):
+            accs = accs[: total - start]
+            if on_block is not None:
+                on_block(prefix, accs)
+            j = int(np.argmax(accs))  # the block's first maximum
+            if accs[j] > best[0]:
+                best = (float(accs[j]), prefix + (j,))
     return best
 
 

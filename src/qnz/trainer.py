@@ -19,7 +19,9 @@ from __future__ import annotations
 import bisect
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -187,8 +189,9 @@ class Evaluator:
     forward through the blocks of the flips p below s. The neurons of one
     prefix and one first suffix flip are then one matrix product of stacked
     suffixes with R(p), through the X layer between them, which is diagonal
-    in the Pauli basis (`_diagonal`). The memo of suffixes stays within the
-    same budget; a suffix past it is rebuilt wherever it is used.
+    in the Pauli basis (`_diagonal`). A batch builds its missing halves one
+    length per pass through the body (`_halves`), the suffixes into a memo
+    within the same budget; a suffix past it is rebuilt wherever it is used.
 
     The trajectory seed for a (weight, sample) pair is fixed by the config
     seed, so the search optimizes a deterministic surrogate instead of chasing
@@ -221,6 +224,7 @@ class Evaluator:
         self._tail = _piece(plan.gates[end - k:], events[end - k:])
         self._layers: dict[tuple, _Piece] = {}  # (a, b) -> the X layer between flips a and b
         self._suffixes: dict[tuple[int, ...], np.ndarray] = {}  # the memo: t -> S(t)
+        self._diagonals: dict[tuple, np.ndarray] = {}  # (a, b) -> _diagonal(a, b)
 
     def _timed(self, phase: str, fn):
         t0 = time.perf_counter()
@@ -234,17 +238,11 @@ class Evaluator:
             self._layers[a, b] = _cat(self._x[q] for q in x_layer(a, b, self.k))
         return self._layers[a, b]
 
-    def _pieces(self, f: tuple[int, ...]):
-        """The routed pieces of the neuron of flip list `f`, in gate order."""
-        for a, b in zip((None,) + f, f + (None,)):
-            yield self._layer(a, b)
-            if b is not None:
-                yield self._body
-        yield self._tail
-
     def plan(self, w: tuple[int, ...]) -> MappedPlan:
-        """Neuron `w`'s dense plan, put together from its flip list's pieces."""
-        whole, frame = _cat(self._pieces(flip_list(w))), self._frame
+        """Neuron `w`'s dense plan, its flip list's pieces put together in gate order."""
+        f, frame = flip_list(w), self._frame
+        whole = _cat([x for a, b in zip((None,) + f, f) for x in (self._layer(a, b), self._body)]
+                     + [self._layer(*((None,) + f)[-1:], None), self._tail])
         bound = None if frame.bound is None else replace(frame.bound, events=whole.events)
         return replace(frame, gates=whole.gates, bound=bound)
 
@@ -261,7 +259,7 @@ class Evaluator:
         if eff is not None:
             return eff
         if t:
-            piece = _cat([self._body, self._layer(t[0], t[1] if len(t) > 1 else None)])
+            piece = _cat([self._body, self._layer(*(t + (None,))[:2])])
             eff = self._pass(pull_back, np.array(self._suffix(t[1:])), piece)
         else:
             frame = self._frame
@@ -271,16 +269,30 @@ class Evaluator:
             self._suffixes[t] = eff
         return eff
 
+    def _halves(self, run, keys, layer, source):
+        """`run` (pull_back or push_forward) of halves `keys`, one length per
+        body pass: each group with one X layer `layer(key)` stacks its
+        `source(key)` on a trailing axis through it, then one pass takes them
+        all through the body. Yields (key, half), shortest first."""
+        for _, level in groupby(sorted(keys, key=len), key=len):
+            groups: dict = {}
+            for key in level:
+                groups.setdefault(layer(key), []).append(key)
+            out = self._pass(run, np.concatenate([  # the groups' stacks go once joined
+                self._pass(run, np.stack([source(q) for q in g], axis=-1), self._layer(*ab))
+                for ab, g in groups.items()], axis=-1), self._body)
+            yield from zip([q for g in groups.values() for q in g], np.moveaxis(out, -1, 0))
+
     def _diagonal(self, a: int | None, b: int | None) -> np.ndarray:
         """The X layer between flips a and b as the factor it puts on each
         Pauli coefficient: X negates Y and Z, and bound channels scale."""
-        layer = self._layer(a, b)
-        return pull_back(np.ones((4,) * self._frame.n), layer.gates, layer.events)
+        if (a, b) not in self._diagonals:
+            self._diagonals[a, b] = pull_back(np.ones((4,) * self._frame.n), *self._layer(a, b)[:2])
+        return self._diagonals[a, b]
 
     def _exact_rows(self, flips: list[tuple[int, ...]], batch: int) -> np.ndarray:
         """Outputs of distinct flip lists `flips`, (len(flips), samples), as a batch of `batch`."""
-        frame, xs = self._frame, self.xs
-        n = frame.n
+        frame, xs, n = self._frame, self.xs, self._frame.n
         s = (batch.bit_length() - 1) // 2
         while s and (8 * 4**n * len(xs)) << s > _SUFFIX_CACHE_BYTES:
             s -= 1
@@ -294,9 +306,18 @@ class Evaluator:
             j = bisect.bisect_left(f, s)
             groups.setdefault((f[:j], f[j] if j < len(f) else None), []).append((f[j:], i))
         tables = {(): density_coeffs([frame.embed(x) for x in xs], n)}
-        for p in sorted({p[:h] for p, _ in groups for h in range(1, len(p) + 1)}, key=len):
-            piece = _cat([self._layer(p[-2] if len(p) > 1 else None, p[-1]), self._body])
-            tables[p] = self._pass(push_forward, tables[p[:-1]].copy(), piece)  # R(p) from R(p[:-1])
+        tables.update(self._halves(  # R(p) from R(p[:-1]), each stored as it is yielded
+            push_forward, {p[:h] for p, _ in groups for h in range(1, len(p) + 1)},
+            lambda p: ((None,) + p)[-2:], lambda p: tables[p[:-1]]))
+        # the missing suffixes, shortest first, as far as the memo's budget goes
+        need = {q[i:] for group in groups.values() for q, _ in group for i in range(len(q))}
+        need = sorted(need - self._suffixes.keys(), key=len)
+        room = _SUFFIX_CACHE_BYTES // self._suffix(()).nbytes - len(self._suffixes)
+        for t, eff in self._halves(
+            pull_back, need[:max(room, 0)], lambda t: (t + (None,))[:2], lambda t: self._suffix(t[1:]),
+        ):
+            self._suffixes[t] = eff = np.ascontiguousarray(eff)
+            eff.flags.writeable = False
         rows = np.empty((len(flips), len(xs)))
         per = max(1, _SUFFIX_CACHE_BYTES // (8 * 4**n))  # suffixes stacked at once
         for (p, b), group in groups.items():
@@ -308,23 +329,23 @@ class Evaluator:
         return rows * 2.0**n
 
     def _score(self, ws: list[tuple[int, ...]]) -> None:
-        """Count neurons `ws`, none seen before, and score their flip lists
-        that have no row yet; w and -w of one flip list share its row."""
-        cfg, gates = self.cfg, {}
+        """Count neurons `ws`, none seen before (X layers, a body per flip, the
+        tail), and score their flip lists with no row yet; w and -w share one."""
+        cfg = self.cfg
         flips = self._timed("circ", lambda: list(map(flip_list, ws)))
-        for f in flips:
-            pieces = list(self._pieces(f))
-            gates[f] = sum(len(p.gates) for p in pieces)
-            self.work["gates"] += gates[f]
-            self.work["events"] += sum(p.n_events for p in pieces)
+        layers = Counter(chain.from_iterable(zip((None,) + f, f + (None,)) for f in flips))
+        counted = [(self._tail, len(ws)), (self._body, sum(map(len, flips)))]
+        counted += [(self._layer(*ab), c) for ab, c in layers.items()]
+        self.work["gates"] += sum(c * len(p.gates) for p, c in counted)
+        self.work["events"] += sum(c * p.n_events for p, c in counted)
         self.work["neurons"] += len(ws)
         self._flip_of.update(zip(ws, flips))
         new = {f: w for f, w in zip(flips, ws) if f not in self._rows}
         if cfg.backend == "trajectories":  # every gate is a step
-            self.work["steps"] += sum(gates[f] for f in new)
+            plans = self._timed("infer", lambda: {w: self.plan(w) for w in new.values()})
+            self.work["steps"] += sum(len(p.gates) for p in plans.values())
             rows = self._timed("infer", lambda: [score_run(
-                w, self.plan(w), self.xs, cfg.backend, cfg.shots, cfg.seed, threads=cfg.threads,
-            ) for w in new.values()])
+                w, p, self.xs, cfg.backend, cfg.shots, cfg.seed, cfg.threads) for w, p in plans.items()])
         else:
             rows = self._timed("infer", lambda: self._exact_rows(list(new), len(ws)) if new else [])
         self._rows.update(zip(new, rows))

@@ -1,4 +1,6 @@
 """Search-strategy behavior: incumbent retention, oracle agreement, caching."""
+import bisect
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import density_outcome_probabilities
 
-from qnz import trainer
+from qnz import qnn, trainer
 from qnz.ir import GateKind
 from qnz.mapper import MappingNotCanonical
 from qnz.noise import NoiseModel, bind, lookup_readout, parse_noise_shorthand
@@ -149,6 +151,59 @@ class TestExhaustiveParity:
             r.best, r.best_accuracy, r.baseline_accuracy, r.evaluations, r.cache_hits, r.work,
         )
         assert got == sequential_exhaustive(cfg)
+
+    @staticmethod
+    def _tied_outputs(rng, shape) -> np.ndarray:
+        """Outputs on a quarter grid, so neurons tie each other and 0.5."""
+        return rng.integers(0, 5, size=shape) / 4.0
+
+    @staticmethod
+    def _scan_per_block(rows, n, n_neurons, labels, limit, best, on_block):
+        """scan_blocks as one accuracy per block, in flat order."""
+        size = 2**n
+        total = min(limit, size**n_neurons)
+        table = rows(range(min(size, total)))
+        for start in range(0, total, size):
+            prefix = tuple(start // size ** (n_neurons - 1 - j) % size for j in range(n_neurons - 1))
+            outs = [table[c] for c in prefix] + [table[: total - start]]
+            accs = (Model.predict_from_outputs(outs) == labels).mean(axis=-1)
+            on_block(prefix, accs)
+            j = int(np.argmax(accs))
+            if accs[j] > best[0]:
+                best = (float(accs[j]), prefix + (j,))
+        return best
+
+    # 16 codes of 12 samples: three blocks per chunk, so a chunk ends after 48 models
+    @pytest.mark.parametrize("n_neurons", [1, 2])
+    @pytest.mark.parametrize("limit", [1, 7, 48, 49, 256])
+    @pytest.mark.parametrize("best", [(-1.0, ()), (0.75, (3,))])
+    def test_chunked_scan_equals_a_per_block_loop(self, monkeypatch, n_neurons, limit, best):
+        rng = np.random.default_rng(limit)
+        table, labels = self._tied_outputs(rng, (16, 12)), rng.integers(0, 2, size=12)
+        monkeypatch.setattr(qnn, "_SCAN_CHUNK_BYTES", 3 * table.size)
+        got, want = [], []
+        scanned = qnn.scan_blocks(table.__getitem__, 4, n_neurons, labels, limit, best,
+                                  lambda p, a: got.append((p, a.tolist())))
+        ref = self._scan_per_block(table.__getitem__, 4, n_neurons, labels, limit, best,
+                                   lambda p, a: want.append((p, a.tolist())))
+        assert scanned == ref and got == want
+        assert sum(len(a) for _, a in got) == min(limit, 16**n_neurons)
+
+    def test_accuracies_are_the_prediction_rule_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        labels = rng.integers(0, 2, size=40)
+        for outputs in (
+            [self._tied_outputs(rng, (30, 40))],
+            [self._tied_outputs(rng, (30, 40)), self._tied_outputs(rng, (30, 40))],
+            [self._tied_outputs(rng, (6, 1, 40)), self._tied_outputs(rng, (1, 30, 40))],
+            [self._tied_outputs(rng, (30, 40)), self._tied_outputs(rng, (1, 40))],
+        ):
+            assert any(np.any(o == 0.5) for o in outputs)
+            if len(outputs) == 2:
+                assert np.any(outputs[0] == outputs[1])
+            want = (Model.predict_from_outputs(outputs) == labels).mean(axis=-1)
+            got = qnn.accuracies(outputs, labels)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # Logs of 24 proposals recorded before the strategies proposed weight codes:
@@ -532,6 +587,59 @@ class TestHalves:
             c = rng.normal(size=(4,) * ev._frame.n)
             want = pull_back(c.copy(), layer.gates, layer.events)
             assert np.max(np.abs(ev._diagonal(a, b) * c - want)) <= 1e-15
+
+
+class TestLevelBuiltSuffixes:
+    """A batch builds its missing suffix halves one length per pass through
+    the body; each equals the suffix that neurons scored one at a time build,
+    bit for bit."""
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(flip_p=0.05), NoiseModel(phase_p=0.05),
+        NoiseModel(depol_p=0.01), parse_noise_shorthand("readout:0.03"),
+    ], ids=["flip", "phase", "depol", "readout"])
+    @pytest.mark.parametrize("n, graph, codes", [
+        (8, linear_chain(4), range(256)),
+        (16, GRID, np.random.default_rng(16).integers(2**16, size=64).tolist()),
+    ], ids=["8-chain", "16-grid"])
+    def test_level_built_suffixes_equal_sequential_ones(self, noise, n, graph, codes):
+        cfg = base_config(
+            make_synthetic_dataset(5, 8, k=n.bit_length() - 1), model([1] * n), noise=noise, graph=graph,
+            strategy="random_search",
+        )
+        ws = [weights_from_code(c, n) for c in codes]
+        ev, lone = Evaluator(cfg), Evaluator(cfg)
+        rows = ev.neuron_rows(ws)
+        want = np.array([lone.neuron_outputs(w) for w in ws])
+        assert np.max(np.abs(rows - want)) <= 1e-12
+        # some length held more than one suffix, so it went through the body as one stack
+        assert max(Counter(map(len, ev._suffixes)).values()) > 1
+        for t, eff in ev._suffixes.items():
+            assert np.array_equal(eff, lone._suffix(t)), t
+
+    def test_a_cap_below_a_whole_length_keeps_rows(self, monkeypatch):
+        """The memo fills part of a length and `_suffix` rebuilds the rest:
+        the rows equal those from suffixes that are all rebuilt alone."""
+        ws = [weights_from_code(c, 8) for c in range(256)]
+        cfg = base_config(
+            make_synthetic_dataset(5, 8, k=3), model([1] * 8), noise=TestHalves.NOISE, graph=linear_chain(4),
+            strategy="random_search",
+        )
+        effect_bytes = 8 * 4**4
+        # four prefix tables of 8 samples (a split after entry 2) and a memo of 32 effects
+        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 4 * 8 * effect_bytes)
+        ev = Evaluator(cfg)
+        rows = ev.neuron_rows(ws)
+        lengths = Counter(map(len, ev._suffixes))
+        assert len(ev._suffixes) == 32 and len(lengths) > 2
+        joined = {f[bisect.bisect_left(f, 2):] for f in map(flip_list, ws)}  # the suffixes rows read
+        assert any(len(t) == max(lengths) and t not in ev._suffixes for t in joined)
+        real = Evaluator._halves
+        monkeypatch.setattr(Evaluator, "_halves", lambda self, run, keys, *a: real(
+            self, run, keys if run is push_forward else [], *a))
+        alone = Evaluator(cfg)
+        assert np.array_equal(rows, alone.neuron_rows(ws))
+        assert alone.work["walks"] > ev.work["walks"]
 
 
 class TestSegmentTable:
