@@ -2,16 +2,17 @@
 
 For each noise configuration it prints one SHA-256 digest of the trainer
 evaluator's rows for all 256 8-entry weights on the bundled dataset (chain:4),
-scored one neuron at a time, and one of the same rows scored as one batch
-(`neuron_rows`, as the exhaustive strategy asks for them). It prints one more
-per search strategy of a 2-neuron `train` run (exhaustive, skipped on
+scored one neuron at a time, one of the same rows scored as one batch
+(`neuron_rows` of the 256 codes, as the exhaustive strategy asks for them),
+and one of `qnn.accuracy` and its `work` over 16 seeded 2-neuron models, the
+`qnz infer` path. It prints one more per search strategy of a 2-neuron `train` run (exhaustive, skipped on
 trajectories, and 400-proposal hill climbing and random search): its log
 (iteration, weights, accuracy), best model, best and baseline accuracy,
 `evaluations`, `cache_hits` and `work` without `steps` and `walks`. Those
 two count the exact engine's passes and gate steps, which depend on how the
 evaluator splits and shares work, so they are printed beside the digest,
 outside it: a change meant to keep that work as it was shows when it moves
-it. One more digest covers the rows of 64 seeded 16-entry weights on a
+it; the inference line prints their sums the same way. One more digest covers the rows of 64 seeded 16-entry weights on a
 synthetic dataset (linear_chain(6)), scored one at a time.
 Run it on two trees and diff the output:
 
@@ -22,14 +23,14 @@ Run it on two trees and diff the output:
 A change that moves row bits by design (new arithmetic) is compared with a
 tolerance instead: `--dump FILE` saves every row array and the accuracy of
 every log entry, and `--against FILE` adds, per row array, the max |delta|
-against such a dump, and per train log the number of entries whose
-accuracy differs, then one line per such entry (iteration, weight codes,
-accuracy in the dump and here):
+against such a dump, and per train log and inference line the number of
+entries whose accuracy differs, then one line per such entry (index, weight
+codes, accuracy in the dump and here):
 
     PYTHONPATH=/other/tree/src python3 scripts/evaluator_parity.py --dump base.npz
     PYTHONPATH=src python3 scripts/evaluator_parity.py --against base.npz
 
-Takes about 60 s on one core of a 2-vCPU VM.
+Takes about 30 s on one core of a 2-vCPU VM.
 """
 import argparse
 import hashlib
@@ -41,6 +42,7 @@ import numpy as np
 from qnz.noise import NoiseModel, parse_noise_shorthand
 from qnz.qnn import (
     Model,
+    accuracy,
     best_exhaustive_accuracy,
     bundled_dataset_path,
     code_from_weights,
@@ -60,6 +62,8 @@ CONFIGS = [
     ("depol:0.01,readout:0.03", "density", parse_noise_shorthand("depol:0.01,readout:0.03"), 0),
     ("flip:0.05,phase:0.05", "trajectories", parse_noise_shorthand("flip:0.05,phase:0.05"), 64),
 ]
+# the weight codes of the 2-neuron models scored by `qnn.accuracy`
+MODELS = [tuple(pair) for pair in np.random.default_rng(22).integers(256, size=(16, 2)).tolist()]
 # (strategy, max_iters): the exhaustive run covers the 2^16-model space and the baseline
 STRATEGIES = [("exhaustive", 2**16 + 1), ("hill_climb", 400), ("random_search", 400)]
 # work counters of the exact engine's passes and gate steps, which depend on
@@ -84,20 +88,22 @@ def main() -> None:
     base = dict(np.load(args.against)) if args.against else None
     kept: dict[str, np.ndarray] = {}
 
-    def report(key: str, values: np.ndarray, log=()) -> str:
+    def report(key: str, values: np.ndarray, codes=None) -> str:
         """Keep `values` under `key`; against a dump, the max |delta| of rows,
-        or the count of differing log accuracies and a line per entry of `log`
-        whose accuracy differs."""
+        or the count of differing accuracies and a line per entry i whose
+        accuracy differs, with its weight codes `codes(i)`."""
         kept[key] = values
         if base is None:
             return ""
+        if key not in base:  # a dump from before this key was kept
+            return " not in the dump"
         if key.endswith("rows"):
             return f" max|d| {np.max(np.abs(values - base[key])):.3g}"
         if values.shape != base[key].shape:
             return f" length {len(values)} against {len(base[key])}"
         moved = np.flatnonzero(values != base[key])
         return f" moved {len(moved)}/{len(values)}" + "".join(
-            f"\n  moved entry {i} codes {tuple(map(code_from_weights, log[i].weights))}"
+            f"\n  moved entry {i} codes {codes(i)}"
             f" {float(base[key][i])} -> {float(values[i])}"
             for i in moved
         )
@@ -112,9 +118,22 @@ def main() -> None:
         ev = Evaluator(cfg)
         rows = np.array([ev.neuron_outputs(weights_from_code(c, 8)) for c in range(256)])
         print(f"{label} {backend} rows {digest(rows)}" + report(f"{label} {backend} rows", rows))
-        rows = Evaluator(cfg).neuron_rows([weights_from_code(c, 8) for c in range(256)])
+        rows = Evaluator(cfg).neuron_rows(range(256))
         key = f"{label} {backend} batch rows"
         print(f"{key} {digest(rows)}" + report(key, rows))
+        accs, works = [], []
+        for pair in MODELS:
+            works.append({})
+            accs.append(accuracy(
+                Model(tuple(weights_from_code(c, 8) for c in pair)), dataset, backend, noise,
+                linear_chain(4), shots, 7, work=works[-1],
+            ))
+        key = f"{label} {backend} infer"
+        run = {"accuracy": accs, "work": [{k: v for k, v in w.items() if k not in SHARED} for w in works]}
+        print(
+            f"{key} {digest(run)} " + " ".join(f"{k} {sum(w[k] for w in works)}" for k in SHARED)
+            + report(key, np.array(accs), lambda i: MODELS[i])
+        )
         for strategy, max_iters in STRATEGIES:
             if strategy == "exhaustive" and backend == "trajectories":
                 continue
@@ -129,7 +148,8 @@ def main() -> None:
                 "work": {k: v for k, v in result.work.items() if k not in SHARED},
             }
             moved = report(
-                f"{label} {backend} {strategy} log", np.array([e.accuracy for e in result.log]), result.log,
+                f"{label} {backend} {strategy} log", np.array([e.accuracy for e in result.log]),
+                lambda i, log=result.log: tuple(map(code_from_weights, log[i].weights)),
             )
             print(
                 f"{label} {backend} {strategy} train {digest(run)} "

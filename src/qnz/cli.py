@@ -186,7 +186,7 @@ def cmd_infer(args) -> dict:
     graph = load_topology(args.topology) if args.topology else None
     backend = {"traj": "trajectories"}.get(args.backend, args.backend)
     t0 = time.perf_counter()
-    work = {"neurons": 0, "gates": 0, "events": 0}
+    work: dict[str, int] = {}
     acc = accuracy(
         model, dataset, backend=backend, noise=noise, graph=graph,
         shots=args.shots or 0, seed=seed, threads=args.threads, work=work,

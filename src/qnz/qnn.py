@@ -1,4 +1,4 @@
-"""Binary-weight quantum neurons: sign-flip circuits, forward passes, synthetic data.
+"""Binary-weight quantum neurons: sign-flip circuits, their scoring, synthetic data.
 
 A weight vector w in {-1,+1}^(2^k) becomes a circuit whose unitary is diag(w)
 up to global sign: one X-conjugated C^(k-1)Z block per flipped index, with
@@ -11,15 +11,23 @@ weight and measurement portion only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import time
+from collections import Counter
+from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import chain, groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .ir import Circuit, Gate, GateKind
-from .mapper import MappedCircuit, compile
+from .mapper import MappedCircuit, MappingNotCanonical, compile
 from .noise import NoiseModel, bind
-from .simulator import MappedPlan, derive_seed, effect_matrix, plan_mapped_run, trajectory_counts, zero_effect
+from .simulator import (
+    MappedPlan, density_coeffs, derive_seed, effect_matrix, plan_mapped_run, pull_back, push_forward,
+    readout_effect, trajectory_counts, zero_effect,
+)
 from .topology import CouplingGraph, linear_chain
 
 BACKENDS = ("ideal", "density", "trajectories")
@@ -27,6 +35,9 @@ BACKENDS = ("ideal", "density", "trajectories")
 EXHAUSTIVE_CAP_BITS = 20
 EXHAUSTIVE_SPACE_CAP = 2**EXHAUSTIVE_CAP_BITS
 _SCAN_CHUNK_BYTES = 1 << 20  # the booleans of one comparison in `scan_blocks`
+# An evaluator's byte budget: for its memo of suffix halves, and for the
+# prefix tables of one batch.
+_SUFFIX_CACHE_BYTES = 1 << 26
 
 
 def check_weights(w) -> tuple[int, ...]:
@@ -49,11 +60,21 @@ def code_from_weights(w) -> int:
     return sum(1 << (n - 1 - i) for i, v in enumerate(w) if v == -1)
 
 
+def flip_code(code: int, n: int) -> int:
+    """The code of the entries `circ_of_weights` flips for the n-entry weight
+    code `code`: the code, or its complement if more than half its bits are
+    set (the output ignores the global sign)."""
+    return code ^ ((1 << n) - 1) if code.bit_count() > n // 2 else code
+
+
+def _bit_entries(code: int, n: int) -> tuple[int, ...]:
+    """The entries whose bits the n-entry code `code` sets, in order."""
+    return tuple(i for i in range(n) if (code >> (n - 1 - i)) & 1)
+
+
 def flip_list(w) -> tuple[int, ...]:
-    """The entries `circ_of_weights` flips, in order: the -1 entries, or the
-    +1 entries if more than half are -1 (the output ignores the global sign)."""
-    flips = tuple(i for i, v in enumerate(w) if v == -1)
-    return flips if len(flips) <= len(w) // 2 else tuple(i for i, v in enumerate(w) if v == 1)
+    """The entries `circ_of_weights` flips, in order: those of `flip_code`."""
+    return _bit_entries(flip_code(code_from_weights(w), len(w)), len(w))
 
 
 def x_layer(a: int | None, b: int | None, k: int) -> list[int]:
@@ -223,8 +244,8 @@ def _output_table(dataset: Dataset) -> np.ndarray:
     """Closed-form neuron outputs for every weight code: shape (2^N, samples)."""
     xs = dataset.inputs()
     n = dataset.dim
-    w_all = np.array([weights_from_code(c, n) for c in range(2**n)], dtype=float)
-    return (w_all @ xs.T / np.sqrt(n)) ** 2
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # row c: the bits of code c
+    return ((1.0 - 2.0 * bits) @ xs.T / np.sqrt(n)) ** 2
 
 
 def best_exhaustive_accuracy(dataset: Dataset, n_neurons: int = 2) -> tuple[float, Model]:
@@ -278,11 +299,6 @@ def make_synthetic_dataset(seed: int, n_samples: int, k: int = 3, sigma: float =
     raise RuntimeError(f"no learnable dataset found for seed {seed}")
 
 
-def compile_neuron(w, graph: CouplingGraph | None = None) -> MappedCircuit:
-    c = neuron_circuit(w)
-    return compile(c, graph if graph is not None else linear_chain(c.width))
-
-
 def effect_outputs(coeffs: np.ndarray, plan: MappedPlan, xs) -> np.ndarray:
     """x^dagger E_in x for every input row x of `xs`, with E_in the effect of
     Pauli coefficients `coeffs` on `plan`'s dense axes restricted to its
@@ -297,17 +313,11 @@ def effect_outputs(coeffs: np.ndarray, plan: MappedPlan, xs) -> np.ndarray:
     return np.einsum("si,ij,sj->s", xs.conj(), e_in, xs).real
 
 
-def score_run(
-    w,
-    plan: MappedPlan,
-    xs,
-    backend: str,
-    shots: int = 0,
-    seed: int | None = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """P(read 0...0 on the computing qubits) of neuron `w`, run as the dense
-    `plan` under its bound noise, for every input row of `xs`: shape (samples,).
+def score_run(code: int, plan: MappedPlan, xs, backend: str, shots: int = 0, seed: int | None = None,
+              threads: int = 1) -> np.ndarray:
+    """P(read 0...0 on the computing qubits) of the neuron of weight code
+    `code`, run as the dense `plan` under its bound noise, for every input row
+    of `xs`: shape (samples,).
 
     The exact backends pull the readout-folded all-zeros effect back once, as
     Pauli coefficients (simulator.zero_effect), and score every input from it
@@ -321,8 +331,7 @@ def score_run(
         return effect_outputs(eff, plan, xs)
     # w and -w compile to one circuit when their -1 counts differ, so
     # both draw the shots of the sign whose entry 0 is +1
-    code = code_from_weights(w)
-    code = min(code, code ^ ((1 << len(w)) - 1))
+    code = min(code, code ^ ((1 << (1 << plan.num_computing)) - 1))
     counts = trajectory_counts(
         plan.gates, plan.n, plan.bound, [plan.embed(x) for x in np.asarray(xs, dtype=complex)],
         [derive_seed(seed, i, code) for i in range(len(xs))],
@@ -340,30 +349,264 @@ def neuron_outputs(
     shots: int = 0,
     seed: int | None = None,
     threads: int = 1,
-    work: dict[str, int] | None = None,
 ) -> np.ndarray:
-    """P(read 0...0 on the computing qubits) of neuron `w`, routed as `mapped`,
-    for every input row of `xs`: shape (samples,).
+    """P(read 0...0 on the computing qubits) of neuron `w`, routed whole as
+    `mapped`, for every input row of `xs`: shape (samples,).
 
-    The path of `accuracy`, `qnz infer` and `bench` (the trainer scores
-    through `trainer.Evaluator`): the noise is bound (not for the ideal
-    backend), the dense run planned once, and every input scored (`score_run`).
-    `work`, when given, counts the neuron, its routed gates and its bound
-    events (keys "neurons", "gates", "events").
+    The scorer of a routed circuit that may move the mapping (the greedy rows
+    of `bench`), and the reference `Evaluator` is tested against: the noise
+    is bound (not for the ideal backend), the dense run planned once, and
+    every input scored (`score_run`). The backend's arguments are checked by
+    `Scoring`, not here.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "trajectories":
-        if shots < 1:
-            raise ValueError("trajectories backend needs shots >= 1")
-        if seed is None:
-            raise ValueError("trajectories backend needs a seed")
     bound = None if backend == "ideal" else bind(noise if noise is not None else NoiseModel(), mapped)
-    if work is not None:
-        work["neurons"] += 1
-        work["gates"] += len(mapped.physical_gates)
-        work["events"] += 0 if bound is None else bound.total_events
-    return score_run(w, plan_mapped_run(mapped, bound), xs, backend, shots, seed, threads)
+    return score_run(code_from_weights(w), plan_mapped_run(mapped, bound), xs, backend, shots, seed, threads)
+
+
+@dataclass(frozen=True)
+class Scoring:
+    """How neurons are scored on a dataset, whose samples set the input
+    length: the backend, its noise, device, shots, seed and threads."""
+
+    dataset: Dataset
+    backend: str = "ideal"
+    noise: NoiseModel | None = None
+    graph: CouplingGraph | None = None
+    shots: int = 0
+    seed: int | None = None
+    threads: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "noise", self.noise or NoiseModel())  # None: no noise
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend == "trajectories":
+            if self.shots < 1:
+                raise ValueError("trajectories backend needs shots >= 1")
+            if self.seed is None:
+                raise ValueError("trajectories backend needs a seed")
+
+
+class _Piece(NamedTuple):
+    """Dense routed gates, the events bound to each, and how many events."""
+
+    gates: tuple[Gate, ...]
+    events: tuple
+    n_events: int
+
+
+def _piece(gates, events) -> _Piece:
+    events = tuple(events)
+    return _Piece(tuple(gates), events, sum(map(len, events)))
+
+
+def _cat(pieces) -> _Piece:
+    """Routed pieces back to back."""
+    pieces = list(pieces)
+    return _piece((g for p in pieces for g in p.gates), (e for p in pieces for e in p.events))
+
+
+class Evaluator:
+    """Caches per-neuron sample outputs by flip code (`flip_code`): the
+    compiler restores the canonical mapping after every block, so a neuron
+    is its flip list, and its exact outputs come from two memoized halves.
+
+    The run compiles, binds and plans one probe neuron, entry 0 flipped, and
+    slices its plan into the routed X gate of each logical qubit, the routed
+    C^(k-1)Z body (MappingNotCanonical if it moves the mapping) and the H
+    tail. Flip list f is the X layer before f[0] (`x_layer`), per flip the
+    body and the X layer to the next flip, then the tail: `plan`, which the
+    trajectory backend runs whole, one neuron at a time.
+
+    The suffix half S(t) is the readout-folded all-zeros effect pulled back
+    through the tail and the blocks of flips t, down to the body of t[0]:
+    S(t[1:]) pulled back through the X layer between t[0] and t[1], then the
+    body. A neuron scored alone is S(f) pulled back through its first X
+    layer, the plain adjoint pass. A batch of B neurons is split at entry
+    s = floor(log2(B) / 2), lowered until 2^s prefix tables fit
+    _SUFFIX_CACHE_BYTES: the prefix half R(p) is every input's rho pushed
+    forward through the blocks of the flips p below s. The neurons of one
+    prefix and one first suffix flip are then one matrix product of stacked
+    suffixes with R(p), through the X layer between them, which is diagonal
+    in the Pauli basis (`_diagonal`). A batch builds its missing halves one
+    length per pass through the body (`_halves`), the suffixes into a memo
+    within the same budget; a suffix past it is rebuilt wherever it is used.
+
+    The trajectory seed for a (weight, sample) pair is fixed by the scoring
+    seed, so a search optimizes a deterministic surrogate instead of chasing
+    sampling noise, and cached values equal fresh re-evaluations.
+    """
+
+    def __init__(self, cfg: Scoring):
+        self.cfg = cfg
+        self.n = n = cfg.dataset.dim
+        self.k = k = n.bit_length() - 1
+        # entry 0 flipped: X on every computing qubit, the body, X again, the H tail
+        probe = neuron_circuit(weights_from_code(1 << (n - 1), n))
+        self.graph = cfg.graph if cfg.graph is not None else linear_chain(probe.width)
+        self.xs = cfg.dataset.inputs()
+        self.labels = cfg.dataset.labels()
+        self._counted: set[int] = set()  # the weight codes counted in `work`
+        self._rows: dict[int, np.ndarray] = {}  # by flip code, over the samples
+        self.phase_seconds = {"circ": 0.0, "map": 0.0, "bind": 0.0, "infer": 0.0}
+        self.work = {"neurons": 0, "gates": 0, "events": 0, "steps": 0, "walks": 0}
+        mapped = self._timed("map", lambda: compile(probe, self.graph))
+        if mapped.block_mappings != (mapped.initial_mapping,):
+            raise MappingNotCanonical("the routed block does not restore the initial mapping")
+        bound = None if cfg.backend == "ideal" else self._timed("bind", lambda: bind(cfg.noise, mapped))
+        # the probe's plan; its frame (width, axes, readout) serves every neuron
+        self._frame = plan = plan_mapped_run(mapped, bound)
+        events = ((),) * len(plan.gates) if plan.bound is None else plan.bound.events
+        end = len(plan.gates)  # each X and H is one routed gate
+        self._x = [_piece(plan.gates[q:q + 1], events[q:q + 1]) for q in range(k)]
+        self._body = _piece(plan.gates[k:end - 2 * k], events[k:end - 2 * k])
+        self._tail = _piece(plan.gates[end - k:], events[end - k:])
+        self._layers: dict[tuple, _Piece] = {}  # (a, b) -> the X layer between flips a and b
+        self._suffixes: dict[tuple[int, ...], np.ndarray] = {}  # the memo: t -> S(t)
+        self._diagonals: dict[tuple, np.ndarray] = {}  # (a, b) -> _diagonal(a, b)
+
+    def _timed(self, phase: str, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        self.phase_seconds[phase] += time.perf_counter() - t0
+        return out
+
+    def _layer(self, a: int | None, b: int | None) -> _Piece:
+        """The routed X layer between the blocks of flips a and b (`x_layer`)."""
+        if (a, b) not in self._layers:
+            self._layers[a, b] = _cat(self._x[q] for q in x_layer(a, b, self.k))
+        return self._layers[a, b]
+
+    def plan(self, code: int) -> MappedPlan:
+        """The dense plan of the neuron of weight code `code`, its flip list's
+        pieces put together in gate order."""
+        f, frame = _bit_entries(flip_code(code, self.n), self.n), self._frame
+        whole = _cat([x for a, b in zip((None,) + f, f) for x in (self._layer(a, b), self._body)]
+                     + [self._layer(*((None,) + f)[-1:], None), self._tail])
+        bound = None if frame.bound is None else replace(frame.bound, events=whole.events)
+        return replace(frame, gates=whole.gates, bound=bound)
+
+    def _pass(self, run, coeffs: np.ndarray, piece: _Piece) -> np.ndarray:
+        """`run` (pull_back or push_forward) of `coeffs` through `piece`, counted."""
+        self.work["walks"] += 1
+        self.work["steps"] += len(piece.gates)
+        return run(coeffs, piece.gates, piece.events)
+
+    def _suffix(self, t: tuple[int, ...]) -> np.ndarray:
+        """S(t), contiguous and read-only. It is stored while the memo stays
+        within _SUFFIX_CACHE_BYTES, and rebuilt from S(t[1:]) otherwise."""
+        eff = self._suffixes.get(t)
+        if eff is not None:
+            return eff
+        if t:
+            piece = _cat([self._body, self._layer(*(t + (None,))[:2])])
+            eff = self._pass(pull_back, np.array(self._suffix(t[1:])), piece)
+        else:
+            frame = self._frame
+            eff = self._pass(pull_back, readout_effect(frame.n, frame.bound, frame.measured), self._tail)
+        eff.flags.writeable = False  # pull_back hands back a contiguous array
+        if (len(self._suffixes) + 1) * eff.nbytes <= _SUFFIX_CACHE_BYTES:  # every S(t) has one size
+            self._suffixes[t] = eff
+        return eff
+
+    def _halves(self, run, keys, layer, source):
+        """`run` (pull_back or push_forward) of halves `keys`, one length per
+        body pass: each group with one X layer `layer(key)` stacks its
+        `source(key)` on a trailing axis through it, then one pass takes them
+        all through the body. Yields (key, half), shortest first."""
+        for _, level in groupby(sorted(keys, key=len), key=len):
+            groups: dict = {}
+            for key in level:
+                groups.setdefault(layer(key), []).append(key)
+            out = self._pass(run, np.concatenate([  # the groups' stacks go once joined
+                self._pass(run, np.stack([source(q) for q in g], axis=-1), self._layer(*ab))
+                for ab, g in groups.items()], axis=-1), self._body)
+            yield from zip([q for g in groups.values() for q in g], np.moveaxis(out, -1, 0))
+
+    def _diagonal(self, a: int | None, b: int | None) -> np.ndarray:
+        """The X layer between flips a and b as the factor it puts on each
+        Pauli coefficient: X negates Y and Z, and bound channels scale."""
+        if (a, b) not in self._diagonals:
+            self._diagonals[a, b] = pull_back(np.ones((4,) * self._frame.n), *self._layer(a, b)[:2])
+        return self._diagonals[a, b]
+
+    def _exact_rows(self, flips: list[tuple[int, ...]], batch: int) -> np.ndarray:
+        """Outputs of distinct flip lists `flips`, (len(flips), samples), as a batch of `batch`."""
+        frame, xs, n = self._frame, self.xs, self._frame.n
+        s = (batch.bit_length() - 1) // 2
+        while s and (8 * 4**n * len(xs)) << s > _SUFFIX_CACHE_BYTES:
+            s -= 1
+        if s == 0:
+            return np.array([effect_outputs(
+                self._pass(pull_back, np.array(self._suffix(f)), self._layer(None, f[0] if f else None)),
+                frame, xs,
+            ) for f in flips])
+        groups: dict = {}  # (prefix, first suffix flip) -> [(suffix, row)]
+        for i, f in enumerate(flips):
+            j = bisect.bisect_left(f, s)
+            groups.setdefault((f[:j], f[j] if j < len(f) else None), []).append((f[j:], i))
+        tables = {(): density_coeffs([frame.embed(x) for x in xs], n)}
+        tables.update(self._halves(  # R(p) from R(p[:-1]), each stored as it is yielded
+            push_forward, {p[:h] for p, _ in groups for h in range(1, len(p) + 1)},
+            lambda p: ((None,) + p)[-2:], lambda p: tables[p[:-1]]))
+        # the missing suffixes, shortest first, as far as the memo's budget goes
+        need = {q[i:] for group in groups.values() for q, _ in group for i in range(len(q))}
+        need = sorted(need - self._suffixes.keys(), key=len)
+        room = _SUFFIX_CACHE_BYTES // self._suffix(()).nbytes - len(self._suffixes)
+        for t, eff in self._halves(
+            pull_back, need[:max(room, 0)], lambda t: (t + (None,))[:2], lambda t: self._suffix(t[1:]),
+        ):
+            self._suffixes[t] = eff = np.ascontiguousarray(eff)
+            eff.flags.writeable = False
+        rows = np.empty((len(flips), len(xs)))
+        per = max(1, _SUFFIX_CACHE_BYTES // (8 * 4**n))  # suffixes stacked at once
+        for (p, b), group in groups.items():
+            half = tables[p] * self._diagonal(p[-1] if p else None, b)[..., None]
+            for lo in range(0, len(group), per):
+                suffixes, idx = zip(*group[lo:lo + per])
+                stack = np.stack([self._suffix(q) for q in suffixes]).reshape(len(idx), -1)
+                rows[list(idx)] = stack @ half.reshape(len(stack[0]), -1)
+        return rows * 2.0**n
+
+    def _score(self, codes: list[int]) -> None:
+        """Count the neurons of weight codes `codes`, none seen before (X
+        layers, a body per flip, the tail), and score their flip codes with no
+        row yet; w and -w share one when their -1 counts differ."""
+        cfg, n = self.cfg, self.n
+        keys = [flip_code(c, n) for c in codes]
+        flips = self._timed("circ", lambda: [_bit_entries(fc, n) for fc in keys])
+        layers = Counter(chain.from_iterable(zip((None,) + f, f + (None,)) for f in flips))
+        counted = [(self._tail, len(codes)), (self._body, sum(map(len, flips)))]
+        counted += [(self._layer(*ab), c) for ab, c in layers.items()]
+        self.work["gates"] += sum(c * len(p.gates) for p, c in counted)
+        self.work["events"] += sum(c * p.n_events for p, c in counted)
+        self.work["neurons"] += len(codes)
+        self._counted.update(codes)
+        new = {fc: f for fc, f in zip(keys, flips) if fc not in self._rows}
+        if cfg.backend == "trajectories":  # every gate is a step
+            plans = self._timed("infer", lambda: {fc: self.plan(fc) for fc in new})
+            self.work["steps"] += sum(len(p.gates) for p in plans.values())
+            rows = self._timed("infer", lambda: [score_run(
+                fc, p, self.xs, cfg.backend, cfg.shots, cfg.seed, cfg.threads) for fc, p in plans.items()])
+        else:
+            rows = self._timed("infer", lambda: self._exact_rows(list(new.values()), len(codes)) if new else [])
+        self._rows.update(zip(new, rows))
+
+    def neuron_rows(self, codes) -> np.ndarray:
+        """The outputs over the samples of the neuron of each weight code of
+        `codes`, stacked: shape (len(codes), samples). The neurons not seen
+        yet are scored together."""
+        new = [c for c in dict.fromkeys(codes) if c not in self._counted]
+        if new:
+            self._score(new)
+        return np.array([self._rows[flip_code(c, self.n)] for c in codes])
+
+    def neuron_outputs(self, w: tuple[int, ...]) -> np.ndarray:
+        """Neuron `w`'s outputs over the samples: a batch of one."""
+        return self.neuron_rows([code_from_weights(w)])[0]
+
+    def model_accuracy(self, m: Model) -> float:
+        return float(accuracies([self.neuron_outputs(w) for w in m.neurons], self.labels))
 
 
 def accuracy(
@@ -379,18 +622,16 @@ def accuracy(
 ) -> float:
     """Fraction of correct predictions; deterministic given the seed.
 
-    Each distinct neuron is compiled and evaluated once over all samples;
-    `work`, when given, counts them as `neuron_outputs` does.
+    Scored by one `Evaluator`, which compiles one probe per call; `work`,
+    when given, gets the evaluator's counts added.
     """
     check_fits(model, dataset)
-    xs = dataset.inputs()
-    outputs = {
-        w: neuron_outputs(
-            w, compile_neuron(w, graph), xs, backend, noise, shots, seed, threads, work
-        )
-        for w in dict.fromkeys(model.neurons)
-    }
-    return float(accuracies([outputs[w] for w in model.neurons], dataset.labels()))
+    ev = Evaluator(Scoring(dataset, backend, noise, graph, shots, seed, threads))
+    acc = ev.model_accuracy(model)
+    if work is not None:
+        for key, count in ev.work.items():
+            work[key] = work.get(key, 0) + count
+    return acc
 
 
 # ---------------------------------------------------------------------------

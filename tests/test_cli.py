@@ -199,9 +199,11 @@ class TestInfer:
 
     def test_reports_work(self, workdir, capsys):
         """Neurons, routed gates and bound events of the model's distinct
-        neurons, as the trainer counts them."""
+        neurons, each compiled whole, and the evaluator's engine steps and
+        passes, as the trainer counts them."""
+        from qnz.mapper import compile
         from qnz.noise import bind, load_noise
-        from qnz.qnn import compile_neuron, load_model
+        from qnz.qnn import Evaluator, Scoring, load_dataset, load_model, neuron_circuit
         from qnz.topology import load_topology
 
         m = load_model(str(workdir / "best.model"))
@@ -209,13 +211,19 @@ class TestInfer:
                 "--topology", "chain:4", "--seed", "3")
         code, report, _ = run_cli(capsys, "infer", *args, "--noise", "flip:0.01,depol:0.02")
         assert code == 0
-        mapped = [compile_neuron(w, load_topology("chain:4")) for w in dict.fromkeys(m.neurons)]
+        graph = load_topology("chain:4")
+        mapped = [compile(neuron_circuit(w), graph) for w in dict.fromkeys(m.neurons)]
         noise = load_noise("flip:0.01,depol:0.02")
+        ev = Evaluator(Scoring(load_dataset(str(workdir / "data.txt")), "density", noise, graph, seed=3))
+        ev.model_accuracy(m)
         assert report["result"]["work"] == {
             "neurons": len(mapped),
             "gates": sum(len(c.physical_gates) for c in mapped),
             "events": sum(bind(noise, c).total_events for c in mapped),
+            "steps": ev.work["steps"],
+            "walks": ev.work["walks"],
         }
+        assert 0 < ev.work["walks"] < ev.work["steps"]
         code, report, _ = run_cli(capsys, "infer", *args, "--backend", "ideal")
         assert code == 0 and report["result"]["work"]["events"] == 0
 

@@ -9,12 +9,15 @@ from qnz.mapper import compile, initial_interleaved_mapping
 from qnz.noise import NoiseModel, bind
 from qnz.qnn import (
     Dataset,
+    Evaluator,
+    Scoring,
+    _output_table,
+    accuracies,
     accuracy,
     best_exhaustive_accuracy,
     circ_of_weights,
     code_from_weights,
     format_dataset,
-    compile_neuron,
     format_model,
     make_synthetic_dataset,
     model,
@@ -35,6 +38,7 @@ from qnz.simulator import (
     zero_effect,
 )
 from qnz.topology import coupling_graph, linear_chain
+from qnz.trainer import TrainConfig
 
 from oracle import random_state
 
@@ -135,7 +139,7 @@ class TestNeuronOutput:
             xs = rng.normal(size=(3, 8))
             xs /= np.linalg.norm(xs, axis=1, keepdims=True)
             closed = [neuron_output_ideal(w, x) for x in xs]
-            circ = neuron_outputs(w, compile_neuron(w), xs, backend="ideal")
+            circ = neuron_outputs(w, compile(neuron_circuit(w), linear_chain(4)), xs, backend="ideal")
             assert circ.shape == (3,)
             assert np.max(np.abs(closed - circ)) < 1e-10
 
@@ -213,6 +217,13 @@ class TestSyntheticDataset:
         with pytest.raises(ValueError):
             make_synthetic_dataset(0, 1)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_output_table_equals_the_tuple_built_table(self, k):
+        ds = make_synthetic_dataset(5, 6, k=k)
+        n = 2**k
+        w_all = np.array([weights_from_code(c, n) for c in range(2**n)], dtype=float)
+        assert np.array_equal(_output_table(ds), (w_all @ ds.inputs().T / np.sqrt(n)) ** 2)
+
     def test_weight_space_beyond_cap_rejected(self):
         # k=5 means 2^32 weight codes; the table must not be built
         with pytest.raises(ValueError, match="2\\^20 cap"):
@@ -259,7 +270,7 @@ class TestInferenceAndAccuracy:
         g = linear_chain(4)
         for code in range(256):
             w = weights_from_code(code, 8)
-            mapped = compile_neuron(w, g)
+            mapped = compile(neuron_circuit(w), g)
             ideal = neuron_outputs(w, mapped, xs, "ideal")
             assert np.array_equal(ideal, neuron_outputs(w, mapped, xs, "density", NoiseModel()))
 
@@ -272,7 +283,8 @@ class TestInferenceAndAccuracy:
         if np.linalg.norm(x) < 1e-3:
             x[0] = 1.0
         x /= np.linalg.norm(x)
-        got = neuron_outputs(w, compile_neuron(w), x[None, :], "ideal")[0]
+        circ = neuron_circuit(w)
+        got = neuron_outputs(w, compile(circ, linear_chain(circ.width)), x[None, :], "ideal")[0]
         assert abs(got - neuron_output_ideal(w, x)) <= 1e-12
 
     def test_binds_once_per_distinct_neuron(self, monkeypatch):
@@ -288,8 +300,10 @@ class TestInferenceAndAccuracy:
         monkeypatch.setattr(qnn_module, "bind", counting_bind)
         ds = make_synthetic_dataset(3, 10)
         m = model(weights_from_code(37, 8), weights_from_code(200, 8))
+        # one evaluator per call: it binds its probe once, and every neuron
+        # of the model is put together from the probe's bound pieces
         accuracy(m, ds, backend="density", noise=NoiseModel(flip_p=0.02))
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         w = m.neurons[0]
         accuracy(model(w, w), ds, backend="trajectories",
@@ -301,7 +315,7 @@ class TestInferenceAndAccuracy:
         # the same shots and give identical outputs
         w = weights_from_code(0b01001010, 8)
         neg = tuple(-v for v in w)
-        mapped, mapped_neg = compile_neuron(w), compile_neuron(neg)
+        mapped, mapped_neg = (compile(neuron_circuit(v), linear_chain(4)) for v in (w, neg))
         assert mapped.physical_gates == mapped_neg.physical_gates
         ds = make_synthetic_dataset(3, 10)
         nm = NoiseModel(flip_p=0.05, phase_p=0.03, readout=((0, 0.02, 0.04),))
@@ -347,6 +361,83 @@ class TestInferenceAndAccuracy:
             assert all(bm == canonical for bm in mapped.block_mappings)
 
 
+class TestOneScorer:
+    """`accuracy` scores through one `Evaluator` and equals the whole-circuit
+    reference bit for bit: each distinct neuron compiled whole and scored by
+    `neuron_outputs`, with the same neurons, routed gates and bound events."""
+
+    # infer-traj's calibration: flip and phase 0.05, readout per qubit
+    CALIBRATION = NoiseModel(
+        flip_p=0.05, phase_p=0.05, readout=tuple((q, 0.01 * (q + 1), 0.015 * (q + 1)) for q in range(4)),
+    )
+    # one hot physical qubit, and a readout wildcard
+    HOT = NoiseModel(flip_p=0.01, phase_p=0.01, readout=((None, 0.02, 0.03),), qubit_multipliers=((0, 10.0),))
+
+    @staticmethod
+    def _case(name: str):
+        if name == "8-chain":
+            # w with -w: one circuit at three -1 entries, two at four
+            pairs = [(37, 200), (0b01001010, 0b10110101), (0b01101010, 0b10010101), (5, 5)]
+            return make_synthetic_dataset(3, 10), linear_chain(4), TestOneScorer.CALIBRATION, 8, pairs
+        pairs = [tuple(p) for p in np.random.default_rng(6).integers(2**16, size=(2, 2)).tolist()]
+        return make_synthetic_dataset(5, 8, k=4), linear_chain(6), TestOneScorer.HOT, 16, pairs
+
+    @pytest.mark.parametrize("backend, shots", [("ideal", 0), ("density", 0), ("trajectories", 32)])
+    @pytest.mark.parametrize("case", ["8-chain", "16-hot"])
+    def test_accuracy_equals_whole_circuit_scoring(self, case, backend, shots):
+        ds, graph, noise, n, pairs = self._case(case)
+        for pair in pairs:
+            m = model(*(weights_from_code(c, n) for c in pair))
+            work = {}
+            got = accuracy(m, ds, backend, noise, graph, shots, seed=4, work=work)
+            whole = {w: compile(neuron_circuit(w), graph) for w in dict.fromkeys(m.neurons)}
+            want = {w: neuron_outputs(w, c, ds.inputs(), backend, noise, shots, 4) for w, c in whole.items()}
+            ev = Evaluator(Scoring(ds, backend, noise, graph, shots, 4))
+            for w in whole:
+                assert np.array_equal(ev.neuron_outputs(w), want[w])
+            assert got == float(accuracies([want[w] for w in m.neurons], ds.labels()))
+            events = 0 if backend == "ideal" else sum(bind(noise, c).total_events for c in whole.values())
+            assert (work["neurons"], work["gates"], work["events"]) == (
+                len(whole), sum(len(c.physical_gates) for c in whole.values()), events)
+
+
+class TestScoringValidation:
+    """`Scoring` holds the backend checks; `TrainConfig` and `accuracy` raise
+    its messages."""
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(backend="qpu"), "unknown backend 'qpu'"),
+        (dict(backend="trajectories", shots=0), "trajectories backend needs shots >= 1"),
+    ])
+    def test_one_message_for_scoring_train_config_and_accuracy(self, kw, message):
+        ds, m = make_synthetic_dataset(3, 10), model([1] * 8)
+        raised = []
+        for build in (
+            lambda: Scoring(ds, seed=1, **kw),
+            lambda: TrainConfig(strategy="random_search", max_iters=1, seed=1, initial=m, dataset=ds, **kw),
+            lambda: accuracy(m, ds, seed=1, **kw),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            raised.append(str(err.value))
+        assert raised == [message] * 3
+
+    def test_trajectories_need_a_seed(self):
+        ds, m = make_synthetic_dataset(3, 10), model([1] * 8)
+        for build in (lambda: Scoring(ds, "trajectories", shots=8), lambda: accuracy(m, ds, "trajectories", shots=8)):
+            with pytest.raises(ValueError, match="^trajectories backend needs a seed$"):
+                build()
+
+    def test_accuracy_rejects_another_input_length_before_compiling(self, monkeypatch):
+        import qnz.qnn as qnn_module
+
+        compiled = []
+        monkeypatch.setattr(qnn_module, "compile", lambda *a: compiled.append(a))
+        with pytest.raises(ValueError, match="input length is 4"):
+            accuracy(model([1] * 4), make_synthetic_dataset(3, 10))
+        assert compiled == []
+
+
 def _kron_embed(plan, comp) -> np.ndarray:
     """Dense initial state built from the mapping alone: comp (x) |0...0> of
     the auxiliaries, each logical qubit moved onto its initial dense axis and
@@ -381,7 +472,7 @@ class TestComputingIndex:
     def test_rows_equal_the_isometry_formula(self, n, on_grid, frac, noisy, seed):
         w = weights_from_code(int(frac * 2**n), n)
         graph = GRID if on_grid else linear_chain(neuron_circuit(w).width)
-        mapped = compile_neuron(w, graph)
+        mapped = compile(neuron_circuit(w), graph)
         plan = plan_mapped_run(mapped, bind(self.NOISE, mapped) if noisy else None)
         idx = plan.computing_index
         iso = np.array([_kron_embed(plan, e) for e in np.eye(n)]).T
@@ -393,7 +484,7 @@ class TestComputingIndex:
         eff = effect_matrix(zero_effect(plan.gates, plan.n, plan.bound, plan.measured))
         cx = xs.astype(complex)
         want = np.einsum("si,ij,sj->s", cx.conj(), iso.conj().T @ eff @ iso, cx).real
-        assert np.max(np.abs(score_run(w, plan, xs, "density") - want)) <= 1e-14
+        assert np.max(np.abs(score_run(code_from_weights(w), plan, xs, "density") - want)) <= 1e-14
 
 
 class TestBundledDataset:

@@ -213,13 +213,14 @@ class TestDensityBatching:
             assert np.max(np.abs(row - want)) < 1e-12
 
     def test_neuron_outputs_are_the_all_zeros_column(self):
-        from qnz.qnn import compile_neuron, neuron_outputs
+        from qnz.mapper import compile
+        from qnz.qnn import neuron_circuit, neuron_outputs
         from qnz.simulator import plan_mapped_run
         from qnz.topology import linear_chain
 
         rng = np.random.default_rng(8)
         w = (1, -1, -1, 1, 1, 1, -1, 1)
-        mapped = compile_neuron(w, linear_chain(4))
+        mapped = compile(neuron_circuit(w), linear_chain(4))
         nm = NoiseModel(flip_p=0.05, phase_p=0.03, depol_p=0.01, readout=((1, 0.04, 0.02),))
         xs = rng.normal(size=(20, 8))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
@@ -276,13 +277,14 @@ class TestZeroEffect:
         physical qubit 5 and physical qubit 3 is unused. A plan's bound noise
         carries its readout on dense axes: the measured qubits read the
         (p01, p10) of the physical qubits they end on, never qubit 3's."""
-        from qnz.qnn import compile_neuron, weights_from_code
+        from qnz.mapper import compile
+        from qnz.qnn import neuron_circuit, weights_from_code
         from qnz.simulator import plan_mapped_run
         from qnz.topology import coupling_graph
 
         grid = coupling_graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
                               + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
-        mapped = compile_neuron(weights_from_code(0b10010110, 8), grid)
+        mapped = compile(neuron_circuit(weights_from_code(0b10010110, 8)), grid)
         finals = [mapped.final_mapping.physical_of(q) for q in range(3)]
         nm = NoiseModel(flip_p=0.02, phase_p=0.03, depol_p=0.01, readout=(
             (3, 0.2, 0.15), (5, 0.03, 0.08), (2, 0.06, 0.02), (0, 0.1, 0.05),
@@ -390,7 +392,7 @@ class TestPauliEngine:
 
         rng = np.random.default_rng(seed)
         xs = np.array([random_state(plan.num_computing, rng) for _ in range(3)])
-        got = score_run(None, plan, xs, "density")
+        got = score_run(0, plan, xs, "density")
         psis = [plan.embed(x) for x in xs]
         forward = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured).probabilities(psis)[:, 0]
         assert np.max(np.abs(got - forward)) <= 1e-12

@@ -11,7 +11,7 @@ from oracle import density_outcome_probabilities
 
 from qnz import qnn, trainer
 from qnz.ir import GateKind
-from qnz.mapper import MappingNotCanonical
+from qnz.mapper import MappingNotCanonical, compile
 from qnz.noise import NoiseModel, bind, lookup_readout, parse_noise_shorthand
 from qnz.qnn import (
     Dataset,
@@ -19,7 +19,6 @@ from qnz.qnn import (
     best_exhaustive_accuracy,
     bundled_dataset_path,
     code_from_weights,
-    compile_neuron,
     flip_list,
     load_dataset,
     make_synthetic_dataset,
@@ -71,6 +70,11 @@ class TestConfigValidation:
         ds = make_synthetic_dataset(3, 4, k=4)  # 2 neurons x 2^16 = 2^32 points
         with pytest.raises(ValueError, match="exhaustive"):
             base_config(ds, model([1] * 16, [1] * 16))
+
+    def test_seed_is_required(self):
+        # `Scoring.seed` defaults to None; a search always names its seed
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig(strategy="random_search", max_iters=1, initial=model([1] * 4), dataset=small_dataset())
 
     def test_trajectories_needs_shots(self):
         ds = small_dataset()
@@ -124,7 +128,7 @@ def sequential_exhaustive(cfg):
         return float(np.mean(m.predict_from_outputs(outs) == ev.labels))
 
     log = [(0, cfg.initial.neurons, acc(cfg.initial))]
-    ev.neuron_rows([weights_from_code(c, n) for c in range(min(2**n, cfg.max_iters))])
+    ev.neuron_rows(range(min(2**n, cfg.max_iters)))
     best, best_acc = cfg.initial, log[0][2]
     for flat in range(min(cfg.max_iters, cfg.space_size())):
         m = Model(tuple(weights_from_code(flat >> (n * (k - 1 - j)) & (2**n - 1), n) for j in range(k)))
@@ -383,7 +387,7 @@ class TestSharedSuffixes:
         ev = Evaluator(cfg)
         for c in range(256):
             w = weights_from_code(c, 8)
-            fresh = neuron_outputs(w, compile_neuron(w, ev.graph), ev.xs, "density", noise)
+            fresh = neuron_outputs(w, compile(neuron_circuit(w), ev.graph), ev.xs, "density", noise)
             assert np.array_equal(ev.neuron_outputs(w), fresh)
         assert ev.work["neurons"] == 256
         assert 0 < ev.work["steps"] < ev.work["gates"] / 2
@@ -411,7 +415,7 @@ class TestSharedSuffixes:
         ev = self._evaluator()
         w = weights_from_code(0b10010110, 8)
         f = flip_list(w)
-        plan = ev.plan(w)
+        plan = ev.plan(code_from_weights(w))
         steps = ev.work["steps"]
         eff = ev._suffix(f)
         assert eff.flags.c_contiguous and ev._suffixes[f] is eff
@@ -430,22 +434,22 @@ class TestSharedSuffixes:
 
     def test_byte_cap_stores_no_more_and_keeps_rows(self, monkeypatch):
         ws = [weights_from_code(c, 8) for c in range(256)]
-        want = self._evaluator().neuron_rows(ws)
+        want = self._evaluator().neuron_rows(range(256))
         effect_bytes = 8 * 4**4  # the Pauli coefficients of an effect at width 4
         table_bytes = 50 * effect_bytes  # one prefix table: 50 samples
         # two effects: no prefix table fits, so every neuron is scored alone
-        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 2 * effect_bytes)
+        monkeypatch.setattr(qnn, "_SUFFIX_CACHE_BYTES", 2 * effect_bytes)
         ev = self._evaluator()
-        rows = ev.neuron_rows(ws)
+        rows = ev.neuron_rows(range(256))
         for c in range(0, 256, 7):
-            fresh = neuron_outputs(ws[c], compile_neuron(ws[c], ev.graph), ev.xs, "density", self.NOISE)
+            fresh = neuron_outputs(ws[c], compile(neuron_circuit(ws[c]), ev.graph), ev.xs, "density", self.NOISE)
             assert np.array_equal(rows[c], fresh)
         assert len(ev._suffixes) == 2
         assert ev.work["steps"] < ev.work["gates"]
         # two prefix tables: a split after entry 0, and more suffixes than the memo holds
-        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 2 * table_bytes)
+        monkeypatch.setattr(qnn, "_SUFFIX_CACHE_BYTES", 2 * table_bytes)
         ev = self._evaluator()
-        assert np.max(np.abs(ev.neuron_rows(ws) - want)) <= 1e-12
+        assert np.max(np.abs(ev.neuron_rows(range(256)) - want)) <= 1e-12
         memo_bytes = len(ev._suffixes) * effect_bytes
         assert memo_bytes <= 2 * table_bytes < len({flip_list(w) for w in ws}) * effect_bytes
 
@@ -458,7 +462,7 @@ class TestSharedSuffixes:
         ev = Evaluator(cfg)
         for c in np.random.default_rng(3).integers(2**16, size=12):
             w = weights_from_code(int(c), 16)
-            fresh = neuron_outputs(w, compile_neuron(w, GRID), ev.xs, backend, self.NOISE)
+            fresh = neuron_outputs(w, compile(neuron_circuit(w), GRID), ev.xs, backend, self.NOISE)
             assert np.array_equal(ev.neuron_outputs(w), fresh)
         assert 0 < ev.work["steps"] < ev.work["gates"]
 
@@ -473,7 +477,7 @@ class TestSharedSuffixes:
         circuits = {flip_list(weights_from_code(c, 4)): c for c in range(16)}
         plan = Evaluator(cfg).plan
         assert work["neurons"] == 16 and len(circuits) == 11
-        assert work["steps"] == sum(len(plan(weights_from_code(c, 4)).gates) for c in circuits.values())
+        assert work["steps"] == sum(len(plan(c).gates) for c in circuits.values())
         work = train(replace(cfg, backend="density")).work
         assert work["steps"] < work["gates"]
 
@@ -508,8 +512,8 @@ class TestBatchedRows:
         ev, one_by_one = Evaluator(cfg), Evaluator(cfg)
         for other in (ev, one_by_one):
             other.neuron_outputs(weights_from_code(before[0], n))
-            other.neuron_rows([weights_from_code(c, n) for c in before[1:]])
-        rows = ev.neuron_rows(ws)
+            other.neuron_rows(before[1:])
+        rows = ev.neuron_rows(batch)
         fresh = np.array([Evaluator(cfg).neuron_outputs(w) for w in ws])
         assert rows.shape == (len(ws), len(dataset.samples))
         # a prefix table is new arithmetic, so rows may differ in the last bits
@@ -520,7 +524,7 @@ class TestBatchedRows:
         assert ev.work["walks"] < one_by_one.work["walks"]
         assert {k: v for k, v in ev.work.items() if k not in ("steps", "walks")} == {
             k: v for k, v in one_by_one.work.items() if k not in ("steps", "walks")}
-        assert 0 < len(ev._suffixes) * ev._suffixes[()].nbytes <= trainer._SUFFIX_CACHE_BYTES
+        assert 0 < len(ev._suffixes) * ev._suffixes[()].nbytes <= qnn._SUFFIX_CACHE_BYTES
 
 
 class TestHalves:
@@ -532,7 +536,7 @@ class TestHalves:
 
     @staticmethod
     def _oracle_row(ev: Evaluator, w, xs) -> np.ndarray:
-        plan = ev.plan(w)
+        plan = ev.plan(code_from_weights(w))
         readout = lookup_readout(plan.bound.readout, plan.measured)
         return np.array([
             density_outcome_probabilities(
@@ -548,12 +552,12 @@ class TestHalves:
     ], ids=["8-chain", "16-grid"])
     def test_batched_rows_match_lone_rows_and_the_oracle(self, monkeypatch, n, graph, codes, checks):
         tables = []
-        monkeypatch.setattr(trainer, "push_forward", lambda *a: tables.append(a[0].shape) or push_forward(*a))
+        monkeypatch.setattr(qnn, "push_forward", lambda *a: tables.append(a[0].shape) or push_forward(*a))
         dataset = make_synthetic_dataset(5, 8, k=n.bit_length() - 1)
         cfg = base_config(dataset, model([1] * n), noise=self.NOISE, graph=graph, strategy="random_search")
         ws = [weights_from_code(c, n) for c in codes]
         ev = Evaluator(cfg)
-        rows = ev.neuron_rows(ws)
+        rows = ev.neuron_rows(codes)
         assert tables  # split after entry s > 0
         lone = Evaluator(cfg)
         assert np.max(np.abs(rows - np.array([lone.neuron_outputs(w) for w in ws]))) <= 1e-12
@@ -564,13 +568,13 @@ class TestHalves:
 
     def test_a_batch_of_one_builds_no_prefix_table(self, monkeypatch):
         built = []
-        monkeypatch.setattr(trainer, "density_coeffs", lambda *a: built.append(a) or density_coeffs(*a))
+        monkeypatch.setattr(qnn, "density_coeffs", lambda *a: built.append(a) or density_coeffs(*a))
         cfg = base_config(load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE)
         ev = Evaluator(cfg)
         for c in (0, 3, 90, 255):
-            ev.neuron_rows([weights_from_code(c, 8)])
+            ev.neuron_rows([c])
         assert built == []
-        ev.neuron_rows([weights_from_code(c, 8) for c in range(16)])
+        ev.neuron_rows(range(16))
         assert len(built) == 1
 
     @pytest.mark.parametrize("n, graph", [(8, linear_chain(4)), (16, GRID)], ids=["8-chain", "16-grid"])
@@ -609,7 +613,7 @@ class TestLevelBuiltSuffixes:
         )
         ws = [weights_from_code(c, n) for c in codes]
         ev, lone = Evaluator(cfg), Evaluator(cfg)
-        rows = ev.neuron_rows(ws)
+        rows = ev.neuron_rows(codes)
         want = np.array([lone.neuron_outputs(w) for w in ws])
         assert np.max(np.abs(rows - want)) <= 1e-12
         # some length held more than one suffix, so it went through the body as one stack
@@ -627,9 +631,9 @@ class TestLevelBuiltSuffixes:
         )
         effect_bytes = 8 * 4**4
         # four prefix tables of 8 samples (a split after entry 2) and a memo of 32 effects
-        monkeypatch.setattr(trainer, "_SUFFIX_CACHE_BYTES", 4 * 8 * effect_bytes)
+        monkeypatch.setattr(qnn, "_SUFFIX_CACHE_BYTES", 4 * 8 * effect_bytes)
         ev = Evaluator(cfg)
-        rows = ev.neuron_rows(ws)
+        rows = ev.neuron_rows(range(256))
         lengths = Counter(map(len, ev._suffixes))
         assert len(ev._suffixes) == 32 and len(lengths) > 2
         joined = {f[bisect.bisect_left(f, 2):] for f in map(flip_list, ws)}  # the suffixes rows read
@@ -638,7 +642,7 @@ class TestLevelBuiltSuffixes:
         monkeypatch.setattr(Evaluator, "_halves", lambda self, run, keys, *a: real(
             self, run, keys if run is push_forward else [], *a))
         alone = Evaluator(cfg)
-        assert np.array_equal(rows, alone.neuron_rows(ws))
+        assert np.array_equal(rows, alone.neuron_rows(range(256)))
         assert alone.work["walks"] > ev.work["walks"]
 
 
@@ -677,10 +681,10 @@ class TestSegmentTable:
             ev = Evaluator(cfg)
             for c in codes:
                 w = weights_from_code(c, n)
-                mapped = compile_neuron(w, graph)
+                mapped = compile(neuron_circuit(w), graph)
                 assert all(m == mapped.initial_mapping for m in mapped.block_mappings)
                 # gates, measured axes, embedding, and events and readout on dense axes
-                assert ev.plan(w) == plan_mapped_run(mapped, bind(self.NOISE, mapped))
+                assert ev.plan(c) == plan_mapped_run(mapped, bind(self.NOISE, mapped))
                 fresh = neuron_outputs(w, mapped, ds.inputs(), backend, self.NOISE, shots, cfg.seed)
                 assert np.array_equal(ev.neuron_outputs(w), fresh)
 
@@ -694,8 +698,8 @@ class TestSegmentTable:
             compiled.append(circ)
             return compile_(circ, graph)
 
-        compile_ = trainer.compile
-        monkeypatch.setattr(trainer, "compile", counted)
+        compile_ = qnn.compile
+        monkeypatch.setattr(qnn, "compile", counted)
         cfg = base_config(
             load_dataset(bundled_dataset_path()), model([1] * 8), noise=self.NOISE,
             backend=backend, shots=shots,
@@ -714,8 +718,8 @@ class TestSegmentTable:
             m = mapped.initial_mapping
             return replace(mapped, block_mappings=(m.with_swap(*m.physical[:2]),))
 
-        compile_ = trainer.compile
-        monkeypatch.setattr(trainer, "compile", moved)
+        compile_ = qnn.compile
+        monkeypatch.setattr(qnn, "compile", moved)
         with pytest.raises(MappingNotCanonical):
             Evaluator(base_config(small_dataset(), model([1] * 4)))
 
@@ -786,7 +790,7 @@ class TestColumnLog:
         reference = Evaluator(cfg)
         if strategy == "exhaustive":  # rows as train scores them: the baseline's, then one batch
             reference.model_accuracy(cfg.initial)
-            reference.neuron_rows([weights_from_code(c, 4) for c in range(16)])
+            reference.neuron_rows(range(16))
         want = tuple(
             LogEntry(i, e.weights, reference.model_accuracy(Model(e.weights)), e.elapsed_ms)
             for i, e in enumerate(streamed)
