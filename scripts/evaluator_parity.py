@@ -124,10 +124,7 @@ def main() -> None:
         accs, works = [], []
         for pair in MODELS:
             works.append({})
-            accs.append(accuracy(
-                Model(tuple(weights_from_code(c, 8) for c in pair)), dataset, backend, noise,
-                linear_chain(4), shots, 7, work=works[-1],
-            ))
+            accs.append(accuracy(Model(tuple(weights_from_code(c, 8) for c in pair)), cfg, work=works[-1]))
         key = f"{label} {backend} infer"
         run = {"accuracy": accs, "work": [{k: v for k, v in w.items() if k not in SHARED} for w in works]}
         print(

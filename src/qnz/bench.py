@@ -14,7 +14,7 @@ import numpy as np
 from .ir import Circuit, Gate, GateKind, expand_to_basis
 from .mapper import compile, naive_route
 from .noise import NoiseModel
-from .qnn import Dataset, Model, accuracies, check_fits, neuron_circuit, neuron_outputs
+from .qnn import Dataset, Model, Scoring, accuracies, check_fits, neuron_circuit, neuron_outputs
 from .topology import CouplingGraph
 
 COMPLEXITY_CLASSES = {"simple": 1, "middle": 3, "complex": 5}
@@ -121,26 +121,24 @@ class ComparisonRow:
     elapsed_ms: float
 
 
-def _model_accuracy_density(
-    m: Model, dataset: Dataset, noise: NoiseModel, g: CouplingGraph, router: str
-) -> tuple[float, int, float]:
-    """(accuracy, total swaps, compile ms) for one model under one router."""
-    check_fits(m, dataset)
+def _model_accuracy_density(m: Model, scoring: Scoring, router: str) -> tuple[float, int, float]:
+    """(accuracy, total swaps, compile ms) for one model under one router,
+    compiled onto `scoring.graph`."""
+    check_fits(m, scoring.dataset)
     swaps = 0
     elapsed = 0.0
-    xs = dataset.inputs()
     outputs = []
     for w in m.neurons:
         circ = neuron_circuit(w)
         t0 = time.perf_counter()
         if router == "ours":
-            mapped = compile(circ, g)
+            mapped = compile(circ, scoring.graph)
         else:
-            mapped = naive_route(expand_to_basis(circ), g)
+            mapped = naive_route(expand_to_basis(circ), scoring.graph)
         elapsed += (time.perf_counter() - t0) * 1e3
         swaps += mapped.stats.swaps
-        outputs.append(neuron_outputs(w, mapped, xs, "density", noise))
-    return float(accuracies(outputs, dataset.labels())), swaps, elapsed
+        outputs.append(neuron_outputs(w, mapped, scoring))
+    return float(accuracies(outputs, scoring.dataset.labels())), swaps, elapsed
 
 
 def report_router_comparison(
@@ -151,14 +149,16 @@ def report_router_comparison(
     dataset: Dataset,
 ) -> list[ComparisonRow]:
     """Three-way comparison: our router on the baseline model, the greedy
-    router on the searched model, and our router on the searched model."""
+    router on the searched model, and our router on the searched model, all
+    scored by the density backend."""
+    scoring = Scoring(dataset, "density", noise, g)
     rows = []
     for router, name, m in (
         ("ours", "baseline", baseline),
         ("greedy", "searched", searched),
         ("ours", "searched", searched),
     ):
-        acc, swaps, elapsed = _model_accuracy_density(m, dataset, noise, g, router)
+        acc, swaps, elapsed = _model_accuracy_density(m, scoring, router)
         rows.append(ComparisonRow(router, name, acc, swaps, elapsed))
     return rows
 

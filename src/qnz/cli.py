@@ -29,7 +29,7 @@ from .ir import parse_circuit
 from .mapper import compile as compile_circuit
 from .mapper import mapped_to_text, naive_route
 from .noise import NoiseModel, bind_gates, load_noise
-from .qnn import accuracy, load_dataset, load_model
+from .qnn import Scoring, accuracy, load_dataset, load_model
 from .simulator import run_density, run_trajectories, state_from_amplitudes
 from .topology import load_topology
 from .trainer import (
@@ -187,10 +187,8 @@ def cmd_infer(args) -> dict:
     backend = {"traj": "trajectories"}.get(args.backend, args.backend)
     t0 = time.perf_counter()
     work: dict[str, int] = {}
-    acc = accuracy(
-        model, dataset, backend=backend, noise=noise, graph=graph,
-        shots=args.shots or 0, seed=seed, threads=args.threads, work=work,
-    )
+    scoring = Scoring(dataset, backend, noise, graph, args.shots or 0, seed, args.threads)
+    acc = accuracy(model, scoring, work=work)
     infer_ms = (time.perf_counter() - t0) * 1e3
     payload = {"accuracy": acc, "samples": len(dataset.samples), "backend": backend, "work": work}
     outputs = _write(args.out, json.dumps(payload, indent=2) + "\n")
@@ -365,16 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qnz {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="root seed for all randomness")
+    # the flags a subcommand may take besides --out; a string default is
+    # parsed like a command-line value, so a bad QNZ_THREADS is a usage error
+    flags = {
+        "--seed": dict(type=int, default=None, help="root seed for all randomness"),
+        "--threads": dict(type=int, default=os.environ.get("QNZ_THREADS", "1"),
+                          help="worker threads (env QNZ_THREADS)"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
+
+    def common(p, *names):
         p.add_argument("--out", default=None, help="write the primary artifact here")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("QNZ_THREADS", "1")),
-            help="worker threads (env QNZ_THREADS)",
-        )
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("compile", help="route a circuit onto a device topology")
     common(p)
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("simulate", help="run a circuit on a noisy backend")
-    common(p)
+    common(p, "--seed", "--threads")
     p.add_argument("--circuit", required=True)
     p.add_argument("--noise", default=None, help="calibration JSON or flip:0.01,phase:0.01")
     p.add_argument("--shots", type=int, default=None)
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("infer", help="evaluate a model's accuracy on a dataset")
-    common(p)
+    common(p, "--seed", "--threads")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--noise", default=None)
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("train", help="error-aware weight search from a JSON config")
-    common(p)
+    common(p, "--seed", "--threads")
     p.add_argument("--config", required=True)
     p.add_argument(
         "--log",
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sweep", help="train across a list of error rates")
-    common(p)
+    common(p, "--seed", "--threads", "--format")
     p.add_argument("--config", required=True)
     p.add_argument("--rates", required=True, help="comma-separated rates")
     p.set_defaults(fn=cmd_sweep)
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"({COMPLEXITY_CLASSES} C^3Z blocks). Compare mode reruns a baseline "
         "and a searched model under both routers.",
     )
-    common(p)
+    common(p, "--format")
     p.add_argument("--mode", choices=("latency", "compare"), default="latency")
     p.add_argument("--topology", required=True)
     p.add_argument("--repetitions", type=int, default=25)

@@ -313,60 +313,11 @@ def effect_outputs(coeffs: np.ndarray, plan: MappedPlan, xs) -> np.ndarray:
     return np.einsum("si,ij,sj->s", xs.conj(), e_in, xs).real
 
 
-def score_run(code: int, plan: MappedPlan, xs, backend: str, shots: int = 0, seed: int | None = None,
-              threads: int = 1) -> np.ndarray:
-    """P(read 0...0 on the computing qubits) of the neuron of weight code
-    `code`, run as the dense `plan` under its bound noise, for every input row
-    of `xs`: shape (samples,).
-
-    The exact backends pull the readout-folded all-zeros effect back once, as
-    Pauli coefficients (simulator.zero_effect), and score every input from it
-    (`effect_outputs`).
-    Trajectory shots for sample i are seeded by derive_seed(seed, i, c), with
-    c the smaller of the codes of w and -w, so a (weight, sample) pair draws
-    the same shots in every caller.
-    """
-    if backend != "trajectories":
-        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
-        return effect_outputs(eff, plan, xs)
-    # w and -w compile to one circuit when their -1 counts differ, so
-    # both draw the shots of the sign whose entry 0 is +1
-    code = min(code, code ^ ((1 << (1 << plan.num_computing)) - 1))
-    counts = trajectory_counts(
-        plan.gates, plan.n, plan.bound, [plan.embed(x) for x in np.asarray(xs, dtype=complex)],
-        [derive_seed(seed, i, code) for i in range(len(xs))],
-        shots, list(plan.measured), threads=threads,
-    )
-    return counts[:, 0] / shots
-
-
-def neuron_outputs(
-    w,
-    mapped: MappedCircuit,
-    xs,
-    backend: str = "ideal",
-    noise: NoiseModel | None = None,
-    shots: int = 0,
-    seed: int | None = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """P(read 0...0 on the computing qubits) of neuron `w`, routed whole as
-    `mapped`, for every input row of `xs`: shape (samples,).
-
-    The scorer of a routed circuit that may move the mapping (the greedy rows
-    of `bench`), and the reference `Evaluator` is tested against: the noise
-    is bound (not for the ideal backend), the dense run planned once, and
-    every input scored (`score_run`). The backend's arguments are checked by
-    `Scoring`, not here.
-    """
-    bound = None if backend == "ideal" else bind(noise if noise is not None else NoiseModel(), mapped)
-    return score_run(code_from_weights(w), plan_mapped_run(mapped, bound), xs, backend, shots, seed, threads)
-
-
 @dataclass(frozen=True)
 class Scoring:
     """How neurons are scored on a dataset, whose samples set the input
-    length: the backend, its noise, device, shots, seed and threads."""
+    length: the backend, its noise, device, shots, seed and threads. The
+    ideal backend runs with no noise: its `noise` is always `NoiseModel()`."""
 
     dataset: Dataset
     backend: str = "ideal"
@@ -377,14 +328,55 @@ class Scoring:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "noise", self.noise or NoiseModel())  # None: no noise
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.noise is None or self.backend == "ideal":
+            object.__setattr__(self, "noise", NoiseModel())
         if self.backend == "trajectories":
             if self.shots < 1:
                 raise ValueError("trajectories backend needs shots >= 1")
             if self.seed is None:
                 raise ValueError("trajectories backend needs a seed")
+
+
+def score_run(code: int, plan: MappedPlan, scoring: Scoring) -> np.ndarray:
+    """P(read 0...0 on the computing qubits) of the neuron of weight code
+    `code`, run as the dense `plan` under its bound noise, for every sample
+    of `scoring.dataset`: shape (samples,).
+
+    The exact backends pull the readout-folded all-zeros effect back once, as
+    Pauli coefficients (simulator.zero_effect), and score every input from it
+    (`effect_outputs`).
+    Trajectory shots for sample i are seeded by derive_seed(seed, i, c), with
+    c the smaller of the codes of w and -w, so a (weight, sample) pair draws
+    the same shots in every caller.
+    """
+    xs = scoring.dataset.inputs()
+    if scoring.backend != "trajectories":
+        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        return effect_outputs(eff, plan, xs)
+    # w and -w compile to one circuit when their -1 counts differ, so
+    # both draw the shots of the sign whose entry 0 is +1
+    code = min(code, code ^ ((1 << (1 << plan.num_computing)) - 1))
+    counts = trajectory_counts(
+        plan.gates, plan.n, plan.bound, [plan.embed(x) for x in np.asarray(xs, dtype=complex)],
+        [derive_seed(scoring.seed, i, code) for i in range(len(xs))],
+        scoring.shots, list(plan.measured), threads=scoring.threads,
+    )
+    return counts[:, 0] / scoring.shots
+
+
+def neuron_outputs(w, mapped: MappedCircuit, scoring: Scoring) -> np.ndarray:
+    """P(read 0...0 on the computing qubits) of neuron `w`, routed whole as
+    `mapped`, for every sample of `scoring.dataset`: shape (samples,).
+
+    The scorer of a routed circuit that may move the mapping (the rows of
+    `bench`'s router comparison), and the reference `Evaluator` is tested
+    against: the noise is bound, the dense run planned once, and every input
+    scored (`score_run`).
+    """
+    plan = plan_mapped_run(mapped, bind(scoring.noise, mapped))
+    return score_run(code_from_weights(w), plan, scoring)
 
 
 class _Piece(NamedTuple):
@@ -453,11 +445,9 @@ class Evaluator:
         mapped = self._timed("map", lambda: compile(probe, self.graph))
         if mapped.block_mappings != (mapped.initial_mapping,):
             raise MappingNotCanonical("the routed block does not restore the initial mapping")
-        bound = None if cfg.backend == "ideal" else self._timed("bind", lambda: bind(cfg.noise, mapped))
         # the probe's plan; its frame (width, axes, readout) serves every neuron
-        self._frame = plan = plan_mapped_run(mapped, bound)
-        events = ((),) * len(plan.gates) if plan.bound is None else plan.bound.events
-        end = len(plan.gates)  # each X and H is one routed gate
+        self._frame = plan = plan_mapped_run(mapped, self._timed("bind", lambda: bind(cfg.noise, mapped)))
+        events, end = plan.bound.events, len(plan.gates)  # each X and H is one routed gate
         self._x = [_piece(plan.gates[q:q + 1], events[q:q + 1]) for q in range(k)]
         self._body = _piece(plan.gates[k:end - 2 * k], events[k:end - 2 * k])
         self._tail = _piece(plan.gates[end - k:], events[end - k:])
@@ -483,8 +473,7 @@ class Evaluator:
         f, frame = _bit_entries(flip_code(code, self.n), self.n), self._frame
         whole = _cat([x for a, b in zip((None,) + f, f) for x in (self._layer(a, b), self._body)]
                      + [self._layer(*((None,) + f)[-1:], None), self._tail])
-        bound = None if frame.bound is None else replace(frame.bound, events=whole.events)
-        return replace(frame, gates=whole.gates, bound=bound)
+        return replace(frame, gates=whole.gates, bound=replace(frame.bound, events=whole.events))
 
     def _pass(self, run, coeffs: np.ndarray, piece: _Piece) -> np.ndarray:
         """`run` (pull_back or push_forward) of `coeffs` through `piece`, counted."""
@@ -586,8 +575,7 @@ class Evaluator:
         if cfg.backend == "trajectories":  # every gate is a step
             plans = self._timed("infer", lambda: {fc: self.plan(fc) for fc in new})
             self.work["steps"] += sum(len(p.gates) for p in plans.values())
-            rows = self._timed("infer", lambda: [score_run(
-                fc, p, self.xs, cfg.backend, cfg.shots, cfg.seed, cfg.threads) for fc, p in plans.items()])
+            rows = self._timed("infer", lambda: [score_run(fc, p, cfg) for fc, p in plans.items()])
         else:
             rows = self._timed("infer", lambda: self._exact_rows(list(new.values()), len(codes)) if new else [])
         self._rows.update(zip(new, rows))
@@ -609,24 +597,14 @@ class Evaluator:
         return float(accuracies([self.neuron_outputs(w) for w in m.neurons], self.labels))
 
 
-def accuracy(
-    model: Model,
-    dataset: Dataset,
-    backend: str = "ideal",
-    noise: NoiseModel | None = None,
-    graph: CouplingGraph | None = None,
-    shots: int = 0,
-    seed: int | None = None,
-    threads: int = 1,
-    work: dict[str, int] | None = None,
-) -> float:
+def accuracy(model: Model, scoring: Scoring, work: dict[str, int] | None = None) -> float:
     """Fraction of correct predictions; deterministic given the seed.
 
     Scored by one `Evaluator`, which compiles one probe per call; `work`,
     when given, gets the evaluator's counts added.
     """
-    check_fits(model, dataset)
-    ev = Evaluator(Scoring(dataset, backend, noise, graph, shots, seed, threads))
+    check_fits(model, scoring.dataset)
+    ev = Evaluator(scoring)
     acc = ev.model_accuracy(model)
     if work is not None:
         for key, count in ev.work.items():
@@ -646,6 +624,8 @@ def format_dataset(dataset: Dataset) -> str:
 
 
 def parse_dataset(text: str, seed: int = 0) -> Dataset:
+    """Dataset file: a 'dim <N>' header, then N floats and a label per line;
+    every error names its line."""
     dim = None
     samples = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -653,15 +633,17 @@ def parse_dataset(text: str, seed: int = 0) -> Dataset:
         if not line:
             continue
         parts = line.split()
-        if dim is None:
-            if parts[0] != "dim" or len(parts) != 2:
-                raise ValueError(f"line {line_no}: expected header 'dim <N>'")
-            dim = int(parts[1])
-            continue
-        if len(parts) != dim + 1:
-            raise ValueError(f"line {line_no}: expected {dim} floats and a label")
-        x = tuple(float(v) for v in parts[:dim])
-        samples.append((x, int(parts[dim])))
+        try:
+            if dim is None:
+                if parts[0] != "dim" or len(parts) != 2:
+                    raise ValueError("expected header 'dim <N>'")
+                dim = int(parts[1])
+            elif len(parts) != dim + 1:
+                raise ValueError(f"expected {dim} floats and a label")
+            else:  # the sample checked on its own
+                samples += Dataset(((tuple(float(v) for v in parts[:dim]), int(parts[dim])),), seed).samples
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
     if dim is None:
         raise ValueError("missing 'dim' header")
     if not samples:
@@ -679,15 +661,19 @@ def format_model(model: Model) -> str:
 
 
 def parse_model(text: str) -> Model:
-    neurons = []
-    for raw in text.splitlines():
+    """Model file: one row of +-1 weights per neuron; every error names its line."""
+    m = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        neurons.append(tuple(int(v) for v in line.split()))
-    if not neurons:
+        try:  # the model so far, checked with this neuron added
+            m = Model((*(m.neurons if m else ()), tuple(int(v) for v in line.split())))
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
+    if m is None:
         raise ValueError("model file has no neurons")
-    return Model(tuple(neurons))
+    return m
 
 
 def load_model(path: str) -> Model:

@@ -138,7 +138,8 @@ class Mapping:
 
 
 def parse_topology(text: str) -> CouplingGraph:
-    """Topology file: line 1 'physical <n>', then one 'edge a b' per line."""
+    """Topology file: line 1 'physical <n>', then one 'edge a b' per line;
+    every error names its line."""
     num = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -146,14 +147,17 @@ def parse_topology(text: str) -> CouplingGraph:
         if not line:
             continue
         parts = line.split()
-        if num is None:
-            if parts[0] != "physical" or len(parts) != 2:
-                raise ValueError(f"line {line_no}: expected header 'physical <n>'")
-            num = int(parts[1])
-            continue
-        if parts[0] != "edge" or len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 'edge a b'")
-        edges.append((int(parts[1]), int(parts[2])))
+        try:
+            if num is None:
+                if parts[0] != "physical" or len(parts) != 2:
+                    raise ValueError("expected header 'physical <n>'")
+                num = int(parts[1])
+            elif parts[0] != "edge" or len(parts) != 3:
+                raise ValueError("expected 'edge a b'")
+            else:  # the edge checked on its own
+                edges += coupling_graph(num, [(int(parts[1]), int(parts[2]))]).edges
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
     if num is None:
         raise ValueError("missing 'physical' header")
     return coupling_graph(num, edges)

@@ -443,3 +443,43 @@ def test_threads_env_fallback(workdir, monkeypatch):
         ["simulate", "--circuit", str(workdir / "circ.txt"), "--seed", "1", "--threads", "2"]
     )
     assert args.threads == 2
+
+
+def test_bad_threads_env_is_a_usage_error(workdir, monkeypatch, capsys):
+    """A QNZ_THREADS that is not an integer fails as a bad --threads does."""
+    monkeypatch.setenv("QNZ_THREADS", "two")
+    for argv in (
+        ["simulate", "--circuit", str(workdir / "circ.txt"), "--seed", "1"],
+        ["simulate", "--circuit", str(workdir / "circ.txt"), "--seed", "1", "--threads", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
+    # a subcommand without --threads never reads it
+    circuit = str(workdir / "circ.txt")
+    code, report, _ = run_cli(capsys, "compile", "--circuit", circuit, "--topology", "chain:6")
+    assert code == 0 and report["stats"]["swaps"] == 4
+
+
+# every flag a subcommand used to accept and ignore, after its required arguments
+IGNORED_FLAGS = [
+    (["compile", "--circuit", "c.txt", "--topology", "chain:6"], ["--seed", "1"]),
+    (["compile", "--circuit", "c.txt", "--topology", "chain:6"], ["--threads", "2"]),
+    (["compile", "--circuit", "c.txt", "--topology", "chain:6"], ["--format", "csv"]),
+    (["simulate", "--circuit", "c.txt"], ["--format", "csv"]),
+    (["infer", "--model", "m.txt", "--dataset", "d.txt"], ["--format", "csv"]),
+    (["train", "--config", "t.json", "--seed", "5"], ["--format", "csv"]),
+    (["bench", "--topology", "chain:6"], ["--seed", "1"]),
+    (["bench", "--topology", "chain:6"], ["--threads", "2"]),
+]
+
+
+@pytest.mark.parametrize("argv, flag", IGNORED_FLAGS, ids=lambda a: " ".join(a[:1]))
+def test_subcommands_reject_flags_they_ignore(argv, flag, capsys):
+    """Each subcommand declares only the flags it reads: `train --format csv`
+    is a usage error, not a JSON run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

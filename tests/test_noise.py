@@ -18,7 +18,7 @@ from qnz.noise import (
     noise_model_from_dict,
     parse_noise_shorthand,
 )
-from qnz.qnn import neuron_circuit, neuron_outputs
+from qnz.qnn import Dataset, Scoring, neuron_circuit, neuron_outputs
 from qnz.simulator import run_density, run_gates_density
 from qnz.topology import CouplingGraph, linear_chain
 
@@ -90,7 +90,7 @@ class TestLoadCalibration:
         w, x = (1, 1, 1, 1), np.full((1, 4), 0.5)  # w.x / 2 = 1: reads 00 unless misread
         mapped = compile(neuron_circuit(w), CouplingGraph(128, frozenset({(100, 101)})))
         assert mapped.chain == (100, 101)
-        out = neuron_outputs(w, mapped, x, "density", nm)
+        out = neuron_outputs(w, mapped, Scoring(Dataset(((tuple(x[0]), 0),), 0), "density", nm))
         assert out[0] == pytest.approx((1.0 - 0.03) ** 2, abs=1e-12)
 
     def test_invalid_json(self, tmp_path):

@@ -1,4 +1,6 @@
 """Weight-circuit construction, forward passes, and the synthetic dataset."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,11 @@ from qnz.trainer import TrainConfig
 from oracle import random_state
 
 K = GateKind
+
+
+def samples(xs) -> Dataset:
+    """The unit-norm rows of `xs` as a dataset, every label 0."""
+    return Dataset(tuple((tuple(x), 0) for x in xs), 0)
 
 
 def diag_of_weights(w) -> np.ndarray:
@@ -139,7 +146,7 @@ class TestNeuronOutput:
             xs = rng.normal(size=(3, 8))
             xs /= np.linalg.norm(xs, axis=1, keepdims=True)
             closed = [neuron_output_ideal(w, x) for x in xs]
-            circ = neuron_outputs(w, compile(neuron_circuit(w), linear_chain(4)), xs, backend="ideal")
+            circ = neuron_outputs(w, compile(neuron_circuit(w), linear_chain(4)), Scoring(samples(xs)))
             assert circ.shape == (3,)
             assert np.max(np.abs(closed - circ)) < 1e-10
 
@@ -234,7 +241,7 @@ class TestInferenceAndAccuracy:
     def test_accuracy_matches_closed_form(self):
         ds = make_synthetic_dataset(3, 16)
         _, best = best_exhaustive_accuracy(ds)
-        got = accuracy(best, ds, backend="ideal")
+        got = accuracy(best, Scoring(ds))
         xs, labels = ds.inputs(), ds.labels()
         want = np.mean(
             [
@@ -248,31 +255,38 @@ class TestInferenceAndAccuracy:
     def test_noise_degrades_accuracy(self):
         ds = make_synthetic_dataset(3, 16)
         _, best = best_exhaustive_accuracy(ds)
-        clean = accuracy(best, ds, backend="density")
-        noisy = accuracy(best, ds, backend="density", noise=NoiseModel(flip_p=0.1))
+        clean = accuracy(best, Scoring(ds, "density"))
+        noisy = accuracy(best, Scoring(ds, "density", NoiseModel(flip_p=0.1)))
         assert noisy < clean
 
     def test_density_close_to_trajectories(self):
         ds = make_synthetic_dataset(3, 10)
         m = model(weights_from_code(37, 8), weights_from_code(200, 8))
         nm = NoiseModel(flip_p=0.02)
-        dens = accuracy(m, ds, backend="density", noise=nm)
+        dens = accuracy(m, Scoring(ds, "density", nm))
         # 1e5 shots: on samples 0 and 2 the two neurons' outputs differ by
         # under 1 sigma of 1e4-shot noise, so 1e4 shots leave their
         # predictions to the draw
-        traj = accuracy(m, ds, backend="trajectories", noise=nm, shots=100_000, seed=5)
+        traj = accuracy(m, Scoring(ds, "trajectories", nm, shots=100_000, seed=5))
         assert abs(dens - traj) <= 0.02 + 1e-9
 
     def test_ideal_equals_zero_noise_density(self):
         # both exact backends run one adjoint pass; with no noise bound the
-        # passes are the same arithmetic, so every output agrees bit for bit
-        xs = make_synthetic_dataset(3, 10).inputs()
+        # passes are the same arithmetic, so every output agrees bit for bit.
+        # The ideal backend runs with no noise whatever noise it is given.
+        ds = make_synthetic_dataset(3, 10)
         g = linear_chain(4)
+        ideal, noisy_ideal = Scoring(ds, "ideal"), Scoring(ds, "ideal", NoiseModel(flip_p=0.1))
+        density = Scoring(ds, "density", NoiseModel())
+        assert noisy_ideal.noise == NoiseModel()
         for code in range(256):
             w = weights_from_code(code, 8)
             mapped = compile(neuron_circuit(w), g)
-            ideal = neuron_outputs(w, mapped, xs, "ideal")
-            assert np.array_equal(ideal, neuron_outputs(w, mapped, xs, "density", NoiseModel()))
+            want = neuron_outputs(w, mapped, density)
+            assert np.array_equal(neuron_outputs(w, mapped, ideal), want)
+            assert np.array_equal(neuron_outputs(w, mapped, noisy_ideal), want)
+        m = model(weights_from_code(37, 8), weights_from_code(200, 8))
+        assert accuracy(m, noisy_ideal) == accuracy(m, density)
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.sampled_from([2, 3, 4]), data=st.data())
@@ -284,7 +298,7 @@ class TestInferenceAndAccuracy:
             x[0] = 1.0
         x /= np.linalg.norm(x)
         circ = neuron_circuit(w)
-        got = neuron_outputs(w, compile(circ, linear_chain(circ.width)), x[None, :], "ideal")[0]
+        got = neuron_outputs(w, compile(circ, linear_chain(circ.width)), Scoring(samples([x])))[0]
         assert abs(got - neuron_output_ideal(w, x)) <= 1e-12
 
     def test_binds_once_per_distinct_neuron(self, monkeypatch):
@@ -302,12 +316,11 @@ class TestInferenceAndAccuracy:
         m = model(weights_from_code(37, 8), weights_from_code(200, 8))
         # one evaluator per call: it binds its probe once, and every neuron
         # of the model is put together from the probe's bound pieces
-        accuracy(m, ds, backend="density", noise=NoiseModel(flip_p=0.02))
+        accuracy(m, Scoring(ds, "density", NoiseModel(flip_p=0.02)))
         assert len(calls) == 1
         calls.clear()
         w = m.neurons[0]
-        accuracy(model(w, w), ds, backend="trajectories",
-                 noise=NoiseModel(flip_p=0.02), shots=8, seed=1)
+        accuracy(model(w, w), Scoring(ds, "trajectories", NoiseModel(flip_p=0.02), shots=8, seed=1))
         assert len(calls) == 1
 
     def test_trajectory_seed_is_sign_canonical(self):
@@ -319,13 +332,14 @@ class TestInferenceAndAccuracy:
         assert mapped.physical_gates == mapped_neg.physical_gates
         ds = make_synthetic_dataset(3, 10)
         nm = NoiseModel(flip_p=0.05, phase_p=0.03, readout=((0, 0.02, 0.04),))
-        got = neuron_outputs(w, mapped, ds.inputs(), "trajectories", nm, shots=300, seed=9)
-        want = neuron_outputs(neg, mapped_neg, ds.inputs(), "trajectories", nm, shots=300, seed=9)
+        scoring = Scoring(ds, "trajectories", nm, shots=300, seed=9)
+        got = neuron_outputs(w, mapped, scoring)
+        want = neuron_outputs(neg, mapped_neg, scoring)
         assert np.array_equal(got, want)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            accuracy(model([1] * 8), Dataset((), 0))
+            accuracy(model([1] * 8), Scoring(Dataset((), 0)))
 
     def test_aux_reads_zero_in_noiseless_runs(self):
         for code in (3, 77, 129):
@@ -389,10 +403,11 @@ class TestOneScorer:
         for pair in pairs:
             m = model(*(weights_from_code(c, n) for c in pair))
             work = {}
-            got = accuracy(m, ds, backend, noise, graph, shots, seed=4, work=work)
+            scoring = Scoring(ds, backend, noise, graph, shots, 4)
+            got = accuracy(m, scoring, work=work)
             whole = {w: compile(neuron_circuit(w), graph) for w in dict.fromkeys(m.neurons)}
-            want = {w: neuron_outputs(w, c, ds.inputs(), backend, noise, shots, 4) for w, c in whole.items()}
-            ev = Evaluator(Scoring(ds, backend, noise, graph, shots, 4))
+            want = {w: neuron_outputs(w, c, scoring) for w, c in whole.items()}
+            ev = Evaluator(scoring)
             for w in whole:
                 assert np.array_equal(ev.neuron_outputs(w), want[w])
             assert got == float(accuracies([want[w] for w in m.neurons], ds.labels()))
@@ -415,7 +430,7 @@ class TestScoringValidation:
         for build in (
             lambda: Scoring(ds, seed=1, **kw),
             lambda: TrainConfig(strategy="random_search", max_iters=1, seed=1, initial=m, dataset=ds, **kw),
-            lambda: accuracy(m, ds, seed=1, **kw),
+            lambda: accuracy(m, Scoring(ds, seed=1, **kw)),
         ):
             with pytest.raises(ValueError) as err:
                 build()
@@ -424,9 +439,32 @@ class TestScoringValidation:
 
     def test_trajectories_need_a_seed(self):
         ds, m = make_synthetic_dataset(3, 10), model([1] * 8)
-        for build in (lambda: Scoring(ds, "trajectories", shots=8), lambda: accuracy(m, ds, "trajectories", shots=8)):
+        for build in (lambda: Scoring(ds, "trajectories", shots=8),
+                      lambda: accuracy(m, Scoring(ds, "trajectories", shots=8))):
             with pytest.raises(ValueError, match="^trajectories backend needs a seed$"):
                 build()
+
+    def test_scorers_take_only_a_checked_scoring(self):
+        """`accuracy`, `neuron_outputs` and `score_run` take one `Scoring`
+        and no loose backend arguments: once `neuron_outputs(w, mapped, xs,
+        "qpu", noise)` returned density rows, and trajectories without a seed
+        failed deep in the engine. Both now fail where the `Scoring` is built."""
+        ds, w = make_synthetic_dataset(3, 10), weights_from_code(37, 8)
+        mapped = compile(neuron_circuit(w), linear_chain(4))
+        plan = plan_mapped_run(mapped, bind(NoiseModel(), mapped))
+        assert [list(inspect.signature(f).parameters) for f in (accuracy, neuron_outputs, score_run)] == [
+            ["model", "scoring", "work"], ["w", "mapped", "scoring"], ["code", "plan", "scoring"]]
+        for loose in (
+            lambda: neuron_outputs(w, mapped, ds.inputs(), "qpu", NoiseModel()),
+            lambda: neuron_outputs(w, mapped, ds.inputs(), "trajectories", NoiseModel(), 8),
+            lambda: score_run(37, plan, ds.inputs(), "trajectories", 8),
+        ):
+            with pytest.raises(TypeError):
+                loose()
+        for kw, message in ((dict(backend="qpu"), "unknown backend 'qpu'"),
+                            (dict(backend="trajectories", shots=8), "trajectories backend needs a seed")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                neuron_outputs(w, mapped, Scoring(ds, **kw))
 
     def test_accuracy_rejects_another_input_length_before_compiling(self, monkeypatch):
         import qnz.qnn as qnn_module
@@ -434,7 +472,7 @@ class TestScoringValidation:
         compiled = []
         monkeypatch.setattr(qnn_module, "compile", lambda *a: compiled.append(a))
         with pytest.raises(ValueError, match="input length is 4"):
-            accuracy(model([1] * 4), make_synthetic_dataset(3, 10))
+            accuracy(model([1] * 4), Scoring(make_synthetic_dataset(3, 10)))
         assert compiled == []
 
 
@@ -484,7 +522,8 @@ class TestComputingIndex:
         eff = effect_matrix(zero_effect(plan.gates, plan.n, plan.bound, plan.measured))
         cx = xs.astype(complex)
         want = np.einsum("si,ij,sj->s", cx.conj(), iso.conj().T @ eff @ iso, cx).real
-        assert np.max(np.abs(score_run(code_from_weights(w), plan, xs, "density") - want)) <= 1e-14
+        got = score_run(code_from_weights(w), plan, Scoring(samples(xs), "density"))
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestBundledDataset:
@@ -502,7 +541,7 @@ class TestBundledDataset:
 
         ds = load_dataset(bundled_dataset_path())
         m = model([-1, -1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1])
-        assert accuracy(m, ds, backend="ideal") == pytest.approx(0.54)
+        assert accuracy(m, Scoring(ds)) == pytest.approx(0.54)
 
 
 class TestFileFormats:
@@ -522,6 +561,28 @@ class TestFileFormats:
         for call in (format_dataset, best_exhaustive_accuracy):
             with pytest.raises(ValueError, match="dataset has no samples"):
                 call(Dataset((), 0))
+
+    @pytest.mark.parametrize("text, message", [
+        ("dim 2\n# a comment\n0.6 0.8 0\nabc 1.0 1\n", "line 4: could not convert string to float: 'abc'"),
+        ("dim two\n", "line 1: invalid literal for int() with base 10: 'two'"),
+        ("dim 2\n0.6 0.8 1\n\n0.6 0.6 0\n", "line 4: sample is not unit norm"),
+        ("dim 2\n1 0 2\n", "line 2: label must be 0 or 1, got 2"),
+    ])
+    def test_dataset_errors_name_their_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_dataset(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1 1 1\n1 x 1 1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("1 1 1 1\n\n1 1\n", "line 3: all neurons must share the input length"),
+        ("1 1 1\n", "line 1: weight length 3 is not a power of two >= 2"),
+        ("1 1\n1 -1\n-1 1\n", "line 3: model supports one or two neurons"),
+    ])
+    def test_model_errors_name_their_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_model(text)
+        assert str(err.value) == message
 
     def test_model_round_trip(self):
         m = model(weights_from_code(37, 8), weights_from_code(200, 8))

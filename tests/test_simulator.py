@@ -214,7 +214,7 @@ class TestDensityBatching:
 
     def test_neuron_outputs_are_the_all_zeros_column(self):
         from qnz.mapper import compile
-        from qnz.qnn import neuron_circuit, neuron_outputs
+        from qnz.qnn import Dataset, Scoring, neuron_circuit, neuron_outputs
         from qnz.simulator import plan_mapped_run
         from qnz.topology import linear_chain
 
@@ -228,7 +228,8 @@ class TestDensityBatching:
         prog = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured)
         want = prog.probabilities([plan.embed(x) for x in xs])[:, 0]
         # scored by the adjoint pass, checked against the forward engine
-        assert np.max(np.abs(neuron_outputs(w, mapped, xs, "density", nm) - want)) <= 1e-12
+        got = neuron_outputs(w, mapped, Scoring(Dataset(tuple((tuple(x), 0) for x in xs), 0), "density", nm))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestZeroEffect:
@@ -388,11 +389,12 @@ class TestPauliEngine:
         """score_run's exact path (zero_effect, then effect_outputs, which
         sums the I and Z slices of every other axis) against the forward
         engine and the oracle's Kraus evolution, on complex inputs."""
-        from qnz.qnn import score_run
+        from qnz.qnn import Dataset, Scoring, score_run
 
         rng = np.random.default_rng(seed)
         xs = np.array([random_state(plan.num_computing, rng) for _ in range(3)])
-        got = score_run(0, plan, xs, "density")
+        # a dataset of complex samples: score_run reads only their amplitudes
+        got = score_run(0, plan, Scoring(Dataset(tuple((tuple(x), 0) for x in xs), 0), "density"))
         psis = [plan.embed(x) for x in xs]
         forward = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured).probabilities(psis)[:, 0]
         assert np.max(np.abs(got - forward)) <= 1e-12

@@ -176,3 +176,16 @@ def test_topology_parse_errors():
         parse_topology("edge 0 1\n")
     with pytest.raises(ValueError):
         parse_topology("physical 3\nvertex 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("physical 4\nedge 0 1\n# a comment\nedge 0 5\n", "line 4: edge (0, 5) out of range"),
+    ("physical 4\nedge 2 2\n", "line 2: self-loop on physical qubit 2"),
+    ("physical 4\nedge 0 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("physical four\n", "line 1: invalid literal for int() with base 10: 'four'"),
+    ("physical 3\nvertex 0\n", "line 2: expected 'edge a b'"),
+])
+def test_topology_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_topology(text)
+    assert str(err.value) == message

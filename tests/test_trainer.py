@@ -387,7 +387,7 @@ class TestSharedSuffixes:
         ev = Evaluator(cfg)
         for c in range(256):
             w = weights_from_code(c, 8)
-            fresh = neuron_outputs(w, compile(neuron_circuit(w), ev.graph), ev.xs, "density", noise)
+            fresh = neuron_outputs(w, compile(neuron_circuit(w), ev.graph), cfg)
             assert np.array_equal(ev.neuron_outputs(w), fresh)
         assert ev.work["neurons"] == 256
         assert 0 < ev.work["steps"] < ev.work["gates"] / 2
@@ -442,7 +442,7 @@ class TestSharedSuffixes:
         ev = self._evaluator()
         rows = ev.neuron_rows(range(256))
         for c in range(0, 256, 7):
-            fresh = neuron_outputs(ws[c], compile(neuron_circuit(ws[c]), ev.graph), ev.xs, "density", self.NOISE)
+            fresh = neuron_outputs(ws[c], compile(neuron_circuit(ws[c]), ev.graph), ev.cfg)
             assert np.array_equal(rows[c], fresh)
         assert len(ev._suffixes) == 2
         assert ev.work["steps"] < ev.work["gates"]
@@ -462,7 +462,7 @@ class TestSharedSuffixes:
         ev = Evaluator(cfg)
         for c in np.random.default_rng(3).integers(2**16, size=12):
             w = weights_from_code(int(c), 16)
-            fresh = neuron_outputs(w, compile(neuron_circuit(w), GRID), ev.xs, backend, self.NOISE)
+            fresh = neuron_outputs(w, compile(neuron_circuit(w), GRID), cfg)
             assert np.array_equal(ev.neuron_outputs(w), fresh)
         assert 0 < ev.work["steps"] < ev.work["gates"]
 
@@ -685,7 +685,7 @@ class TestSegmentTable:
                 assert all(m == mapped.initial_mapping for m in mapped.block_mappings)
                 # gates, measured axes, embedding, and events and readout on dense axes
                 assert ev.plan(c) == plan_mapped_run(mapped, bind(self.NOISE, mapped))
-                fresh = neuron_outputs(w, mapped, ds.inputs(), backend, self.NOISE, shots, cfg.seed)
+                fresh = neuron_outputs(w, mapped, cfg)
                 assert np.array_equal(ev.neuron_outputs(w), fresh)
 
     @pytest.mark.parametrize("backend, shots, codes", [
