@@ -27,7 +27,7 @@ from .bench import (
 )
 from .ir import parse_circuit
 from .mapper import compile as compile_circuit
-from .mapper import mapped_to_text, naive_route
+from .mapper import circuit_depth, mapped_to_text, naive_route
 from .noise import NoiseModel, bind_gates, load_noise
 from .qnn import Scoring, accuracy, load_dataset, load_model
 from .simulator import run_density, run_trajectories, state_from_amplitudes
@@ -124,7 +124,7 @@ def cmd_compile(args) -> dict:
         "swaps": mapped.stats.swaps,
         "bridges": mapped.stats.bridges,
         "extra_cx": mapped.stats.extra_cx,
-        "depth": mapped.stats.depth,
+        "depth": circuit_depth(mapped.physical_gates),
         "compile_time_ms": compile_ms,
     }
     if args.stats:
@@ -144,6 +144,8 @@ def cmd_compile(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     seed = _require_seed(args)
+    if args.shots is not None and args.backend != "traj":
+        raise CliError(f"--shots is read only by the traj backend, not by {args.backend}")
     circuit = _read_circuit(args.circuit)
     noise = load_noise(args.noise) if args.noise else NoiseModel()
     init = _parse_init(args.init, circuit.width)
@@ -180,6 +182,8 @@ def cmd_simulate(args) -> dict:
 
 def cmd_infer(args) -> dict:
     seed = _require_seed(args)
+    if args.shots is not None and args.backend != "traj":
+        raise CliError(f"--shots is read only by the traj backend, not by {args.backend}")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     noise = load_noise(args.noise) if args.noise else NoiseModel()

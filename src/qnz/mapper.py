@@ -15,6 +15,7 @@ restoration guarantee and is only here for comparison.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ class MapStats:
     swaps: int
     bridges: int
     extra_cx: int  # CX cost of insertions: 3 per SWAP, 3 per bridge detour
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,17 @@ class MappedCircuit:
 
 def circuit_depth(gates) -> int:
     level: dict[int, int] = {}
-    depth = 0
     for g in gates:
         l = 1 + max((level.get(q, 0) for q in g.qubits), default=0)
         for q in g.qubits:
             level[q] = l
-        depth = max(depth, l)
-    return depth
+    return max(level.values(), default=0)
+
+
+@functools.cache
+def _gate(kind: GateKind, qubits: tuple[int, ...], tag: str | None) -> Gate:
+    """Each distinct routed gate, built and validated once; `kind` must be a GateKind member."""
+    return Gate(kind, qubits, tag)
 
 
 def initial_interleaved_mapping(n_controls: int, chain: list[int] | tuple[int, ...]) -> Mapping:
@@ -129,18 +133,18 @@ class _Router:
         return self.mapping.physical_of(logical)
 
     def emit(self, kind: GateKind, *logicals: int, tag: str | None = None):
-        self.gates.append(Gate(kind, tuple(self.phys(l) for l in logicals), tag))
+        self.gates.append(_gate(GateKind(kind), tuple(self.phys(l) for l in logicals), tag))
 
     def emit_swap(self, la: int, lb: int):
         pa, pb = self.phys(la), self.phys(lb)
         self.swap_events.append((len(self.gates), pa, pb))
-        self.gates.append(Gate(GateKind.SWAP, (pa, pb)))
+        self.gates.append(_gate(GateKind.SWAP, (pa, pb), None))
         self.mapping = self.mapping.with_swap(pa, pb)
 
     def emit_network(self, rows, a: int, b: int, t: int):
         """Rows of `CCX_NETWORK` on the physical qubits of (a, b, t)."""
         abt = (self.phys(a), self.phys(b), self.phys(t))
-        self.gates.extend(Gate(kind, tuple(abt[i] for i in pos), tag) for kind, pos, tag in rows)
+        self.gates.extend(_gate(kind, tuple(abt[i] for i in pos), tag) for kind, pos, tag in rows)
 
     def route_ccx_forward(self, a: int, b: int, t: int):
         ca, cb, ct = self.pos(a), self.pos(b), self.pos(t)
@@ -181,12 +185,12 @@ class _Router:
             BridgeEvent(len(self.gates), pa, pm, pb, middle_logical=t)
         )
         K = GateKind
-        self.gates.append(Gate(K.CX, (pa, pm), "bridge"))
-        self.gates.append(Gate(K.CX, (pm, pb), "bridge"))
-        self.gates.append(Gate(K.T, (pa,)))
-        self.gates.append(Gate(K.TDG, (pb,)))
-        self.gates.append(Gate(K.CX, (pm, pb), "bridge"))
-        self.gates.append(Gate(K.CX, (pa, pm), "bridge"))
+        self.gates.append(_gate(K.CX, (pa, pm), "bridge"))
+        self.gates.append(_gate(K.CX, (pm, pb), "bridge"))
+        self.gates.append(_gate(K.T, (pa,), None))
+        self.gates.append(_gate(K.TDG, (pb,), None))
+        self.gates.append(_gate(K.CX, (pm, pb), "bridge"))
+        self.gates.append(_gate(K.CX, (pa, pm), "bridge"))
 
     def route_block(self, block: list[Gate]):
         """Route one expanded C^nZ fragment (CCX ladder + CZ apex + mirror)."""
@@ -312,7 +316,6 @@ def compile(circuit: Circuit, g: CouplingGraph) -> MappedCircuit:  # noqa: A001
         swaps=len(r.swap_events),
         bridges=len(r.bridge_events),
         extra_cx=3 * len(r.swap_events) + 3 * len(r.bridge_events),
-        depth=circuit_depth(r.gates),
     )
     return MappedCircuit(
         physical_gates=tuple(r.gates),
@@ -382,7 +385,6 @@ def naive_route(circuit: Circuit, g: CouplingGraph) -> MappedCircuit:
         swaps=len(swap_events),
         bridges=0,
         extra_cx=3 * len(swap_events),
-        depth=circuit_depth(gates),
     )
     return MappedCircuit(
         physical_gates=tuple(gates),

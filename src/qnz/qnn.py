@@ -212,6 +212,8 @@ class Dataset:
 
     def __post_init__(self):
         for x, label in self.samples:
+            if np.iscomplexobj(x):
+                raise ValueError("sample has complex entries; samples are real")
             if abs(np.linalg.norm(x) - 1.0) > 1e-10:
                 raise ValueError("sample is not unit norm")
             if label not in (0, 1):

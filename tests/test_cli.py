@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from qnz.bench import COMPLEXITY_CLASSES, complexity_circuit
 from qnz.cli import main
 from qnz.qnn import best_exhaustive_accuracy, format_dataset, format_model, make_synthetic_dataset
-from qnz.ir import parse_circuit
+from qnz.ir import format_circuit, parse_circuit
 from qnz.trainer import train
 
 
@@ -64,6 +65,17 @@ class TestCompile:
         assert parsed.num_computing == 6
         saved = json.loads(stats.read_text())
         assert saved["swaps"] == 4
+
+    @pytest.mark.parametrize("name, depth", [("simple", 55), ("middle", 165), ("complex", 275)])
+    def test_stats_report_the_routed_depth(self, workdir, capsys, name, depth):
+        circ = workdir / f"{name}.txt"
+        circ.write_text(format_circuit(complexity_circuit(COMPLEXITY_CLASSES[name])))
+        stats = workdir / "stats.json"
+        code, report, _ = run_cli(
+            capsys, "compile", "--circuit", str(circ), "--topology", "chain:6", "--stats", str(stats)
+        )
+        assert code == 0
+        assert report["stats"]["depth"] == json.loads(stats.read_text())["depth"] == depth
 
     def test_greedy_router(self, workdir, capsys):
         (workdir / "flat.txt").write_text("qubits 3 0\ncx 0 2\n")
@@ -141,7 +153,29 @@ class TestSimulate:
         assert dist["0"] == pytest.approx(0.5, abs=1e-9)
 
 
+    def test_density_rejects_shots(self, workdir, capsys):
+        code, report, err = run_cli(
+            capsys, "simulate", "--circuit", str(workdir / "circ.txt"), "--backend", "density",
+            "--shots", "10", "--seed", "1",
+        )
+        assert (code, report) == (1, None)
+        assert json.loads(err.strip()) == {
+            "error": "CliError", "message": "--shots is read only by the traj backend, not by density",
+        }
+
+
 class TestInfer:
+    @pytest.mark.parametrize("backend", ["density", "ideal"])
+    def test_exact_backends_reject_shots(self, workdir, capsys, backend):
+        code, report, err = run_cli(
+            capsys, "infer", "--model", str(workdir / "best.model"), "--dataset", str(workdir / "data.txt"),
+            "--backend", backend, "--shots", "100", "--seed", "3",
+        )
+        assert (code, report) == (1, None)
+        assert json.loads(err.strip()) == {
+            "error": "CliError", "message": f"--shots is read only by the traj backend, not by {backend}",
+        }
+
     def test_accuracy_report(self, workdir, capsys):
         code, report, _ = run_cli(
             capsys,

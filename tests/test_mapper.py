@@ -5,6 +5,7 @@ import pytest
 from qnz.ir import Circuit, Gate, GateKind, decompose_ccx, decompose_cnz, gate
 from qnz.mapper import (
     MappingNotCanonical,
+    _gate,
     check_legal,
     compile,
     circuit_depth,
@@ -286,6 +287,35 @@ def test_circuit_depth():
     gates = [Gate(K.H, (0,)), Gate(K.H, (1,)), Gate(K.CX, (0, 1)), Gate(K.X, (1,))]
     assert circuit_depth(gates) == 3
     assert circuit_depth([]) == 0
+
+
+def test_routed_depth_of_every_8_entry_neuron():
+    from qnz.qnn import neuron_circuit, weights_from_code
+
+    g = linear_chain(4)
+    routed = [compile(neuron_circuit(weights_from_code(c, 8)), g) for c in range(256)]
+    assert sum(circuit_depth(m.physical_gates) for m in routed) == 22605
+
+
+class TestGateInterning:
+    """The router builds each distinct gate once and shares it."""
+
+    def test_a_bad_gate_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate qubit in cx"):
+                _gate(K.CX, (1, 1), None)
+
+    def test_routed_gates_are_shared(self):
+        a = compile(cnz_circuit(3), linear_chain(6)).physical_gates
+        b = compile(cnz_circuit(3), linear_chain(6)).physical_gates
+        assert a == b
+        assert all(x is y for x, y in zip(a, b))
+
+    def test_string_kinds_route_to_member_kinds(self):
+        circ = Circuit(4, 2, (Gate("h", (0,)), gate(K.CNZ, 0, 1, 2, 3)), block_boundaries=((1, 2),))
+        m = compile(circ, linear_chain(6))
+        assert m.physical_gates[0] == Gate(K.H, (m.initial_mapping.physical_of(0),))
+        assert all(type(g.kind) is GateKind for g in m.physical_gates)
 
 
 def test_mapped_text_round_trips_as_circuit():

@@ -546,10 +546,16 @@ class TestBundledDataset:
 
 class TestFileFormats:
     def test_dataset_round_trip(self):
-        ds = make_synthetic_dataset(3, 12)
-        text = format_dataset(ds)
-        back = parse_dataset(text, seed=ds.seed)
-        assert back.samples == ds.samples
+        # 0.6 and 0.8 have no exact binary form: the text must keep every bit
+        for ds in (make_synthetic_dataset(3, 12), Dataset((((0.6, 0.8), 0), ((0.8, -0.6), 1)), 5)):
+            text = format_dataset(ds)
+            back = parse_dataset(text, seed=ds.seed)
+            assert back.samples == ds.samples
+
+    @pytest.mark.parametrize("x", [(0.6 + 0j, 0.8j), (0.6 + 0j, 0.8 + 0j), np.array([0.6, 0.8], dtype=complex)])
+    def test_complex_samples_are_refused(self, x):
+        with pytest.raises(ValueError, match="sample has complex entries"):
+            Dataset(((x, 0),), 0)
 
     def test_dataset_header_required(self):
         with pytest.raises(ValueError):

@@ -388,21 +388,26 @@ class TestPauliEngine:
     def test_scoring_matches_oracle_and_forward_engine(self, plan, seed):
         """score_run's exact path (zero_effect, then effect_outputs, which
         sums the I and Z slices of every other axis) against the forward
-        engine and the oracle's Kraus evolution, on complex inputs."""
-        from qnz.qnn import Dataset, Scoring, score_run
+        engine and the oracle's Kraus evolution, on complex inputs and on the
+        real samples of a dataset, which score_run scores through that path."""
+        from qnz.qnn import Dataset, Scoring, effect_outputs, score_run
 
         rng = np.random.default_rng(seed)
         xs = np.array([random_state(plan.num_computing, rng) for _ in range(3)])
-        # a dataset of complex samples: score_run reads only their amplitudes
-        got = score_run(0, plan, Scoring(Dataset(tuple((tuple(x), 0) for x in xs), 0), "density"))
-        psis = [plan.embed(x) for x in xs]
-        forward = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured).probabilities(psis)[:, 0]
-        assert np.max(np.abs(got - forward)) <= 1e-12
+        reals = np.abs(xs) / np.linalg.norm(np.abs(xs), axis=1, keepdims=True)
+        eff = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
+        got = score_run(0, plan, Scoring(Dataset(tuple((tuple(x), 0) for x in reals), 0), "density"))
+        assert np.array_equal(got, effect_outputs(eff, plan, reals))
         pairs = lookup_readout(plan.bound.readout, plan.measured)
-        want = density_outcome_probabilities(
-            plan.gates, plan.n, plan.bound.events, psis[0], plan.measured, pairs
-        )
-        assert abs(got[0] - want[0]) <= 1e-12
+        for inputs in (xs, reals):
+            got = effect_outputs(eff, plan, inputs)
+            psis = [plan.embed(x) for x in inputs]
+            forward = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured).probabilities(psis)[:, 0]
+            assert np.max(np.abs(got - forward)) <= 1e-12
+            want = density_outcome_probabilities(
+                plan.gates, plan.n, plan.bound.events, psis[0], plan.measured, pairs
+            )
+            assert abs(got[0] - want[0]) <= 1e-12
 
 
 class TestSharedSuffixes:
