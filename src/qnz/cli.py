@@ -308,15 +308,23 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_bench(args) -> dict:
-    if args.repetitions < 1:
+    latency_only = {"--scaling": args.scaling, "--repetitions": args.repetitions is not None}
+    compare_only = {"--baseline-model": args.baseline_model, "--searched-model": args.searched_model,
+                    "--dataset": args.dataset, "--noise": args.noise}
+    other = "compare" if args.mode == "latency" else "latency"
+    for name, given in (compare_only if other == "compare" else latency_only).items():
+        if given:
+            raise CliError(f"{name} is read only by --mode {other}, not by --mode {args.mode}")
+    repetitions = 25 if args.repetitions is None else args.repetitions
+    if repetitions < 1:
         raise CliError("--repetitions must be >= 1")
     graph = load_topology(args.topology)
     t0 = time.perf_counter()
     if args.mode == "latency":
-        rows = standard_bench_rows(graph, args.repetitions)
+        rows = standard_bench_rows(graph, repetitions)
         payload: dict = {"classes": rows_as_dicts(rows)}
         if args.scaling:
-            points, r2 = latency_scaling(graph, repetitions=args.repetitions)
+            points, r2 = latency_scaling(graph, repetitions=repetitions)
             payload["scaling"] = {"points": points, "r_squared": r2}
         inputs = {"topology": _input_record(args.topology)}
     else:
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "--format")
     p.add_argument("--mode", choices=("latency", "compare"), default="latency")
     p.add_argument("--topology", required=True)
-    p.add_argument("--repetitions", type=int, default=25)
+    p.add_argument("--repetitions", type=int, default=None, help="latency mode; default 25")
     p.add_argument("--scaling", action="store_true", help="also fit latency vs block count")
     p.add_argument("--baseline-model", default=None)
     p.add_argument("--searched-model", default=None)

@@ -17,9 +17,13 @@ pushes each input's rho forward (rho -> U rho U^dagger, the transposed
 transfer), for `DensityProgram` and the trainer's prefix tables.
 
 Trajectories evolve a batch of shots one shot per trailing-axis row of a
-state, and draw each block of TRAJ_BLOCK shots from its own counter-based
-Philox stream keyed by (seed, block), so results are bit-identical no matter
-how blocks are batched or spread across threads.
+C-contiguous state, and draw each block of TRAJ_BLOCK shots from its own
+counter-based Philox stream keyed by (seed, block), so results are
+bit-identical no matter how blocks are batched or spread across threads.
+Sampled Paulis never enter the batch: each shot carries them as X and Z bits
+of a Pauli frame, which Clifford gates update, diagonal gates read (a shot
+with an X bit on the qubit gets the reversed diagonal) and CCX and CNZ write
+into the batch first; the final probabilities are permuted by the X bits.
 """
 from __future__ import annotations
 
@@ -89,15 +93,17 @@ def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: boo
     `conj` conjugates the matrix; only the Pauli engine's dense route
     (`_conjugate`) uses it, on one side of an operator. All multi-qubit kinds
     here are real, so only the 1-qubit path honors it.
-    X flips its axis (a view), diagonal kinds scale the |1> slice in place,
-    Y exchanges and phases the slices, and only H multiplies by its matrix.
+    X exchanges its axis' slices in place, diagonal kinds scale the |1> slice
+    in place, Y exchanges and phases the slices, and only H multiplies by its
+    matrix, into a new C-contiguous array.
     """
     na = arr.ndim
     if kind in _PHASE_1Q:
         arr[_idx(na, {axes[0]: 1})] *= np.conj(_PHASE_1Q[kind]) if conj else _PHASE_1Q[kind]
         return arr
     if kind is GateKind.X:
-        return np.flip(arr, axes[0])
+        _exchange(arr, _idx(na, {axes[0]: 0}), _idx(na, {axes[0]: 1}))
+        return arr
     if kind is GateKind.Y:
         # Y = [[0, -i], [i, 0]]: exchange the slices, then phase each
         q = axes[0]
@@ -106,8 +112,7 @@ def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: boo
         arr[_idx(na, {q: 1})] *= -1j if conj else 1j
         return arr
     if kind is GateKind.H:
-        out = np.tensordot(_H, arr, axes=(1, axes[0]))
-        return np.moveaxis(out, 0, axes[0])
+        return (_H @ arr.reshape(math.prod(arr.shape[:axes[0]]), 2, -1)).reshape(arr.shape)
     if kind is GateKind.CX:
         c, t = axes
         _exchange(arr, _idx(na, {c: 1, t: 0}), _idx(na, {c: 1, t: 1}))
@@ -473,30 +478,89 @@ def _block_draws(seed: int, block: int, size: int, rates, fixed, space, m: int):
     return shot, ev, code, gen.random(size), gen.random((size, m))
 
 
-def _apply_pauli_rows(arr: np.ndarray, qubits, rows: np.ndarray, codes) -> None:
-    """Pauli string `codes[r]` (an int: the same for all rows) on `qubits` of
-    batch row `rows[r]`, in place.
+def _frame_gate(arr: np.ndarray, kind: GateKind, axes, fx: list, fz: list) -> np.ndarray:
+    """One gate on a state batch whose true rows are X^fx Z^fz times them
+    (bits per qubit, then per row); returns the batch (may be new).
 
-    Digit pos of a code, (code >> 2 pos) & 3, acts on qubits[pos]: 1 = X,
-    2 = Y, 3 = Z. Y is applied as Z then X, which differs from it only by a
-    global phase of the row. The hit rows are gathered once, changed as a
-    dense block and written back.
+    Clifford kinds act on the batch as they are and carry the frame through:
+    H swaps a qubit's X and Z bits, CX, CZ, SWAP and BRIDGE3 propagate them,
+    and X and Y leave them alone (up to a sign of the row). A diagonal kind
+    diag(1, phi) on rows with an X bit on its qubit acts as diag(phi, 1),
+    since X diag(a, b) X = diag(b, a): one multiply by a per-row phase table.
+    CCX and CNZ first write the frame's bits on their qubits into the batch.
+    `arr` is C-contiguous ([2]*n + [batch]), so the reshapes here are views.
     """
-    sub = arr.take(rows, axis=-1)
-    for pos, q in enumerate(qubits):
-        d = (codes >> (2 * pos)) & 3
-        z, x = d >= 2, (d == 1) | (d == 2)
-        one = sub[_idx(sub.ndim, {q: 1})]
-        flipped = sub[_idx(sub.ndim, {q: slice(None, None, -1)})]
-        if isinstance(codes, int):
-            if z:
-                one *= -1
-            if x:
-                sub = flipped
-        else:
-            one *= np.where(z, -1.0, 1.0)
-            sub = np.where(x, flipped, sub)
-    arr[..., rows] = sub
+    if kind in _PHASE_1Q and fx[axes[0]].any():
+        phase, q = _PHASE_1Q[kind], axes[0]
+        table = np.where(fx[q], np.array([[phase], [1.0]]), np.array([[1.0], [phase]]))
+        arr.reshape(math.prod(arr.shape[:q]), 2, -1, arr.shape[-1])[...] *= table[:, None, :]
+        return arr
+    if kind in (GateKind.CCX, GateKind.CNZ):  # Z, then X, of the frame into the batch
+        for q in axes:
+            v = arr.reshape(math.prod(arr.shape[:q]), 2, -1, arr.shape[-1])
+            v[:, 1] *= np.where(fz[q], -1.0, 1.0)
+            v[...] = np.where(fx[q], v[:, ::-1], v)
+            fx[q], fz[q] = np.zeros_like(fx[q]), np.zeros_like(fz[q])
+    elif kind is GateKind.H:
+        q = axes[0]
+        fx[q], fz[q] = fz[q], fx[q]
+    elif kind is GateKind.SWAP:
+        a, b = axes
+        fx[a], fx[b], fz[a], fz[b] = fx[b], fx[a], fz[b], fz[a]
+    elif kind is GateKind.CZ:
+        a, b = axes
+        fz[a] ^= fx[b]
+        fz[b] ^= fx[a]
+    elif kind in (GateKind.CX, GateKind.BRIDGE3):
+        a, m, b = axes[0], axes[1], axes[-1]  # a bridge is CX(a, m) CX(m, b) CX(a, m)
+        for c, t in ((a, b),) if kind is GateKind.CX else ((a, m), (m, b), (a, m)):
+            fx[t] ^= fx[c]
+            fz[c] ^= fz[t]
+    return apply_kind(arr, kind, axes)
+
+
+def evolve(gates, n: int, events, measured, rows_init: np.ndarray,
+           hit_row: np.ndarray, hit_ev: np.ndarray, hit_code: np.ndarray) -> np.ndarray:
+    """Evolve a batch of shots, one per row of `rows_init` (batch, 2^n), each
+    with its Pauli hits; returns their (rows, 2^m) outcome CDFs over `measured`.
+
+    `events[e]` is (gate index, kind, qubits, p) in gate order, as
+    trajectory_counts lists them. Hit h puts the Pauli string hit_code[h] on
+    the qubits of event hit_ev[h] of row hit_row[h], right after its gate:
+    digit pos of a code, (code >> 2 pos) & 3, acts on qubits[pos] as 1 = X,
+    2 = Y, 3 = Z. Hits go into a Pauli frame, X and Z bits per qubit and row
+    (`_frame_gate`), not into the batch; at the end each row's basis
+    probabilities are permuted by its X bits before they are marginalised.
+    """
+    batch = len(rows_init)
+    arr = np.ascontiguousarray(rows_init.T).reshape([2] * n + [batch])
+    fx = [np.zeros(batch, dtype=bool) for _ in range(n)]
+    fz = [np.zeros(batch, dtype=bool) for _ in range(n)]
+    order = np.argsort(hit_ev, kind="stable")
+    hit_row, hit_ev, hit_code = hit_row[order], hit_ev[order], hit_code[order]
+    starts = np.flatnonzero(np.diff(hit_ev, prepend=-1))
+    bounds = list(zip(hit_ev[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), hit_ev.size]))
+    digits = [(hit_code >> (2 * pos)) & 3 for pos in range(max((len(e[2]) for e in events), default=0))]
+    hit_x = [(d == 1) | (d == 2) for d in digits]
+    hit_z = [d >= 2 for d in digits]
+    k = 0
+    for i, g in enumerate(gates):
+        arr = _frame_gate(arr, g.kind, g.qubits, fx, fz)
+        while k < len(bounds) and events[bounds[k][0]][0] == i:
+            e, lo, hi = bounds[k]
+            _, kind, qubits, _ = events[e]
+            rows = hit_row[lo:hi]
+            for pos, q in enumerate(qubits):
+                if kind != "phase":  # flip is X, depol any of X, Y, Z
+                    fx[q][rows] ^= hit_x[pos][lo:hi]
+                if kind != "flip":
+                    fz[q][rows] ^= hit_z[pos][lo:hi]
+            k += 1
+    probs = np.abs(arr.reshape(1 << n, batch)) ** 2
+    xmask = sum(fx[q].astype(np.int64) << (n - 1 - q) for q in range(n))
+    if np.any(xmask):
+        probs = np.take_along_axis(probs, np.arange(1 << n)[:, None] ^ xmask, axis=0)
+    return np.cumsum(_marginal_distribution(probs, n, measured), axis=1)
 
 
 def trajectory_counts(
@@ -523,8 +587,8 @@ def trajectory_counts(
       4. a (block shots, measured) array of readout uniforms (noise.apply_readout).
     So a row's counts do not depend on the other rows or on `threads`, which
     split whole blocks. The shots of up to _TRAJ_CHUNK amplitudes evolve
-    together as one state batch, gate by gate, and each Pauli hit is applied
-    to only the batch rows it hit.
+    together as one state batch, gate by gate (`evolve`); their Pauli hits
+    are carried as a per-shot Pauli frame beside the batch.
     """
     if n > SV_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the state-vector cap of {SV_WIDTH_CAP}")
@@ -537,30 +601,9 @@ def trajectory_counts(
     gates = tuple(gates)
     events = [(i, kind, qubits, p) for i, evs in enumerate(() if bound is None else bound.events)
               for kind, qubits, p in evs]
-    gate_of = np.array([i for i, *_ in events], dtype=np.int64)
-    qubits_of = [qubits for _, _, qubits, _ in events]
     rates = np.array([p for *_, p in events], dtype=float)
     fixed = np.array([{"flip": 1, "phase": 3}.get(kind, 0) for _, kind, _, _ in events], dtype=np.int64)
-    space = np.array([4 ** len(qubits) for qubits in qubits_of], dtype=np.int64)
-
-    def evolve(rows_init: np.ndarray, hit_row, hit_ev, hit_code) -> np.ndarray:
-        """Evolve a batch of shots; returns their (rows, 2^m) outcome CDFs."""
-        batch = len(rows_init)
-        arr = rows_init.T.reshape([2] * n + [batch])
-        order = np.argsort(hit_ev, kind="stable")
-        hit_row, hit_ev, hit_code = hit_row[order], hit_ev[order], hit_code[order]
-        hit_events, starts = np.unique(hit_ev, return_index=True)
-        bounds = list(zip(hit_events.tolist(), starts.tolist(), [*starts[1:].tolist(), hit_ev.size]))
-        k = 0
-        for i, g in enumerate(gates):
-            arr = apply_kind(arr, g.kind, g.qubits)
-            while k < len(bounds) and gate_of[bounds[k][0]] == i:
-                e, lo, hi = bounds[k]
-                codes = int(fixed[e]) or hit_code[lo:hi]  # flip, phase: one Pauli
-                _apply_pauli_rows(arr, qubits_of[e], hit_row[lo:hi], codes)
-                k += 1
-        probs = np.abs(arr.reshape(1 << n, batch)) ** 2
-        return np.cumsum(_marginal_distribution(probs, n, measured), axis=1)
+    space = np.array([4 ** len(qubits) for _, _, qubits, _ in events], dtype=np.int64)
 
     blocks_per = -(-shots // TRAJ_BLOCK)
     blocks = [(s, b) for s in range(len(psis)) for b in range(blocks_per)]
@@ -583,7 +626,8 @@ def trajectory_counts(
         for lo in range(0, offsets[-1], per_batch):
             hi = min(lo + per_batch, offsets[-1])
             sel = (hit_row >= lo) & (hit_row < hi)
-            cdf = evolve(psis[source[lo:hi]], hit_row[sel] - lo, hit_ev[sel], hit_code[sel])
+            cdf = evolve(gates, n, events, measured, psis[source[lo:hi]],
+                         hit_row[sel] - lo, hit_ev[sel], hit_code[sel])
             below = cdf <= u_out[lo:hi, None] * cdf[:, -1:]
             outcome[lo:hi] = np.minimum(below.sum(axis=1), (1 << m) - 1)
         bits = apply_readout((outcome[:, None] >> shifts) & 1, readout_pairs, u_read)

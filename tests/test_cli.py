@@ -450,6 +450,26 @@ class TestBench:
             "error": "ValueError", "message": "dataset declares dim 8 but has no samples",
         }
 
+    @pytest.mark.parametrize("flag", [["--scaling"], ["--repetitions", "3"]])
+    def test_compare_mode_rejects_latency_flags(self, workdir, capsys, flag):
+        code, _, err = run_cli(
+            capsys, "bench", "--mode", "compare", "--topology", "chain:4",
+            "--baseline-model", str(workdir / "best.model"),
+            "--searched-model", str(workdir / "best.model"),
+            "--dataset", str(workdir / "data.txt"), *flag,
+        )
+        assert code == 1
+        error = json.loads(err.strip())
+        assert error["error"] == "CliError" and error["message"].startswith(flag[0])
+
+    @pytest.mark.parametrize("flag", ["--baseline-model", "--searched-model", "--dataset", "--noise"])
+    def test_latency_mode_rejects_compare_flags(self, workdir, capsys, flag):
+        value = "flip:0.01" if flag == "--noise" else str(workdir / "best.model")
+        code, _, err = run_cli(capsys, "bench", "--topology", "chain:6", flag, value)
+        assert code == 1
+        error = json.loads(err.strip())
+        assert error["error"] == "CliError" and error["message"].startswith(flag)
+
     def test_compare_requires_models(self, workdir, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--mode", "compare", "--topology", "chain:4"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnz.ir import ARITY, Circuit, Gate, GateKind, gate
-from qnz.noise import BoundNoise, NoiseModel, bind_gates, lookup_readout
+from qnz.noise import BoundNoise, NoiseModel, bind_gates, lookup_readout, parse_noise_shorthand
 from qnz import simulator
 from qnz.simulator import (
     SV_WIDTH_CAP,
@@ -605,6 +605,53 @@ def _trajectory_case(n: int, inputs: int, seed: int, noise: NoiseModel | None = 
     return gates, bound, measured, inits
 
 
+# a width-4 logical circuit with every gate kind, superpositions ahead of
+# the three- and four-qubit gates
+_ALL_KINDS = (
+    Gate(K.H, (0,)), Gate(K.H, (1,)), Gate(K.H, (2,)), Gate(K.X, (3,)), Gate(K.T, (0,)),
+    Gate(K.CX, (0, 1)), Gate(K.Y, (2,)), Gate(K.S, (1,)), Gate(K.CZ, (1, 2)), Gate(K.TDG, (2,)),
+    Gate(K.SWAP, (0, 3)), Gate(K.Z, (3,)), Gate(K.BRIDGE3, (1, 2, 3)), Gate(K.CCX, (0, 1, 2)),
+    Gate(K.H, (3,)), Gate(K.T, (1,)), Gate(K.CNZ, (0, 1, 2, 3)), Gate(K.H, (0,)), Gate(K.CX, (3, 2)),
+    Gate(K.S, (2,)), Gate(K.H, (2,)),
+)
+
+
+def _pinned_case(case: str):
+    """(gates, n, bound, inits, seeds, measured) of one pinned-counts case: a
+    routed 8-entry neuron on chain:4 under flip and phase with per-qubit
+    readout or under depol, or `_ALL_KINDS` under every kind of noise."""
+    from qnz.mapper import compile
+    from qnz.noise import bind
+    from qnz.qnn import neuron_circuit, weights_from_code
+    from qnz.topology import linear_chain
+
+    rng = np.random.default_rng(2024)
+    if case == "all kinds":
+        bound = bind_gates(parse_noise_shorthand("flip:0.05,phase:0.05,depol:0.05,readout:0.02"), _ALL_KINDS)
+        inits = np.array([random_state(4, rng) for _ in range(3)])
+        return _ALL_KINDS, 4, bound, inits, [31, 32, 33], [3, 0, 1]
+    noise = {
+        "flip phase": NoiseModel(flip_p=0.05, phase_p=0.05,
+                                 readout=tuple((q, 0.01 * (q + 1), 0.015 * (q + 1)) for q in range(4))),
+        "depol": parse_noise_shorthand("depol:0.05"),
+    }[case]
+    mapped = compile(neuron_circuit(weights_from_code(0b10010100, 8)), linear_chain(4))
+    plan = simulator.plan_mapped_run(mapped, bind(noise, mapped))
+    xs = rng.normal(size=(3 if case == "flip phase" else 2, 8))
+    inits = np.array([plan.embed(x / np.linalg.norm(x)) for x in xs])
+    return plan.gates, plan.n, plan.bound, inits, [11, 12, 13][:len(inits)], list(plan.measured)
+
+
+# per-seed counts of the three `_pinned_case` cases, 150 shots per input row
+PINNED_COUNTS = {
+    "flip phase": [[23, 23, 17, 14, 16, 23, 16, 18], [20, 17, 10, 21, 20, 24, 20, 18],
+                   [17, 24, 25, 9, 16, 26, 14, 19]],
+    "depol": [[22, 19, 14, 18, 21, 25, 21, 10], [11, 23, 20, 21, 19, 20, 18, 18]],
+    "all kinds": [[13, 13, 28, 25, 17, 18, 20, 16], [16, 24, 14, 14, 20, 19, 20, 23],
+                  [18, 22, 14, 26, 17, 17, 20, 16]],
+}
+
+
 class TestTrajectoryEngine:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_agrees_with_density(self, n):
@@ -692,6 +739,48 @@ class TestTrajectoryEngine:
             want[sum(b << (m - 1 - j) for j, b in enumerate(read))] += 1
         assert got.tolist() == want.tolist()
         assert hits.any() and any(e[1] == "depol" for e in events)
+
+    @pytest.mark.parametrize("case", sorted(PINNED_COUNTS))
+    def test_pinned_per_seed_counts(self, case):
+        # counts taken from the per-hit walk that the Pauli frame replaced;
+        # 150 shots per input, so two full blocks and a partial one
+        gates, n, bound, inits, seeds, measured = _pinned_case(case)
+        for threads in (1, 2) if case == "all kinds" else (1,):
+            got = trajectory_counts(gates, n, bound, inits, seeds, 150, measured, threads)
+            assert got.tolist() == PINNED_COUNTS[case]
+
+    @pytest.mark.parametrize("kind, axes", _KIND_CASES, ids=lambda v: str(getattr(v, "value", v)))
+    def test_frame_rules_match_the_oracle(self, kind, axes):
+        # rows with no hit, with one X, Z or Y hit on each of the gate's
+        # qubits, and with random strings on all of them, all just before the
+        # gate; H, T and H layers after it turn every pending frame bit into
+        # a change of the measured probabilities
+        n, measured = 4, [2, 0, 3]
+        rng = np.random.default_rng(len(axes) * 10 + axes[0])
+        suffix = [Gate(k, (q,)) for k in (K.H, K.T, K.H) for q in range(n)]
+        gates = [Gate(K.S, (axes[0],)), Gate(kind, axes)] + suffix
+        events = [(0, "depol", (q,), 0.0) for q in axes] + [(0, "depol", axes, 0.0)]
+        hits = [(1 + 3 * j + i, j, code) for j in range(len(axes)) for i, code in enumerate((1, 3, 2))]
+        rows = 1 + len(hits)
+        hits += [(rows + i, len(axes), int(c)) for i, c in enumerate(rng.integers(1, 4 ** len(axes), 4))]
+        rows += 4
+        inits = np.array([random_state(n, rng) for _ in range(rows)])
+        hit_row, hit_ev, hit_code = (np.array(v, dtype=np.int64) for v in zip(*hits))
+        cdf = simulator.evolve(gates, n, events, measured, inits.copy(), hit_row, hit_ev, hit_code)
+        got = np.diff(cdf, axis=1, prepend=0.0)
+
+        m = len(measured)
+        for r in range(rows):
+            psi = gate_unitary(gates[0], n) @ inits[r]
+            for row, e, code in hits:
+                if row == r:
+                    qubits = events[e][2]
+                    psi = pauli_string([(code >> (2 * pos)) & 3 for pos in range(len(qubits))], qubits, n) @ psi
+            psi = circuit_unitary(gates[1:], n) @ psi
+            want = np.zeros(2**m)
+            for x, a in enumerate(psi):
+                want[sum(bit_of(x, q, n) << (m - 1 - j) for j, q in enumerate(measured))] += abs(a) ** 2
+            assert np.max(np.abs(got[r] - want)) <= 1e-12, r
 
     def test_width_and_shots_validated(self):
         with pytest.raises(ValueError):
