@@ -30,7 +30,7 @@ from .mapper import compile as compile_circuit
 from .mapper import circuit_depth, mapped_to_text, naive_route
 from .noise import NoiseModel, bind_gates, load_noise
 from .qnn import Scoring, accuracy, load_dataset, load_model
-from .simulator import run_density, run_trajectories, state_from_amplitudes
+from .simulator import basis_state, run_density, run_trajectories, state_from_amplitudes
 from .topology import load_topology
 from .trainer import (
     TrainConfig,
@@ -69,9 +69,7 @@ def _parse_init(spec: str, width: int) -> np.ndarray:
         index = int(spec.split(":", 1)[1])
         if not 0 <= index < 2**width:
             raise CliError(f"basis index {index} out of range for width {width}")
-        psi = np.zeros(2**width, dtype=complex)
-        psi[index] = 1.0
-        return psi
+        return basis_state(width, index)
     if spec.startswith("amplitudes:"):
         path = spec.split(":", 1)[1]
         rows = []
@@ -99,10 +97,6 @@ def _write(path: str | None, text: str) -> list[str]:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
     return [path]
-
-
-def _emit_report(report: dict):
-    print(json.dumps(report, default=str))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +465,7 @@ def main(argv=None) -> int:
         "elapsed_ms": (time.perf_counter() - t0) * 1e3,
     }
     report.update(body)
-    _emit_report(report)
+    print(json.dumps(report, default=str))
     return 0
 
 

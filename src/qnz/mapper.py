@@ -67,15 +67,6 @@ class MappedCircuit:
     block_mappings: tuple[Mapping, ...]
     stats: MapStats
 
-    def mapping_at(self, gate_index: int) -> Mapping:
-        """Mapping in effect just before `gate_index`."""
-        m = self.initial_mapping
-        for idx, pa, pb in self.swap_events:
-            if idx >= gate_index:
-                break
-            m = m.with_swap(pa, pb)
-        return m
-
 
 def circuit_depth(gates) -> int:
     level: dict[int, int] = {}
@@ -216,30 +207,6 @@ class _Router:
                 self.emit(g.kind, g.qubits[0], tag=g.tag)
             else:
                 raise MappingNotCanonical(f"unexpected {g.kind.value} inside a block")
-
-
-@dataclass(frozen=True)
-class RoutedFragment:
-    gates: tuple[Gate, ...]
-    swap_events: tuple[tuple[int, int, int], ...]
-    bridge_events: tuple[BridgeEvent, ...]
-    final_mapping: Mapping
-
-
-def route_cnz_block(
-    block: list[Gate], mapping: Mapping, chain: list[int] | tuple[int, ...]
-) -> RoutedFragment:
-    """Route one expanded C^nZ block; the final mapping equals the initial one."""
-    n = len(chain) // 2
-    if mapping != initial_interleaved_mapping(n, chain):
-        raise MappingNotCanonical("block routing must start from the interleaved mapping")
-    r = _Router(tuple(chain), mapping)
-    r.route_block(block)
-    if r.mapping != mapping:  # pragma: no cover - structural guarantee
-        raise MappingNotCanonical("mapping was not restored after the block")
-    return RoutedFragment(
-        tuple(r.gates), tuple(r.swap_events), tuple(r.bridge_events), r.mapping
-    )
 
 
 def _weight_register_controls(circuit: Circuit) -> int:

@@ -48,9 +48,6 @@ class NoiseModel:
             _check_prob(f"readout[{q}].p01", p01)
             _check_prob(f"readout[{q}].p10", p10)
 
-    def readout_for(self, qubit: int) -> tuple[float, float]:
-        return lookup_readout(self.readout, (qubit,))[0]
-
     def multiplier_for(self, qubit: int) -> float:
         for q, f in self.qubit_multipliers:
             if q == qubit:

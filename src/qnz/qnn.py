@@ -339,6 +339,8 @@ class Scoring:
                 raise ValueError("trajectories backend needs shots >= 1")
             if self.seed is None:
                 raise ValueError("trajectories backend needs a seed")
+        elif self.shots:
+            raise ValueError(f"shots are read only by the trajectories backend, not by {self.backend}")
 
 
 def score_run(code: int, plan: MappedPlan, scoring: Scoring) -> np.ndarray:

@@ -141,28 +141,21 @@ def apply_kind(arr: np.ndarray, kind: GateKind, axes: tuple[int, ...], conj: boo
 
 
 def run_gates_ideal(gates, n: int, init: np.ndarray | None = None) -> np.ndarray:
+    """Exact noiseless evolution of a state, or of each column of a
+    (2^n, batch) array (`np.eye(2**n)` gives the circuit's unitary)."""
     if n > SV_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the state-vector cap of {SV_WIDTH_CAP}")
-    psi = (basis_state(n) if init is None else np.array(init, dtype=complex)).reshape([2] * n)
+    psi = basis_state(n) if init is None else np.array(init, dtype=complex)
+    batch = psi.shape[1:] if psi.ndim == 2 else ()
+    psi = psi.reshape([2] * n + list(batch))
     for g in gates:
         psi = apply_kind(psi, g.kind, g.qubits)
-    return psi.reshape(-1)
+    return psi.reshape((1 << n,) + batch)
 
 
 def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     """Exact noiseless evolution; returns the final state vector."""
     return run_gates_ideal(circuit.gates, circuit.width, init)
-
-
-def total_unitary(gates, n: int) -> np.ndarray:
-    """Dense product of a gate sequence; intended for widths up to ~10."""
-    if n > DENSITY_WIDTH_CAP:
-        raise ValueError(f"width {n} exceeds the dense-unitary cap of {DENSITY_WIDTH_CAP}")
-    dim = 1 << n
-    running = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    for g in gates:
-        running = apply_kind(running, g.kind, g.qubits)
-    return running.reshape(dim, dim)
 
 
 def born_distribution(state: np.ndarray, measured: list[int] | tuple[int, ...]) -> dict[str, float]:
@@ -428,11 +421,6 @@ class DensityProgram:
         return _outcome_dict(self.probabilities([psi])[0], 1e-18)
 
 
-def run_gates_density(gates, n: int, bound: BoundNoise | None, init: np.ndarray | None = None,
-                      measured: list[int] | None = None) -> dict[str, float]:
-    return DensityProgram(gates, n, bound, measured).distribution(init)
-
-
 def run_density(
     circuit: Circuit,
     bound: BoundNoise | None = None,
@@ -444,7 +432,7 @@ def run_density(
     Measures the computing qubits by default.
     """
     measured = list(range(circuit.num_computing)) if measured is None else measured
-    return run_gates_density(circuit.gates, circuit.width, bound, init, measured)
+    return DensityProgram(circuit.gates, circuit.width, bound, measured).distribution(init)
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +731,3 @@ def plan_mapped_run(m, bound: BoundNoise | None = None) -> MappedPlan:
             ),
         )
     return MappedPlan(n, gates, m.num_computing, init_positions, measured, aux_axes, bound)
-
-
-def run_mapped_ideal(m, logical_init: np.ndarray | None = None) -> tuple[np.ndarray, MappedPlan]:
-    plan = plan_mapped_run(m)
-    return run_gates_ideal(plan.gates, plan.n, plan.embed(logical_init)), plan

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qnz.bench import complexity_circuit, latency_scaling, standard_bench_rows
-from qnz.ir import Circuit, GateKind, decompose_bridge3, decompose_cnz, expand_to_basis, gate
-from qnz.mapper import compile, initial_interleaved_mapping, naive_route, route_cnz_block
+from qnz.ir import Circuit, GateKind, decompose_bridge3, expand_to_basis, gate
+from qnz.mapper import compile, initial_interleaved_mapping, naive_route
 from qnz.noise import NoiseModel, bind
 from qnz.qnn import (
     best_exhaustive_accuracy,
@@ -21,11 +21,11 @@ from qnz.qnn import (
     weights_from_code,
 )
 from qnz.simulator import (
+    DensityProgram,
     born_distribution,
     plan_mapped_run,
-    run_gates_density,
+    run_gates_ideal,
     run_gates_trajectories,
-    total_unitary,
     total_variation,
 )
 from qnz.topology import linear_chain
@@ -73,14 +73,9 @@ def _report(n: int, text: str):
 
 def test_criterion_01_restoration_invariant():
     for n in (2, 3, 4, 5):
-        chain = list(range(2 * n))
-        mapping = initial_interleaved_mapping(n, chain)
-        block = decompose_cnz(gate(K.CNZ, *range(n + 1)), aux_base=n + 1)
-        frag = route_cnz_block(block, mapping, chain)
-        assert frag.final_mapping == mapping, f"mapping not restored for n={n}"
         circ = Circuit(n + 1, n - 1, (gate(K.CNZ, *range(n + 1)),))
         mapped = compile(circ, linear_chain(2 * n))
-        assert mapped.final_mapping == mapped.initial_mapping
+        assert mapped.final_mapping == mapped.initial_mapping, f"mapping not restored for n={n}"
     _report(1, "mapping restored after every C^nZ block, n in {2,3,4,5}, exact")
 
 
@@ -104,9 +99,9 @@ def test_criterion_03_semantic_preservation():
         w = weights_from_code(code, 8)
         circ = circ_of_weights(w)
         mapped = compile(circ, g)
-        u_logical = total_unitary(circ.gates, circ.width)
+        u_logical = run_gates_ideal(circ.gates, circ.width, np.eye(2**circ.width))
         plan = plan_mapped_run(mapped)
-        u_mapped = total_unitary(plan.gates, plan.n)
+        u_mapped = run_gates_ideal(plan.gates, plan.n, np.eye(2**plan.n))
         for _ in range(20):
             comp = random_state(3, rng)
             logical_init = np.kron(comp, np.array([1, 0], dtype=complex))
@@ -152,7 +147,7 @@ def test_criterion_05_oracle_agreement():
             mapped = compile(neuron_circuit(w), linear_chain(4))
             plan = plan_mapped_run(mapped, bind(nm, mapped))
             init = plan.embed(x)
-            exact = run_gates_density(plan.gates, plan.n, plan.bound, init, list(plan.measured))
+            exact = DensityProgram(plan.gates, plan.n, plan.bound, plan.measured).distribution(init)
             counts = run_gates_trajectories(
                 plan.gates, plan.n, plan.bound, init, shots, ORACLE_SEED, list(plan.measured),
             )

@@ -356,11 +356,24 @@ class TestTrainAndSweep:
     def test_dataset_that_does_not_fit_is_json_error(self, workdir, capsys, backend, data, message):
         (workdir / "unfit.txt").write_text(data)
         config = json.loads((workdir / "train.json").read_text())
-        config.update(dataset=str(workdir / "unfit.txt"), backend=backend, shots=16)
+        config.update(dataset=str(workdir / "unfit.txt"), backend=backend)
+        if backend == "trajectories":
+            config.update(shots=16)
         (workdir / "unfit.json").write_text(json.dumps(config))
         code, _, err = run_cli(capsys, "train", "--config", str(workdir / "unfit.json"), "--seed", "5")
         assert code == 1
         assert json.loads(err.strip()) == {"error": "ValueError", "message": message}
+
+    def test_config_shots_on_an_exact_backend_is_json_error(self, workdir, capsys):
+        config = json.loads((workdir / "train.json").read_text())
+        assert config["backend"] == "density"
+        (workdir / "shots.json").write_text(json.dumps(dict(config, shots=500)))
+        code, _, err = run_cli(capsys, "train", "--config", str(workdir / "shots.json"), "--seed", "5")
+        assert code == 1
+        assert json.loads(err.strip()) == {
+            "error": "ValueError",
+            "message": "shots are read only by the trajectories backend, not by density",
+        }
 
     def test_train_missing_field(self, workdir, capsys):
         (workdir / "bad.json").write_text(json.dumps({"strategy": "exhaustive"}))

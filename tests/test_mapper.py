@@ -4,7 +4,6 @@ import pytest
 
 from qnz.ir import Circuit, Gate, GateKind, decompose_ccx, decompose_cnz, gate
 from qnz.mapper import (
-    MappingNotCanonical,
     _gate,
     check_legal,
     compile,
@@ -12,12 +11,12 @@ from qnz.mapper import (
     initial_interleaved_mapping,
     mapped_to_text,
     naive_route,
-    route_cnz_block,
 )
 from qnz.simulator import (
     born_distribution,
+    plan_mapped_run,
+    run_gates_ideal,
     run_ideal,
-    run_mapped_ideal,
     total_variation,
 )
 from qnz.topology import NoChainFound, coupling_graph, linear_chain
@@ -65,74 +64,79 @@ class TestInterleavedMapping:
         assert [m.physical_of(l) for l in (0, 3, 1, 2)] == [7, 3, 9, 2]
 
 
+GRID_4X4 = coupling_graph(
+    16, [(r * 4 + c, r * 4 + c + 1) for r in range(4) for c in range(3)]
+    + [(r * 4 + c, r * 4 + c + 4) for r in range(3) for c in range(4)],
+)
+
+
 class TestRouteCnzBlock:
+    """One C^nZ block routed through `compile`, the router's only entry."""
+
     def test_cnz3_insertion_counts(self):
-        chain = list(range(6))
-        mapping = initial_interleaved_mapping(3, chain)
-        block = decompose_cnz(gate(K.CNZ, 0, 1, 2, 3), aux_base=4)
-        frag = route_cnz_block(block, mapping, chain)
-        swaps = sum(1 for g in frag.gates if g.kind is K.SWAP)
-        assert swaps == 4
-        assert len(frag.bridge_events) == 2
-        assert frag.final_mapping == mapping
+        m = compile(cnz_circuit(3), linear_chain(6))
+        assert sum(1 for g in m.physical_gates if g.kind is K.SWAP) == 4
+        assert len(m.bridge_events) == 2
+        assert m.final_mapping == m.initial_mapping
 
     def test_cnz1_no_insertions(self):
-        chain = [0, 1]
-        mapping = initial_interleaved_mapping(1, chain)
-        block = decompose_cnz(gate(K.CNZ, 0, 1), aux_base=2)
-        frag = route_cnz_block(block, mapping, chain)
-        assert frag.gates == (Gate(K.CZ, (0, 1)),)
-        assert frag.swap_events == () and frag.bridge_events == ()
-        assert frag.final_mapping == mapping
-
-    def test_rejects_non_canonical_mapping(self):
-        chain = list(range(6))
-        mapping = initial_interleaved_mapping(3, chain).with_swap(0, 1)
-        block = decompose_cnz(gate(K.CNZ, 0, 1, 2, 3), aux_base=4)
-        with pytest.raises(MappingNotCanonical):
-            route_cnz_block(block, mapping, chain)
+        m = compile(cnz_circuit(1), linear_chain(2))
+        assert m.physical_gates == (Gate(K.CZ, (0, 1)),)
+        assert m.swap_events == () and m.bridge_events == ()
+        assert m.final_mapping == m.initial_mapping
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_forward_ccx_is_the_network_with_one_swap_before_g5(self, n):
         chain = [7, 3, 9, 2, 5, 8, 0, 1][: 2 * n]
-        mapping = initial_interleaved_mapping(n, chain)
+        # the device is the path graph of `chain`; find_chain may walk it either way
+        m = compile(cnz_circuit(n), coupling_graph(10, list(zip(chain, chain[1:]))))
+        assert m.chain in (tuple(chain), tuple(chain[::-1]))
+        mapping = m.initial_mapping
         block = decompose_cnz(gate(K.CNZ, *range(n + 1)), aux_base=n + 1)
-        frag = route_cnz_block(block, mapping, chain)
         at = 0
-        for ccx, (index, pa, pb) in zip(block[: n - 1], frag.swap_events):
+        for ccx, (index, pa, pb) in zip(block[: n - 1], m.swap_events):
             before = Gate(K.CCX, tuple(mapping.physical_of(q) for q in ccx.qubits))
             mapping = mapping.with_swap(pa, pb)
             after = Gate(K.CCX, tuple(mapping.physical_of(q) for q in ccx.qubits))
             assert index == at + 11
-            assert frag.gates[at : at + 16] == (
+            assert m.physical_gates[at : at + 16] == (
                 *decompose_ccx(before)[:11], Gate(K.SWAP, (pa, pb)), *decompose_ccx(after)[11:]
             )
             at += 16
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_restoration_for_all_sizes(self, n):
-        chain = list(range(2 * n))
-        mapping = initial_interleaved_mapping(n, chain)
-        block = decompose_cnz(gate(K.CNZ, *range(n + 1)), aux_base=n + 1)
-        frag = route_cnz_block(block, mapping, chain)
-        assert frag.final_mapping == mapping
+        m = compile(cnz_circuit(n), linear_chain(2 * n))
+        assert m.initial_mapping == initial_interleaved_mapping(n, m.chain)
+        assert m.final_mapping == m.initial_mapping
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_semantics_match_logical_block(self, n):
         rng = np.random.default_rng(40 + n)
         circ = cnz_circuit(n)
-        mapped = compile(circ, linear_chain(2 * n))
+        plan = plan_mapped_run(compile(circ, linear_chain(2 * n)))
         for _ in range(20 if n < 4 else 6):
             comp = random_state(n + 1, rng)
             init = logical_state(n + 1, n - 1, comp)
             want = run_ideal(circ, init)
-            got, plan = run_mapped_ideal(mapped, comp)
+            got = run_gates_ideal(plan.gates, plan.n, plan.embed(comp))
             d_log = born_distribution(want, list(range(n + 1)))
             d_phys = born_distribution(got, list(plan.measured))
             assert total_variation(d_log, d_phys) < 1e-9
             # auxiliaries end in |0>: all probability on their 0 outcome
             d_aux = born_distribution(got, list(plan.aux_axes))
             assert d_aux.get("0" * (n - 1), 0.0) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "n, device",
+        [(n, "chain") for n in range(2, 9)] + [(n, "grid4x4") for n in range(2, 5)],
+    )
+    def test_one_block_is_legal_and_restores_its_mapping(self, n, device):
+        g = linear_chain(2 * n) if device == "chain" else GRID_4X4
+        m = compile(cnz_circuit(n), g)
+        check_legal(m, g)
+        assert m.final_mapping == m.initial_mapping
+        assert m.block_mappings == (m.initial_mapping,)
 
 
 class TestCompile:
@@ -181,12 +185,12 @@ class TestCompile:
 
     def test_mapping_trace_via_swap_events(self):
         m = compile(cnz_circuit(3), linear_chain(6))
-        assert m.mapping_at(0) == m.initial_mapping
-        assert m.mapping_at(len(m.physical_gates)) == m.initial_mapping
+        trace = [m.initial_mapping]
+        for _, pa, pb in m.swap_events:
+            trace.append(trace[-1].with_swap(pa, pb))
+        assert trace[-1] == m.initial_mapping
         # right after the first forward swap, q1 and aux0 have exchanged slots
-        first_swap = m.swap_events[0][0]
-        moved = m.mapping_at(first_swap + 1)
-        assert moved == m.initial_mapping.with_swap(1, 2)
+        assert trace[1] == m.initial_mapping.with_swap(1, 2)
 
     def test_single_qubit_gates_placed_on_mapped_slots(self):
         c = Circuit(4, 2, (gate(K.H, 0), gate(K.X, 3)))
@@ -232,7 +236,8 @@ class TestCompile:
         rng = np.random.default_rng(3)
         comp = random_state(4, rng)
         want = run_ideal(cnz_circuit(3), logical_state(4, 2, comp))
-        got, plan = run_mapped_ideal(m, comp)
+        plan = plan_mapped_run(m)
+        got = run_gates_ideal(plan.gates, plan.n, plan.embed(comp))
         d_log = born_distribution(want, [0, 1, 2, 3])
         d_phys = born_distribution(got, list(plan.measured))
         assert total_variation(d_log, d_phys) < 1e-9
@@ -265,11 +270,12 @@ class TestNaiveRoute:
         g = linear_chain(6)
         m = naive_route(circ, g)
         check_legal(m, g)
+        plan = plan_mapped_run(m)
         for _ in range(5):
             comp = random_state(4, rng)
             init = logical_state(4, 2, comp)
             want = born_distribution(run_ideal(circ, init), [0, 1, 2, 3])
-            got, plan = run_mapped_ideal(m, comp)
+            got = run_gates_ideal(plan.gates, plan.n, plan.embed(comp))
             have = born_distribution(got, list(plan.measured))
             assert total_variation(want, have) < 1e-9
 

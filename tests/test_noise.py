@@ -19,7 +19,7 @@ from qnz.noise import (
     parse_noise_shorthand,
 )
 from qnz.qnn import Dataset, Scoring, neuron_circuit, neuron_outputs
-from qnz.simulator import run_density, run_gates_density
+from qnz.simulator import DensityProgram, run_density
 from qnz.topology import CouplingGraph, linear_chain
 
 K = GateKind
@@ -32,7 +32,7 @@ class TestLoadCalibration:
         nm = load_calibration(str(p))
         assert nm.flip_p == 0.1
         assert nm.phase_p == 0.0
-        assert nm.readout_for(3) == (0.0, 0.0)
+        assert lookup_readout(nm.readout, [3]) == [(0.0, 0.0)]
 
     def test_flip_plus_phase(self, tmp_path):
         p = tmp_path / "cal.json"
@@ -66,7 +66,7 @@ class TestLoadCalibration:
             )
         )
         nm = load_calibration(str(p))
-        assert nm.readout_for(1) == (0.1, 0.05)
+        assert lookup_readout(nm.readout, [1]) == [(0.1, 0.05)]
         assert nm.multiplier_for(2) == 2.0
         assert nm.multiplier_for(0) == 1.0
 
@@ -74,7 +74,7 @@ class TestLoadCalibration:
         nm = parse_noise_shorthand("flip:0.01,phase:0.02")
         assert nm.flip_p == 0.01 and nm.phase_p == 0.02
         nm = parse_noise_shorthand("readout:0.1")
-        assert nm.readout_for(0) == (0.1, 0.1)
+        assert lookup_readout(nm.readout, [0]) == [(0.1, 0.1)]
         with pytest.raises(CalibrationError):
             parse_noise_shorthand("wobble:0.1")
 
@@ -187,8 +187,8 @@ class TestChannelAlgebra:
         gates = [Gate(K.X, (0,)), Gate(K.X, (0,))]
         twice = BoundNoise(events=((("flip", (0,), p),), (("flip", (0,), p),)))
         once = BoundNoise(events=((), (("flip", (0,), 2 * p * (1 - p)),)))
-        d1 = run_gates_density(gates, 1, twice)
-        d2 = run_gates_density(gates, 1, once)
+        d1 = DensityProgram(gates, 1, twice).distribution()
+        d2 = DensityProgram(gates, 1, once).distribution()
         for k in set(d1) | set(d2):
             assert d1.get(k, 0.0) == pytest.approx(d2.get(k, 0.0), abs=1e-12)
 
@@ -207,6 +207,6 @@ class TestChannelAlgebra:
     def test_qubit_flip_rate_exact_on_oracle(self):
         p = 0.07
         b = BoundNoise(events=((("flip", (0,), p),),))
-        d = run_gates_density([Gate(K.X, (0,))], 1, b, init=np.array([0, 1], dtype=complex))
+        d = DensityProgram([Gate(K.X, (0,))], 1, b).distribution(np.array([0, 1], dtype=complex))
         # X maps |1> to |0>, then flip sends it back with probability p
         assert d.get("1", 0.0) == pytest.approx(p, abs=1e-12)

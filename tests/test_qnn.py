@@ -35,8 +35,8 @@ from qnz.simulator import (
     born_distribution,
     effect_matrix,
     plan_mapped_run,
+    run_gates_ideal,
     run_ideal,
-    run_mapped_ideal,
     zero_effect,
 )
 from qnz.topology import coupling_graph, linear_chain
@@ -345,20 +345,19 @@ class TestInferenceAndAccuracy:
         for code in (3, 77, 129):
             w = weights_from_code(code, 8)
             mapped = compile(neuron_circuit(w), linear_chain(4))
-            psi, plan = run_mapped_ideal(mapped)
+            plan = plan_mapped_run(mapped)
+            psi = run_gates_ideal(plan.gates, plan.n, plan.embed())
             d_aux = born_distribution(psi, list(plan.aux_axes))
             assert d_aux.get("0", 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_compiled_circuit_amplitudes_match_diag(self):
-        from qnz.simulator import plan_mapped_run, total_unitary
-
         rng = np.random.default_rng(71)
         g = linear_chain(4)
         for code in (1, 9, 0b1100101, 0b10011001, 254):
             w = weights_from_code(code, 8)
             mapped = compile(circ_of_weights(w), g)
             plan = plan_mapped_run(mapped)
-            u = total_unitary(plan.gates, plan.n)
+            u = run_gates_ideal(plan.gates, plan.n, np.eye(2**plan.n))
             for _ in range(3):
                 comp = random_state(3, rng)
                 got = u @ plan.embed(comp)
@@ -423,6 +422,7 @@ class TestScoringValidation:
     @pytest.mark.parametrize("kw, message", [
         (dict(backend="qpu"), "unknown backend 'qpu'"),
         (dict(backend="trajectories", shots=0), "trajectories backend needs shots >= 1"),
+        (dict(backend="density", shots=500), "shots are read only by the trajectories backend, not by density"),
     ])
     def test_one_message_for_scoring_train_config_and_accuracy(self, kw, message):
         ds, m = make_synthetic_dataset(3, 10), model([1] * 8)

@@ -21,7 +21,6 @@ from qnz.simulator import (
     pull_back,
     readout_effect,
     run_density,
-    run_gates_density,
     run_gates_ideal,
     run_ideal,
     run_trajectories,
@@ -43,6 +42,15 @@ from oracle import (
 
 K = GateKind
 INV_SQRT2 = 1 / np.sqrt(2)
+
+# (kind, axes) on 4 qubits: every kind, both orders of each 2-qubit kind,
+# neighbouring and distant axes
+_KIND_CASES = [
+    (K.X, (1,)), (K.Y, (2,)), (K.Z, (0,)), (K.H, (3,)), (K.S, (1,)), (K.T, (2,)), (K.TDG, (3,)),
+    (K.CX, (1, 2)), (K.CX, (2, 1)), (K.CX, (0, 3)), (K.CX, (3, 1)), (K.CZ, (0, 1)), (K.CZ, (3, 0)),
+    (K.SWAP, (2, 3)), (K.SWAP, (3, 0)), (K.BRIDGE3, (0, 1, 2)), (K.BRIDGE3, (3, 1, 0)),
+    (K.CCX, (2, 0, 3)), (K.CNZ, (1, 3)), (K.CNZ, (3, 0, 2)), (K.CNZ, (2, 0, 1, 3)),
+]
 
 
 class TestRunIdeal:
@@ -110,6 +118,21 @@ class TestRunIdeal:
     def test_width_cap(self):
         with pytest.raises(ValueError):
             run_gates_ideal([], 21)
+
+    @pytest.mark.parametrize("kind, axes", _KIND_CASES, ids=lambda v: str(getattr(v, "value", v)))
+    def test_batch_columns_evolve_as_states(self, kind, axes):
+        # H and T layers around the gate, so no column stays a basis state
+        n = 4
+        gates = [Gate(K.H, (q,)) for q in range(n)] + [Gate(kind, axes)]
+        gates += [Gate(K.T, (q,)) for q in range(n)]
+        u = run_gates_ideal(gates, n, np.eye(2**n))
+        assert u.shape == (2**n, 2**n)
+        assert np.max(np.abs(u - circuit_unitary(gates, n))) <= 1e-12
+        rng = np.random.default_rng(len(axes) * 10 + axes[0])
+        batch = np.stack([random_state(n, rng) for _ in range(5)], axis=1)
+        out = run_gates_ideal(gates, n, batch)
+        for j in range(batch.shape[1]):
+            assert np.max(np.abs(out[:, j] - run_gates_ideal(gates, n, batch[:, j]))) <= 1e-12
 
     def test_norm_preserved_over_many_gates(self):
         rng = np.random.default_rng(3)
@@ -184,7 +207,7 @@ class TestDensityAgainstKraus:
         gates, bound, measured = _random_density_case(rng, n)
         assert {len(g.qubits) for g in gates} == ({1, 2, 3, min(n, 4)} if n >= 3 else {1, 2})
         init = random_state(n, rng)
-        got = run_gates_density(gates, n, bound, init, measured)
+        got = DensityProgram(gates, n, bound, measured).distribution(init)
         want = density_outcome_probabilities(
             gates, n, bound.events, init, measured, lookup_readout(bound.readout, measured)
         )
@@ -296,7 +319,7 @@ class TestZeroEffect:
         rng = np.random.default_rng(41)
         # no qubit multipliers, so binding the dense gates gives the dense events
         events = bind_gates(nm, plan.gates).events
-        pairs = [nm.readout_for(q) for q in finals]
+        pairs = lookup_readout(nm.readout, finals)
         for _ in range(2):
             psi = plan.embed(random_state(3, rng))
             want = density_outcome_probabilities(plan.gates, plan.n, events, psi, plan.measured, pairs)[0]
@@ -328,16 +351,6 @@ def _noisy_plan(draw):
     starts, ends = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
     bound = BoundNoise(events=tuple(events), readout=tuple(readout))
     return MappedPlan(n, tuple(gates), k, tuple(starts[:k]), tuple(ends[:k]), (), bound)
-
-
-# (kind, axes) on 4 qubits: every kind, both orders of each 2-qubit kind,
-# neighbouring and distant axes
-_KIND_CASES = [
-    (K.X, (1,)), (K.Y, (2,)), (K.Z, (0,)), (K.H, (3,)), (K.S, (1,)), (K.T, (2,)), (K.TDG, (3,)),
-    (K.CX, (1, 2)), (K.CX, (2, 1)), (K.CX, (0, 3)), (K.CX, (3, 1)), (K.CZ, (0, 1)), (K.CZ, (3, 0)),
-    (K.SWAP, (2, 3)), (K.SWAP, (3, 0)), (K.BRIDGE3, (0, 1, 2)), (K.BRIDGE3, (3, 1, 0)),
-    (K.CCX, (2, 0, 3)), (K.CNZ, (1, 3)), (K.CNZ, (3, 0, 2)), (K.CNZ, (2, 0, 1, 3)),
-]
 
 
 class TestPauliEngine:
@@ -519,10 +532,8 @@ class TestRunDensity:
         assert total_variation(d, born_distribution(psi, [0, 1])) < 1e-12
 
     def test_width_cap(self):
-        from qnz.simulator import run_gates_density
-
         with pytest.raises(ValueError):
-            run_gates_density([], 11, None)
+            DensityProgram([], 11, None)
 
     def test_depolarizing_on_one_qubit(self):
         # depol p on |0>: X or Y hit with prob p/3 each -> P(1) = 2p/3
