@@ -13,7 +13,9 @@ two count the exact engine's passes and gate steps, which depend on how the
 evaluator splits and shares work, so they are printed beside the digest,
 outside it: a change meant to keep that work as it was shows when it moves
 it; the inference line prints their sums the same way. One more digest covers the rows of 64 seeded 16-entry weights on a
-synthetic dataset (linear_chain(6)), scored one at a time.
+synthetic dataset (linear_chain(6)), scored one at a time, and one the rows
+of 16 seeded 32-entry weights on four seeded unit inputs (linear_chain(8),
+flip and phase 0.01: eval-wide's shape), scored one at a time.
 Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 scripts/evaluator_parity.py > a.txt
@@ -30,7 +32,7 @@ codes, accuracy in the dump and here):
     PYTHONPATH=/other/tree/src python3 scripts/evaluator_parity.py --dump base.npz
     PYTHONPATH=src python3 scripts/evaluator_parity.py --against base.npz
 
-Takes about 30 s on one core of a 2-vCPU VM.
+Takes about 35 s on one core of a 2-vCPU VM.
 """
 import argparse
 import hashlib
@@ -41,6 +43,7 @@ import numpy as np
 
 from qnz.noise import NoiseModel, parse_noise_shorthand
 from qnz.qnn import (
+    Dataset,
     Model,
     accuracy,
     best_exhaustive_accuracy,
@@ -163,6 +166,17 @@ def main() -> None:
     codes = np.random.default_rng(16).integers(2**16, size=64)
     rows = np.array([ev.neuron_outputs(weights_from_code(int(c), 16)) for c in codes])
     key = "16-entry flip:0.05,phase:0.05 density rows"
+    print(f"{key} {digest(rows)}" + report(key, rows))
+    rng = np.random.default_rng(32)
+    xs = rng.normal(size=(4, 32))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    cfg = replace(
+        cfg, noise=parse_noise_shorthand("flip:0.01,phase:0.01"), initial=Model(((1,) * 32,)),
+        dataset=Dataset(tuple((tuple(x), i % 2) for i, x in enumerate(xs.tolist())), 0), graph=linear_chain(8),
+    )
+    ev = Evaluator(cfg)
+    rows = np.array([ev.neuron_outputs(weights_from_code(int(c), 32)) for c in rng.integers(2**32, size=16)])
+    key = "32-entry flip:0.01,phase:0.01 density rows"
     print(f"{key} {digest(rows)}" + report(key, rows))
     if args.dump:
         np.savez(args.dump, **kept)

@@ -12,12 +12,12 @@ weight and measurement portion only.
 from __future__ import annotations
 
 import bisect
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import chain, groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .ir import Circuit, Gate, GateKind
 from .mapper import MappedCircuit, MappingNotCanonical, compile
 from .noise import NoiseModel, bind
 from .simulator import (
-    MappedPlan, density_coeffs, derive_seed, effect_matrix, plan_mapped_run, pull_back, push_forward,
-    readout_effect, trajectory_counts, zero_effect,
+    MappedPlan, check_density_width, density_coeffs, derive_seed, effect_matrix, pauli_steps,
+    plan_mapped_run, pull_back, push_forward, readout_effect, trajectory_counts, zero_effect,
 )
 from .topology import CouplingGraph, linear_chain
 
@@ -383,23 +383,29 @@ def neuron_outputs(w, mapped: MappedCircuit, scoring: Scoring) -> np.ndarray:
     return score_run(code_from_weights(w), plan, scoring)
 
 
-class _Piece(NamedTuple):
-    """Dense routed gates, the events bound to each, and how many events."""
+class _Piece:
+    """Dense routed gates, the events bound to each, how many events, and
+    their steps over Pauli coefficients (`pauli_steps`), built on first use
+    (only the exact backends take them); a piece put together from `parts`
+    takes theirs."""
 
-    gates: tuple[Gate, ...]
-    events: tuple
-    n_events: int
+    def __init__(self, gates, events, parts: tuple[_Piece, ...] = ()):
+        self.gates: tuple[Gate, ...] = tuple(gates)
+        self.events = tuple(events)
+        self.n_events = sum(map(len, self.events))
+        self.parts = parts
 
-
-def _piece(gates, events) -> _Piece:
-    events = tuple(events)
-    return _Piece(tuple(gates), events, sum(map(len, events)))
+    @functools.cached_property
+    def steps(self) -> tuple:
+        if self.parts:
+            return tuple(s for p in self.parts for s in p.steps)
+        return pauli_steps(self.gates, self.events)
 
 
 def _cat(pieces) -> _Piece:
     """Routed pieces back to back."""
-    pieces = list(pieces)
-    return _piece((g for p in pieces for g in p.gates), (e for p in pieces for e in p.events))
+    pieces = tuple(pieces)
+    return _Piece((g for p in pieces for g in p.gates), (e for p in pieces for e in p.events), pieces)
 
 
 class Evaluator:
@@ -451,10 +457,12 @@ class Evaluator:
             raise MappingNotCanonical("the routed block does not restore the initial mapping")
         # the probe's plan; its frame (width, axes, readout) serves every neuron
         self._frame = plan = plan_mapped_run(mapped, self._timed("bind", lambda: bind(cfg.noise, mapped)))
+        if cfg.backend != "trajectories":  # the exact backends hold 4^n coefficients per effect
+            check_density_width(plan.n)
         events, end = plan.bound.events, len(plan.gates)  # each X and H is one routed gate
-        self._x = [_piece(plan.gates[q:q + 1], events[q:q + 1]) for q in range(k)]
-        self._body = _piece(plan.gates[k:end - 2 * k], events[k:end - 2 * k])
-        self._tail = _piece(plan.gates[end - k:], events[end - k:])
+        self._x = [_Piece(plan.gates[q:q + 1], events[q:q + 1]) for q in range(k)]
+        self._body = _Piece(plan.gates[k:end - 2 * k], events[k:end - 2 * k])
+        self._tail = _Piece(plan.gates[end - k:], events[end - k:])
         self._layers: dict[tuple, _Piece] = {}  # (a, b) -> the X layer between flips a and b
         self._suffixes: dict[tuple[int, ...], np.ndarray] = {}  # the memo: t -> S(t)
         self._diagonals: dict[tuple, np.ndarray] = {}  # (a, b) -> _diagonal(a, b)
@@ -483,7 +491,7 @@ class Evaluator:
         """`run` (pull_back or push_forward) of `coeffs` through `piece`, counted."""
         self.work["walks"] += 1
         self.work["steps"] += len(piece.gates)
-        return run(coeffs, piece.gates, piece.events)
+        return run(coeffs, piece.steps)
 
     def _suffix(self, t: tuple[int, ...]) -> np.ndarray:
         """S(t), contiguous and read-only. It is stored while the memo stays
@@ -520,7 +528,7 @@ class Evaluator:
         """The X layer between flips a and b as the factor it puts on each
         Pauli coefficient: X negates Y and Z, and bound channels scale."""
         if (a, b) not in self._diagonals:
-            self._diagonals[a, b] = pull_back(np.ones((4,) * self._frame.n), *self._layer(a, b)[:2])
+            self._diagonals[a, b] = pull_back(np.ones((4,) * self._frame.n), self._layer(a, b).steps)
         return self._diagonals[a, b]
 
     def _exact_rows(self, flips: list[tuple[int, ...]], batch: int) -> np.ndarray:

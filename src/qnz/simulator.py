@@ -7,14 +7,19 @@ index, so a state reshaped to [2]*n has qubit q on axis q.
 
 The exact engine holds an operator A = sum_P a_P P as its real coefficients
 over Pauli strings: a [4]*n float tensor with qubit q on axis q and index 0,
-1, 2, 3 for I, X, Y, Z there, plus any trailing batch axes. Each gate is one
-step local to its axes (`_gate_step`): Clifford kinds permute strings up to
-sign, T and TDG rotate the X and Y slices of their axis into each other by
-pi/4, and Pauli channels scale slices. The adjoint pass (`zero_effect`) pulls
-the readout-folded all-zeros projector, diag(1 - p01, p10) on each measured
-qubit, back through them (E -> U^dagger E U, `pull_back`); `push_forward`
-pushes each input's rho forward (rho -> U rho U^dagger, the transposed
-transfer), for `DensityProgram` and the trainer's prefix tables.
+1, 2, 3 for I, X, Y, Z there, plus any trailing batch axes. Each gate and
+the channels bound to it are one step local to its axes (`pauli_steps`),
+built once per gate list: flip, phase and depol channels are diagonal in this
+basis, so those on the gate's own axes fold into its operand. A 1-qubit kind
+is one real 4x4 on its axis (a scale where it is diagonal), a multi-qubit
+Clifford one gather of its Pauli strings with a weight each; CCX and CNZ go
+through their dense operator and their channels apart, as do channels on
+other axes. A step picks its kernel from the shape of its view. The adjoint
+pass (`zero_effect`) pulls the readout-folded all-zeros projector,
+diag(1 - p01, p10) on each measured qubit, back through them (E -> U^dagger
+E U, `pull_back`); `push_forward` pushes each input's rho forward (rho -> U
+rho U^dagger, the transposed operands), for `DensityProgram` and the
+trainer's prefix tables.
 
 Trajectories evolve a batch of shots one shot per trailing-axis row of a
 C-contiguous state, and draw each block of TRAJ_BLOCK shots from its own
@@ -28,13 +33,14 @@ into the batch first; the final probabilities are permuted by the X bits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import ARITY, Circuit, Gate, GateKind
+from .ir import Circuit, Gate, GateKind
 from .noise import BoundNoise, apply_readout, lookup_readout
 
 SV_WIDTH_CAP = 20
@@ -202,7 +208,13 @@ _TO_ENTRIES = _PAULI.reshape(4, 4).T
 _TO_PAULI = _PAULI.reshape(4, 4).conj() / 2
 # Kinds that map every Pauli string to a signed Pauli string under conjugation.
 _CLIFFORD = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
-                       GateKind.CX, GateKind.CZ, GateKind.SWAP})
+                       GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.BRIDGE3})
+# Kinds whose step folds in the channels on their own axes; CCX and CNZ go
+# through their dense operator (`_conjugate`), and their channels apart.
+_FOLDED = _CLIFFORD | {GateKind.T, GateKind.TDG}
+# The trailing extents ("rest") at which a step changes kernel (`_Step`).
+_WIDE_REST = 16
+_LONG_REST = 4096
 
 
 def _per_axis(mats, c: np.ndarray) -> np.ndarray:
@@ -237,84 +249,116 @@ def _conjugate(c: np.ndarray, kind: GateKind, axes) -> np.ndarray:
 
 
 @functools.cache
-def _transfer(kind: GateKind, flipped: bool, forward: bool) -> np.ndarray:
+def _transfer(kind: GateKind, ranks: tuple[int, ...]) -> np.ndarray:
     """The real (4^k, 4^k) matrix of E -> U^dagger E U on a k-qubit kind's
-    axes, or with `forward` of rho -> U rho U^dagger (its transpose);
-    `flipped` puts a 2-qubit kind's first qubit on the higher axis."""
-    if forward:
-        return _transfer(kind, flipped, False).T
-    k = ARITY[kind]
-    axes = tuple(range(k))[:: -1 if flipped else 1]
-    return _conjugate(np.eye(4**k).reshape((4,) * k + (4**k,)), kind, axes).reshape(4**k, 4**k)
+    axes taken in increasing order, its qubit i on the ranks[i]-th of them;
+    rho -> U rho U^dagger is its transpose. A Clifford's entries are signs."""
+    k = len(ranks)
+    t = _conjugate(np.eye(4**k).reshape((4,) * k + (4**k,)), kind, ranks).reshape(4**k, 4**k)
+    return np.round(t) if kind in _CLIFFORD else t
 
 
 @functools.cache
-def _signed_gather(kind: GateKind, flipped: bool, forward: bool):
-    """A Clifford kind's transfer as the source of each Pauli string (None
-    where each is its own) and the strings whose sign flips."""
-    t = _transfer(kind, flipped, forward)
-    src = np.abs(t).argmax(axis=1)
-    negated = np.flatnonzero(t[np.arange(len(t)), src] < 0).tolist()
-    return (None if (src == np.arange(len(t))).all() else src), negated
+def _digits(k: int) -> np.ndarray:
+    """(k, 4^k): the index on each of k axes of every Pauli string over them."""
+    return np.indices((4,) * k).reshape(k, -1)
 
 
-def _clifford_step(c: np.ndarray, kind: GateKind, axes, forward: bool) -> np.ndarray:
-    """c'_Q = +-c_P where U Q U^dagger = +-P (forward: U^dagger Q U): one
-    gather over the block of the gate's axes and a few negated slices."""
-    lo, hi = min(axes), max(axes)
-    src, negated = _signed_gather(kind, axes[0] > axes[-1], forward)
-    if hi - lo > 1:  # two axes apart: gather the pair around the axes between them
-        pair = src.reshape(4, 4)
-        v = c.reshape(4**lo, 4, 4 ** (hi - lo - 1), 4, -1)[:, pair // 4, :, pair % 4]
-        v = np.ascontiguousarray(np.moveaxis(v, (0, 1), (1, 3)))
-        for q in negated:
-            v[:, q // 4, :, q % 4] *= -1.0
-        return v.reshape(c.shape)
-    v = c.reshape(4**lo, 4 ** len(axes), -1)
-    if src is not None:
-        v = v.take(src, axis=1)
-    for q in negated:
-        v[:, q] *= -1.0
-    return v.reshape(c.shape)
+def _channel_diagonal(event, span: tuple[int, ...]) -> np.ndarray:
+    """One bound Pauli channel as the factor on each Pauli string over the
+    increasing axes `span`, which hold its qubits: flip scales the strings
+    with Y or Z on its qubit by 1 - 2p, phase those with X or Y, and k-qubit
+    depol those not the identity on its qubits by 1 - l, l = p 4^k / (4^k - 1)."""
+    kind, qubits, p = event
+    digits = _digits(len(span))[[span.index(q) for q in qubits]]
+    if kind == "depol":
+        return np.where(digits.any(axis=0), 1.0 - p * 4 ** len(qubits) / (4 ** len(qubits) - 1), 1.0)
+    hit = digits[0] >= 2 if kind == "flip" else (digits[0] == 1) | (digits[0] == 2)
+    return np.where(hit, 1.0 - 2.0 * p, 1.0)
 
 
-def _phase_mix(c: np.ndarray, kind: GateKind, q: int, forward: bool) -> None:
-    """T and TDG keep I and Z and rotate X into Y, c'_X = a c_X + b c_Y and
-    c'_Y = a c_Y - b c_X (forward: -b): in place on the X and Y slices of axis q."""
-    t = _transfer(kind, False, forward)
-    v = c.reshape(4**q, 4, -1)
-    x, y = v[:, 1], v[:, 2]
-    from_x = x * t[2, 1]
-    x *= t[1, 1]
-    x += y * t[1, 2]
-    y *= t[2, 2]
-    y += from_x
+class _Step:
+    """One gate's operand M on the contiguous axes lo..lo+k-1 of the
+    coefficients (plus any trailing batch axes): M = t diag(d) backward
+    (E -> U^dagger E U) and M^T forward, in `ops` as (M, src, w); for a
+    diagonal M, w is its diagonal, and for a Clifford on k qubits M is a
+    signed permutation with its rows scaled, string i taking the
+    coefficients of string src[i] times w[i]. The kernel follows the shape
+    (4^lo, 4^k, rest) of the view, so that none ends in an innermost loop
+    of length 1 or 4:
+    - below _WIDE_REST, a diagonal scales the rows (4^lo, 4^k rest) in place
+      and a small operand (4^k rest <= 64) multiplies them in one gemm with
+      kron(M^T, I_rest), kept per (direction, rest);
+    - from _WIDE_REST on, a diagonal scales the view in place, and M
+      multiplies each (4^k, rest) block of it while 4^k <= 16 and rest <
+      _LONG_REST;
+    - otherwise a Clifford writes each string's block as its source's times
+      its weight."""
+
+    def __init__(self, lo: int, m: np.ndarray, src=None, w=None, diagonal: bool = False):
+        self.lead, self.size, self.diagonal = 4**lo, len(m), diagonal
+        inv = None if src is None else np.argsort(src)
+        self.ops = ((m, src, w), (np.ascontiguousarray(m.T), inv, w if src is None else w[inv]))
+        self.spread: dict[tuple[bool, int], np.ndarray] = {}
+
+    def __call__(self, c: np.ndarray, forward: bool) -> np.ndarray:
+        m, src, w = self.ops[forward]
+        rest = c.size // (self.lead * self.size)
+        if rest < _WIDE_REST and (self.diagonal or self.size * rest <= 64):
+            op = self.spread.get((forward, rest))
+            if op is None:
+                op = np.repeat(w, rest) if self.diagonal else np.kron(m.T, np.eye(rest))
+                self.spread[forward, rest] = op
+            rows = c.reshape(self.lead, -1)
+            if self.diagonal:
+                rows *= op
+                return c
+            return (rows @ op).reshape(c.shape)
+        v = c.reshape(self.lead, self.size, rest)
+        if self.diagonal:
+            v *= w[:, None]
+            return c
+        if src is None or (self.size <= 16 and _WIDE_REST <= rest < _LONG_REST):
+            return np.matmul(m, v).reshape(c.shape)
+        out = np.empty_like(v)
+        for i, (j, f) in enumerate(zip(src.tolist(), w.tolist())):
+            np.multiply(v[:, j], f, out=out[:, i])
+        return out.reshape(c.shape)
 
 
-def _gate_step(c: np.ndarray, kind: GateKind, axes, forward: bool = False) -> np.ndarray:
-    """c through one gate, E -> U^dagger E U, or with `forward` rho -> U rho
-    U^dagger (the transposed transfer); may work in place. Each step is local
-    to the gate's axes: a Clifford kind is one signed gather, T and TDG mix
-    the X and Y slices of their axis, a bridge is its three CX, and any other
-    kind (CCX, CNZ) goes through the dense operator on its axes; those two
-    are real and self-inverse, so one step serves both directions."""
-    if kind in _CLIFFORD:
-        return _clifford_step(c, kind, axes, forward)
-    if kind in (GateKind.T, GateKind.TDG):
-        _phase_mix(c, kind, axes[0], forward)
-        return c
-    if kind is GateKind.BRIDGE3:  # CX(c, m) CX(m, t) CX(c, m), a palindrome
-        for pair in ((axes[0], axes[1]), (axes[1], axes[2]), (axes[0], axes[1])):
-            c = _clifford_step(c, GateKind.CX, pair, forward)
-        return c
-    return _conjugate(c, kind, axes)
+class _Moved:
+    """A step on increasing axes `span` that are not contiguous, run on a
+    copy with those axes moved to the front."""
+
+    def __init__(self, step: _Step, span: tuple[int, ...]):
+        self.step, self.span = step, span
+
+    def __call__(self, c: np.ndarray, forward: bool) -> np.ndarray:
+        front = range(len(self.span))
+        c = self.step(np.ascontiguousarray(np.moveaxis(c, self.span, front)), forward)
+        return np.ascontiguousarray(np.moveaxis(c, front, self.span))
 
 
-def _scale_event(c: np.ndarray, event) -> None:
-    """One bound Pauli channel, in place: flip scales the Pauli strings with
-    Y or Z on its qubit by 1 - 2p, phase those with X or Y, and k-qubit depol
-    those not the identity on its qubits by 1 - l, l = p 4^k / (4^k - 1).
-    Diagonal in this basis, so it is the same step in both directions."""
+def _local_step(span: tuple[int, ...], t: np.ndarray, d: np.ndarray):
+    """The step of transfer `t` after the diagonal `d`, M = t diag(d), on the
+    increasing axes `span`."""
+    k = len(span)
+    contiguous = span[-1] - span[0] == k - 1
+    lo = span[0] if contiguous else 0
+    m = t * d
+    if not np.any(m - np.diag(np.diag(m))):
+        step = _Step(lo, m, w=np.diag(m).copy(), diagonal=True)
+    elif np.count_nonzero(t) > len(t):  # T or TDG, which mix X and Y
+        step = _Step(lo, m)
+    else:  # a Clifford: one +-1 per row of t
+        src = np.abs(t).argmax(axis=1)
+        step = _Step(lo, m, src, m[np.arange(len(m)), src])
+    return step if contiguous else _Moved(step, span)
+
+
+def _scale_event(c: np.ndarray, event) -> np.ndarray:
+    """One bound Pauli channel, in place, as `_channel_diagonal` scales:
+    one slice of the axes of its qubits at a time."""
     kind, qubits, p = event
     if kind == "depol":
         scale = 1.0 - p * 4 ** len(qubits) / (4 ** len(qubits) - 1)
@@ -322,6 +366,39 @@ def _scale_event(c: np.ndarray, event) -> None:
             c[_idx(c.ndim, {**dict.fromkeys(qubits[:j], 0), q: slice(1, 4)})] *= scale
     else:
         c[_idx(c.ndim, {qubits[0]: slice(2, 4) if kind == "flip" else slice(1, 3)})] *= 1.0 - 2.0 * p
+    return c
+
+
+def _gate_steps(g: Gate, events) -> list:
+    """The steps of gate `g` with its bound `events` after it (`pauli_steps`)."""
+    span = tuple(sorted(g.qubits))
+    own = [g.kind in _FOLDED and set(e[1]) <= set(span) for e in events]
+    if g.kind in _FOLDED:
+        d = np.ones(4 ** len(span))
+        for e in itertools.compress(events, own):
+            d = d * _channel_diagonal(e, span)
+        steps = [_local_step(span, _transfer(g.kind, tuple(map(span.index, g.qubits))), d)]
+    else:  # CCX and CNZ are real and self-inverse: one step serves both directions
+        steps = [lambda c, forward: _conjugate(c, g.kind, g.qubits)]
+    others = [e for e, folded in zip(events, own) if not folded]
+    return steps + [lambda c, forward, e=e: _scale_event(c, e) for e in others]
+
+
+def pauli_steps(gates, events) -> tuple:
+    """The steps of `gates` in gate order, each gate's bound `events` after
+    it. Every flip, phase and depol channel is diagonal in the Pauli basis,
+    so those on a gate's own axes fold into its step: one 4x4 operand for a
+    1-qubit kind (a scale where it is diagonal) and one weighted gather for a
+    multi-qubit Clifford. CCX and CNZ go through their dense operator, and a
+    channel on other axes or bound to them is one more step, a scale. A step
+    depends on its own gate alone, so a gate list's steps are those of its
+    pieces put together; equal gates with equal events share theirs."""
+    built: dict = {}
+    keys = [(g.kind, g.qubits, tuple(evs)) for g, evs in zip(gates, events)]
+    for g, key in zip(gates, keys):
+        if key not in built:
+            built[key] = _gate_steps(g, key[2])
+    return tuple(s for key in keys for s in built[key])
 
 
 def _readout_rows(bound: BoundNoise | None, measured) -> list[np.ndarray]:
@@ -343,27 +420,25 @@ def readout_effect(n: int, bound: BoundNoise | None, measured) -> np.ndarray:
     return functools.reduce(np.multiply.outer, axes, np.ones(()))
 
 
-def pull_back(coeffs: np.ndarray, gates, events) -> np.ndarray:
-    """Effect `coeffs` (Pauli coefficients on [4]*n axes) pulled back through
-    `gates`, last gate first, each after the error `events` bound to it,
-    E -> U^dagger E U (`_gate_step`); may work in place."""
-    c = np.ascontiguousarray(coeffs)  # the in-place steps reshape it to views
-    for i in range(len(gates) - 1, -1, -1):
-        for event in events[i]:
-            _scale_event(c, event)
-        c = _gate_step(c, gates[i].kind, gates[i].qubits)
+def pull_back(coeffs: np.ndarray, steps) -> np.ndarray:
+    """Effect `coeffs` (Pauli coefficients on [4]*n axes, plus any trailing
+    batch axes) pulled back through `steps` (`pauli_steps`), last gate
+    first: E -> U^dagger N(E) U per gate, one step per gate with the
+    channels N on its own axes folded into its operand; may work in place."""
+    c = np.ascontiguousarray(coeffs)  # the steps reshape it to views
+    for step in reversed(steps):
+        c = step(c, False)
     return c
 
 
-def push_forward(coeffs: np.ndarray, gates, events) -> np.ndarray:
+def push_forward(coeffs: np.ndarray, steps) -> np.ndarray:
     """rho's coefficients `coeffs` (plus trailing batch axes) pushed forward
-    through `gates`, each gate's `events` after it, rho -> U rho U^dagger
-    (`_gate_step`); may work in place."""
+    through `steps` (`pauli_steps`) in gate order: rho -> N(U rho U^dagger)
+    per gate, each step with the transpose of its `pull_back` operand; may
+    work in place."""
     c = np.ascontiguousarray(coeffs)
-    for g, evs in zip(gates, events):
-        c = _gate_step(c, g.kind, g.qubits, forward=True)
-        for event in evs:
-            _scale_event(c, event)
+    for step in steps:
+        c = step(c, True)
     return c
 
 
@@ -376,17 +451,23 @@ def density_coeffs(inits, n: int) -> np.ndarray:
     return np.ascontiguousarray(_per_axis([_TO_PAULI] * n, rho.reshape((4,) * n + (batch,))).real)
 
 
+def check_density_width(n: int) -> None:
+    """Refuse exact evolution wider than DENSITY_WIDTH_CAP: one set of Pauli
+    coefficients holds 4^n floats."""
+    if n > DENSITY_WIDTH_CAP:
+        raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
+
+
 def zero_effect(gates, n: int, bound: BoundNoise | None, measured=None) -> np.ndarray:
     """Pauli coefficients ([4]*n) of the effect E with Tr(E rho) = P(read
     0...0 on `measured`) after the noisy gates act on rho: the readout-folded
     all-zeros projector (`readout_effect`) pulled back through the circuit
     (`pull_back`, the Heisenberg picture), last gate first."""
-    if n > DENSITY_WIDTH_CAP:
-        raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
+    check_density_width(n)
     measured = list(range(n)) if measured is None else list(measured)
     gates = tuple(gates)
     events = ((),) * len(gates) if bound is None else bound.events
-    return pull_back(readout_effect(n, bound, measured), gates, events)
+    return pull_back(readout_effect(n, bound, measured), pauli_steps(gates, events))
 
 
 class DensityProgram:
@@ -394,16 +475,16 @@ class DensityProgram:
 
     Each input's rho = |psi><psi| is held as its real Pauli coefficients,
     r_P = Tr(P rho) / 2^n, on [4]*n axes plus a trailing axis of inputs
-    (`density_coeffs`), and pushed forward gate by gate through the adjoint
-    pass's steps (`push_forward`), each gate's events after it.
+    (`density_coeffs`), and pushed forward through the adjoint pass's steps,
+    built once here (`pauli_steps`), each gate's channels after it
+    (`push_forward`).
     """
 
     def __init__(self, gates, n: int, bound: BoundNoise | None, measured=None):
-        if n > DENSITY_WIDTH_CAP:
-            raise ValueError(f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}")
+        check_density_width(n)
         self.n = n
-        self.gates = tuple(gates)
-        self.events = ((),) * len(self.gates) if bound is None else bound.events
+        gates = tuple(gates)
+        self.steps = pauli_steps(gates, ((),) * len(gates) if bound is None else bound.events)
         self.measured = list(range(n)) if measured is None else list(measured)
         # Tr(F_o rho) on each measured axis, Tr(I rho) = 2 r_I on every other
         trace = np.array([[2.0, 0.0, 0.0, 0.0]])
@@ -412,7 +493,7 @@ class DensityProgram:
     def probabilities(self, inits) -> np.ndarray:
         """(inputs, 2^m) measured-outcome probabilities, after readout, of
         each input state row of `inits`, all evolved together."""
-        r = push_forward(density_coeffs(inits, self.n), self.gates, self.events)
+        r = push_forward(density_coeffs(inits, self.n), self.steps)
         probs = _per_axis(self.readout, np.moveaxis(r, self.measured, range(len(self.measured))))
         return np.maximum(probs.reshape(-1, r.shape[-1]).T, 0.0)
 

@@ -130,6 +130,15 @@ def _event_kraus(kind: str, qubits, p: float, n: int) -> list[np.ndarray]:
     return ks + [np.sqrt(p / len(strings)) * pauli_string(d, qubits, n) for d in strings]
 
 
+def apply_channels(op: np.ndarray, events, n: int) -> np.ndarray:
+    """Each bound error event's Kraus sum in turn on a full-space operator.
+    Every Kraus operator here is Hermitian, so each channel is its own
+    adjoint: this serves effects and states alike."""
+    for kind, qubits, p in events:
+        op = sum(k @ op @ k.conj().T for k in _event_kraus(kind, qubits, p, n))
+    return op
+
+
 def density_outcome_probabilities(gates, n: int, events, init, measured, readout_pairs) -> np.ndarray:
     """Measured-outcome probabilities (measured[0] is the most significant bit)
     after explicit-matrix channel evolution: U rho U^dagger per gate, then each
@@ -137,9 +146,7 @@ def density_outcome_probabilities(gates, n: int, events, init, measured, readout
     rho = np.outer(init, np.conj(init))
     for g, evs in zip(gates, events):
         u = gate_unitary(g, n)
-        rho = u @ rho @ u.conj().T
-        for kind, qubits, p in evs:
-            rho = sum(k @ rho @ k.conj().T for k in _event_kraus(kind, qubits, p, n))
+        rho = apply_channels(u @ rho @ u.conj().T, evs, n)
     m = len(measured)
     probs = np.zeros(2**m)
     for i, p in enumerate(np.real(np.diag(rho))):

@@ -32,6 +32,7 @@ from qnz.qnn import (
     weights_from_code,
 )
 from qnz.simulator import (
+    DENSITY_WIDTH_CAP,
     born_distribution,
     effect_matrix,
     plan_mapped_run,
@@ -465,6 +466,24 @@ class TestScoringValidation:
                             (dict(backend="trajectories", shots=8), "trajectories backend needs a seed")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 neuron_outputs(w, mapped, Scoring(ds, **kw))
+
+    @pytest.mark.parametrize("backend", ["ideal", "density"])
+    def test_exact_evaluator_refuses_a_frame_past_the_density_cap(self, monkeypatch, backend):
+        """A 128-entry neuron on chain:16 runs on 12 dense qubits, where one
+        effect would take 4^12 floats. An exact evaluator raises zero_effect's
+        error while it builds its frame, before it makes any effect; the
+        trajectory backend, which holds states, builds."""
+        import qnz.qnn as qnn_module
+
+        ds, graph = samples([np.ones(128) / np.sqrt(128)]), linear_chain(16)
+        n = Evaluator(Scoring(ds, "trajectories", NoiseModel(flip_p=0.01), graph, shots=8, seed=1))._frame.n
+        assert n > DENSITY_WIDTH_CAP
+        with pytest.raises(ValueError) as want:
+            zero_effect([], n, None)
+        monkeypatch.setattr(qnn_module, "readout_effect", lambda *a: pytest.fail("an effect was made"))
+        with pytest.raises(ValueError) as err:
+            Evaluator(Scoring(ds, backend, NoiseModel(flip_p=0.01), graph))
+        assert str(err.value) == str(want.value) == f"width {n} exceeds the density-matrix cap of {DENSITY_WIDTH_CAP}"
 
     def test_accuracy_rejects_another_input_length_before_compiling(self, monkeypatch):
         import qnz.qnn as qnn_module

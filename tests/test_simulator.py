@@ -18,7 +18,9 @@ from qnz.simulator import (
     basis_state,
     born_distribution,
     effect_matrix,
+    pauli_steps,
     pull_back,
+    push_forward,
     readout_effect,
     run_density,
     run_gates_ideal,
@@ -31,6 +33,7 @@ from qnz.simulator import (
 )
 
 from oracle import (
+    apply_channels,
     bit_of,
     circuit_unitary,
     density_outcome_probabilities,
@@ -362,7 +365,7 @@ class TestPauliEngine:
         rng = np.random.default_rng(len(axes) * 10 + axes[0])
         coeffs = rng.normal(size=(4,) * 4)
         u = gate_unitary(Gate(kind, axes), 4)
-        got = pull_back(coeffs.copy(), [Gate(kind, axes)], [()])
+        got = pull_back(coeffs.copy(), pauli_steps([Gate(kind, axes)], [()]))
         want = u.conj().T @ pauli_operator(coeffs) @ u
         assert got.dtype == np.float64
         assert np.max(np.abs(pauli_operator(got) - want)) <= 1e-12
@@ -382,7 +385,7 @@ class TestPauliEngine:
         want = (1 - p) * e + p / len(hits) * sum(h @ e @ h for h in hits)
         # the event follows the second of two Z gates, whose product is the identity
         gates = [Gate(K.Z, (0,)), Gate(K.Z, (0,))]
-        got = pull_back(coeffs.copy(), gates, [(), (event,)])
+        got = pull_back(coeffs.copy(), pauli_steps(gates, [(), (event,)]))
         assert np.max(np.abs(pauli_operator(got) - want)) <= 1e-12
 
     def test_readout_start_is_the_folded_projector(self):
@@ -421,6 +424,118 @@ class TestPauliEngine:
                 plan.gates, plan.n, plan.bound.events, psis[0], plan.measured, pairs
             )
             assert abs(got[0] - want[0]) <= 1e-12
+
+
+@st.composite
+def _gate_events(draw, axes):
+    """Up to four flip, phase, 1- or 2-qubit depol events on random qubits
+    of `axes` or of any axis of the width."""
+    n = draw(st.integers(max(axes, default=0) + 1, 6))
+    events = []
+    for name in draw(st.lists(st.sampled_from(["flip", "phase", "depol", "depol2"]), max_size=4)):
+        pool = list(axes) if draw(st.booleans()) else list(range(n))
+        qubits = draw(st.permutations(pool))[:2 if name == "depol2" else 1]
+        events.append((name[:5], tuple(qubits), draw(st.floats(0.0, 0.5))))
+    return n, tuple(events)
+
+
+@st.composite
+def _random_gate(draw):
+    """A gate of any kind that fits a width of 1-6, on random axes."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([k for k in GateKind if (ARITY[k] or 2) <= n]))
+    axes = draw(st.permutations(range(n)))[: ARITY[kind] or draw(st.integers(2, n))]
+    return kind, tuple(axes)
+
+
+def _sparse_coeffs(rng, n: int, batch: tuple[int, ...]) -> np.ndarray:
+    """Pauli coefficients with up to six random strings per column, so the
+    oracle's operators stay cheap to build at width 6."""
+    cols = np.zeros((4**n, int(np.prod(batch))))
+    for col in cols.T:
+        strings = rng.choice(4**n, size=min(4**n, 6), replace=False)
+        col[strings] = rng.normal(size=len(strings))
+    return cols.reshape((4,) * n + batch)
+
+
+def _sparse_operator(coeffs: np.ndarray) -> np.ndarray:
+    """The oracle's sum_P c_P P over the nonzero coefficients of one column."""
+    n = coeffs.ndim
+    op = np.zeros((2**n, 2**n), dtype=complex)
+    for digits in zip(*np.nonzero(coeffs)):
+        op += coeffs[digits] * pauli_string(digits, range(n), n)
+    return op
+
+
+def _check_steps(kind, axes, n: int, events, batch, seed: int) -> None:
+    """One gate and its events as steps, both ways, against the oracle:
+    pull_back is E -> U^dagger N(E) U and push_forward rho -> N(U rho
+    U^dagger), on every column of a trailing batch."""
+    rng = np.random.default_rng(seed)
+    u = gate_unitary(Gate(kind, axes), n)
+    steps = pauli_steps([Gate(kind, axes)], [events])
+    coeffs = _sparse_coeffs(rng, n, batch)
+    back = pull_back(coeffs.copy(), steps)
+    forward = push_forward(coeffs.copy(), steps)
+    assert back.shape == forward.shape == coeffs.shape
+    cols = [c.reshape((4,) * n + (-1,)) for c in (coeffs, back, forward)]
+    for j in range(cols[0].shape[-1]):
+        op = _sparse_operator(cols[0][..., j])
+        want_back = u.conj().T @ apply_channels(op, events, n) @ u
+        want_forward = apply_channels(u @ op @ u.conj().T, events, n)
+        assert np.max(np.abs(_sparse_operator(cols[1][..., j]) - want_back)) <= 1e-12
+        assert np.max(np.abs(_sparse_operator(cols[2][..., j]) - want_forward)) <= 1e-12
+
+
+class TestPauliSteps:
+    """Each gate and its channels are one step (`pauli_steps`): channels on
+    the gate's own axes fold into its operand, the rest stay apart, and the
+    kernel follows the view's shape (a batch of 17 puts every axis on the
+    wide view, none or 1 the last axes on rows). Checked both ways against
+    the oracle's explicit matrices."""
+
+    @pytest.mark.parametrize("kind, axes", _KIND_CASES, ids=lambda v: str(getattr(v, "value", v)))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), batch=st.sampled_from([(), (1,), (17,)]), seed=st.integers(0, 2**32 - 1))
+    def test_kind_cases_match_oracle(self, kind, axes, data, batch, seed):
+        n, events = data.draw(_gate_events(axes))
+        _check_steps(kind, axes, n, events, batch, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), batch=st.sampled_from([(), (1,), (17,)]), seed=st.integers(0, 2**32 - 1))
+    def test_random_gates_match_oracle(self, data, batch, seed):
+        kind, axes = data.draw(_random_gate())
+        n, events = data.draw(_gate_events(axes))
+        _check_steps(kind, axes, max(n, max(axes) + 1), events, batch, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 6), batch=st.sampled_from([(), (1,), (17,)]), seed=st.integers(0, 2**32 - 1))
+    def test_any_cut_is_the_whole_pass(self, n, batch, seed):
+        """A 20-gate list's steps, built whole or as the two pieces of any
+        cut at a gate boundary, give the same bits both ways: each step
+        depends on its own gate alone, which the evaluator's memo rests on."""
+        rng = np.random.default_rng(seed)
+        kinds = [k for k in GateKind if (ARITY[k] or 2) <= n]
+        gates, events = [], []
+        for _ in range(20):
+            kind = kinds[rng.integers(len(kinds))]
+            axes = [int(q) for q in rng.permutation(n)[: ARITY[kind] or rng.integers(2, n + 1)]]
+            gates.append(Gate(kind, tuple(axes)))
+            evs = []
+            for name, size in [("flip", 1), ("phase", 1), ("depol", 1), ("depol", 2)][: rng.integers(5)]:
+                pool = axes if rng.random() < 0.7 else list(range(n))
+                if size <= len(pool):
+                    qubits = tuple(int(q) for q in rng.permutation(pool)[:size])
+                    evs.append((name, qubits, float(rng.uniform(0.0, 0.3))))
+            events.append(tuple(evs))
+        coeffs = rng.normal(size=(4,) * n + batch)
+        whole = pauli_steps(gates, events)
+        want_back = pull_back(coeffs.copy(), whole)
+        want_forward = push_forward(coeffs.copy(), whole)
+        for cut in range(len(gates) + 1):
+            head, tail = pauli_steps(gates[:cut], events[:cut]), pauli_steps(gates[cut:], events[cut:])
+            assert np.array_equal(pull_back(pull_back(coeffs.copy(), tail), head), want_back), cut
+            assert np.array_equal(push_forward(push_forward(coeffs.copy(), head), tail), want_forward), cut
 
 
 class TestSharedSuffixes:
@@ -464,7 +579,7 @@ class TestSharedSuffixes:
                     eff = stored[suffix].copy()
                     continue
                 _, lo, hi = segments[j]
-                eff = pull_back(eff, gates[lo:hi], bound.events[lo:hi])
+                eff = pull_back(eff, pauli_steps(gates[lo:hi], bound.events[lo:hi]))
                 stored[suffix] = eff.copy()
                 walked += hi - lo
             assert np.array_equal(eff, want)

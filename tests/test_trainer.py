@@ -430,7 +430,7 @@ class TestSharedSuffixes:
         # pulled back through the first X layer, S(f) is the whole neuron's effect
         layer = ev._layer(None, f[0])
         whole = zero_effect(plan.gates, plan.n, plan.bound, plan.measured)
-        assert np.array_equal(pull_back(np.array(eff), layer.gates, layer.events), whole)
+        assert np.array_equal(pull_back(np.array(eff), layer.steps), whole)
 
     def test_byte_cap_stores_no_more_and_keeps_rows(self, monkeypatch):
         ws = [weights_from_code(c, 8) for c in range(256)]
@@ -589,7 +589,7 @@ class TestHalves:
             layer = ev._layer(a, b)
             assert [g.kind for g in layer.gates] == [GateKind.X] * len(x_layer(a, b, n.bit_length() - 1))
             c = rng.normal(size=(4,) * ev._frame.n)
-            want = pull_back(c.copy(), layer.gates, layer.events)
+            want = pull_back(c.copy(), layer.steps)
             assert np.max(np.abs(ev._diagonal(a, b) * c - want)) <= 1e-15
 
 
