@@ -11,7 +11,10 @@ has two -1 entries at seeded positions, the shape eval-wide scores:
   w6-stack16      a pull_back of 16 stacked effects at width 6;
   w6-stack256     a pull_back of 256 stacked effects at width 6;
   w6-push50       a push_forward of 50 inputs' rho at width 6;
-  w6-depol-lone   a lone pull_back at width 6 under depol 0.01 as well.
+  w6-depol-lone   a lone pull_back at width 6 under depol 0.01 as well;
+  w8-bridge-lone  a lone pull_back at width 8 through a BRIDGE3 on each three
+                  adjacent qubits, flip 0.05 and depol 0.01 (routed circuits
+                  expand bridges to CX; a logical circuit may hold them whole).
 
 Weights, inputs and coefficients are seeded, so two trees time the same
 work. A row gives the median and quartiles of `--reps` timed passes after a
@@ -27,10 +30,13 @@ Takes about 15 s on one core of a 2-vCPU VM.
 import argparse
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from qnz import simulator
+from qnz.ir import Gate, GateKind
+from qnz.noise import bind_gates
 from qnz.noise import parse_noise_shorthand
 from qnz.qnn import Dataset, Evaluator, Scoring, code_from_weights
 from qnz.simulator import pull_back, push_forward, readout_effect
@@ -45,6 +51,7 @@ CASES = [
     ("w6-stack256", 16, 6, "flip:0.05,phase:0.05", 256, "back"),
     ("w6-push50", 16, 6, "flip:0.05,phase:0.05", 50, "forward"),
     ("w6-depol-lone", 16, 6, "flip:0.05,phase:0.05,depol:0.01", 0, "back"),
+    ("w8-bridge-lone", 0, 8, "flip:0.05,depol:0.01", 0, "back"),
 ]
 
 
@@ -58,9 +65,19 @@ def prepare(gates, events):
     return (gates, events), None
 
 
+def bridge_plan(width: int, noise: str) -> SimpleNamespace:
+    """A plan of one BRIDGE3 on each three adjacent qubits of `width`, one
+    at each trailing extent from 4^(width - 3) down to 1, measuring qubit 0."""
+    gates = [Gate(GateKind.BRIDGE3, (q, q + 1, q + 2)) for q in range(width - 2)]
+    return SimpleNamespace(gates=gates, bound=bind_gates(parse_noise_shorthand(noise), gates),
+                           n=width, measured=(0,))
+
+
 def neuron_plan(entries: int, chain: int, noise: str, rng):
     """The dense plan of a neuron with two seeded -1 entries, as eval-wide
-    scores, and its weight code."""
+    scores, and its weight code; with no entries, `bridge_plan`'s and None."""
+    if not entries:
+        return bridge_plan(chain, noise), None
     x = np.ones(entries) / np.sqrt(entries)
     scoring = Scoring(Dataset(((tuple(x), 0),), 0), "density", parse_noise_shorthand(noise),
                       graph=linear_chain(chain))

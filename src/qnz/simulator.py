@@ -13,13 +13,13 @@ built once per gate list: flip, phase and depol channels are diagonal in this
 basis, so those on the gate's own axes fold into its operand. A 1-qubit kind
 is one real 4x4 on its axis (a scale where it is diagonal), a multi-qubit
 Clifford one gather of its Pauli strings with a weight each; CCX and CNZ go
-through their dense operator and their channels apart, as do channels on
-other axes. A step picks its kernel from the shape of its view. The adjoint
-pass (`zero_effect`) pulls the readout-folded all-zeros projector,
-diag(1 - p01, p10) on each measured qubit, back through them (E -> U^dagger
-E U, `pull_back`); `push_forward` pushes each input's rho forward (rho -> U
-rho U^dagger, the transposed operands), for `DensityProgram` and the
-trainer's prefix tables.
+through their dense operator, and their channels, like channels on other
+axes, are diagonal steps of their own. A step picks its kernel from the
+shape of its view. The adjoint pass (`zero_effect`) pulls the
+readout-folded all-zeros projector, diag(1 - p01, p10) on each measured
+qubit, back through them (E -> U^dagger E U, `pull_back`); `push_forward`
+pushes each input's rho forward (rho -> U rho U^dagger, the transposed
+operands), for `DensityProgram` and the trainer's prefix tables.
 
 Trajectories evolve a batch of shots one shot per trailing-axis row of a
 C-contiguous state, and draw each block of TRAJ_BLOCK shots from its own
@@ -212,8 +212,12 @@ _CLIFFORD = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.
 # Kinds whose step folds in the channels on their own axes; CCX and CNZ go
 # through their dense operator (`_conjugate`), and their channels apart.
 _FOLDED = _CLIFFORD | {GateKind.T, GateKind.TDG}
-# The trailing extents ("rest") at which a step changes kernel (`_Step`).
+# Where a step changes kernel (`_Step`), measured by scripts/pauli_steps.py
+# with each forced both ways (BENCH_pauli_steps.json): the trailing extent
+# ("rest") from which it works on the view rather than the rows, the widest
+# expanded operand for the gemm, and the rest from which a Clifford copies.
 _WIDE_REST = 16
+_GEMM_WIDTH = 64
 _LONG_REST = 4096
 
 
@@ -280,31 +284,36 @@ def _channel_diagonal(event, span: tuple[int, ...]) -> np.ndarray:
 class _Step:
     """One gate's operand M on the contiguous axes lo..lo+k-1 of the
     coefficients (plus any trailing batch axes): M = t diag(d) backward
-    (E -> U^dagger E U) and M^T forward, in `ops` as (M, src, w); for a
-    diagonal M, w is its diagonal, and for a Clifford on k qubits M is a
-    signed permutation with its rows scaled, string i taking the
-    coefficients of string src[i] times w[i]. The kernel follows the shape
+    (E -> U^dagger E U) and M^T forward, in `ops` as (M, src, w); a
+    diagonal M is its diagonal w alone (no M), and for a Clifford on k
+    qubits M is a signed permutation with its rows scaled, string i taking
+    the coefficients of string src[i] times w[i]. The kernel follows the shape
     (4^lo, 4^k, rest) of the view, so that none ends in an innermost loop
     of length 1 or 4:
-    - below _WIDE_REST, a diagonal scales the rows (4^lo, 4^k rest) in place
-      and a small operand (4^k rest <= 64) multiplies them in one gemm with
+    - below _WIDE_REST, on the rows (4^lo, 4^k rest): a diagonal scales them
+      in place by w repeated rest times, and an operand that expands to at
+      most _GEMM_WIDTH columns multiplies them in one gemm with
       kron(M^T, I_rest), kept per (direction, rest);
-    - from _WIDE_REST on, a diagonal scales the view in place, and M
-      multiplies each (4^k, rest) block of it while 4^k <= 16 and rest <
-      _LONG_REST;
-    - otherwise a Clifford writes each string's block as its source's times
-      its weight."""
+    - otherwise a diagonal scales the view in place, and M multiplies each
+      (4^k, rest) block of it, except that a Clifford from _LONG_REST on
+      writes each string's block as its source's times its weight.
+    A diagonal or Clifford step writes each coefficient as one product, in
+    every kernel, so its bits do not depend on the batch. A T or TDG step
+    sums two products, rounded as the BLAS orders and fuses them; a stack
+    and a lone effect may run it through different kernels, so their bits
+    agree only as far as the gemm and the matmul of the BLAS at hand do."""
 
-    def __init__(self, lo: int, m: np.ndarray, src=None, w=None, diagonal: bool = False):
-        self.lead, self.size, self.diagonal = 4**lo, len(m), diagonal
+    def __init__(self, lo: int, m: np.ndarray | None, w: np.ndarray | None = None, src=None):
+        self.lead, self.size, self.diagonal = 4**lo, len(w if m is None else m), m is None
         inv = None if src is None else np.argsort(src)
-        self.ops = ((m, src, w), (np.ascontiguousarray(m.T), inv, w if src is None else w[inv]))
+        forward = None if m is None else np.ascontiguousarray(m.T)
+        self.ops = ((m, src, w), (forward, inv, w if src is None else w[inv]))
         self.spread: dict[tuple[bool, int], np.ndarray] = {}
 
     def __call__(self, c: np.ndarray, forward: bool) -> np.ndarray:
         m, src, w = self.ops[forward]
         rest = c.size // (self.lead * self.size)
-        if rest < _WIDE_REST and (self.diagonal or self.size * rest <= 64):
+        if rest < _WIDE_REST and (self.diagonal or self.size * rest <= _GEMM_WIDTH):
             op = self.spread.get((forward, rest))
             if op is None:
                 op = np.repeat(w, rest) if self.diagonal else np.kron(m.T, np.eye(rest))
@@ -318,7 +327,7 @@ class _Step:
         if self.diagonal:
             v *= w[:, None]
             return c
-        if src is None or (self.size <= 16 and _WIDE_REST <= rest < _LONG_REST):
+        if src is None or rest < _LONG_REST:
             return np.matmul(m, v).reshape(c.shape)
         out = np.empty_like(v)
         for i, (j, f) in enumerate(zip(src.tolist(), w.tolist())):
@@ -339,34 +348,21 @@ class _Moved:
         return np.ascontiguousarray(np.moveaxis(c, front, self.span))
 
 
-def _local_step(span: tuple[int, ...], t: np.ndarray, d: np.ndarray):
+def _local_step(span: tuple[int, ...], t: np.ndarray | None, d: np.ndarray):
     """The step of transfer `t` after the diagonal `d`, M = t diag(d), on the
-    increasing axes `span`."""
+    increasing axes `span`; no `t` is the identity."""
     k = len(span)
     contiguous = span[-1] - span[0] == k - 1
     lo = span[0] if contiguous else 0
-    m = t * d
-    if not np.any(m - np.diag(np.diag(m))):
-        step = _Step(lo, m, w=np.diag(m).copy(), diagonal=True)
+    m = None if t is None else t * d
+    if m is None or not np.any(m - np.diag(np.diag(m))):
+        step = _Step(lo, None, d if m is None else np.diag(m).copy())
     elif np.count_nonzero(t) > len(t):  # T or TDG, which mix X and Y
         step = _Step(lo, m)
     else:  # a Clifford: one +-1 per row of t
         src = np.abs(t).argmax(axis=1)
-        step = _Step(lo, m, src, m[np.arange(len(m)), src])
+        step = _Step(lo, m, m[np.arange(len(m)), src], src)
     return step if contiguous else _Moved(step, span)
-
-
-def _scale_event(c: np.ndarray, event) -> np.ndarray:
-    """One bound Pauli channel, in place, as `_channel_diagonal` scales:
-    one slice of the axes of its qubits at a time."""
-    kind, qubits, p = event
-    if kind == "depol":
-        scale = 1.0 - p * 4 ** len(qubits) / (4 ** len(qubits) - 1)
-        for j, q in enumerate(qubits):  # the identity on qubits[:j], not on q
-            c[_idx(c.ndim, {**dict.fromkeys(qubits[:j], 0), q: slice(1, 4)})] *= scale
-    else:
-        c[_idx(c.ndim, {qubits[0]: slice(2, 4) if kind == "flip" else slice(1, 3)})] *= 1.0 - 2.0 * p
-    return c
 
 
 def _gate_steps(g: Gate, events) -> list:
@@ -380,8 +376,11 @@ def _gate_steps(g: Gate, events) -> list:
         steps = [_local_step(span, _transfer(g.kind, tuple(map(span.index, g.qubits))), d)]
     else:  # CCX and CNZ are real and self-inverse: one step serves both directions
         steps = [lambda c, forward: _conjugate(c, g.kind, g.qubits)]
-    others = [e for e, folded in zip(events, own) if not folded]
-    return steps + [lambda c, forward, e=e: _scale_event(c, e) for e in others]
+    for e, folded in zip(events, own):
+        if not folded:
+            axes = tuple(sorted(e[1]))
+            steps.append(_local_step(axes, None, _channel_diagonal(e, axes)))
+    return steps
 
 
 def pauli_steps(gates, events) -> tuple:
@@ -390,9 +389,9 @@ def pauli_steps(gates, events) -> tuple:
     so those on a gate's own axes fold into its step: one 4x4 operand for a
     1-qubit kind (a scale where it is diagonal) and one weighted gather for a
     multi-qubit Clifford. CCX and CNZ go through their dense operator, and a
-    channel on other axes or bound to them is one more step, a scale. A step
-    depends on its own gate alone, so a gate list's steps are those of its
-    pieces put together; equal gates with equal events share theirs."""
+    channel on other axes or bound to them is a diagonal step of its own. A
+    step depends on its own gate alone, so a gate list's steps are those of
+    its pieces put together; equal gates with equal events share theirs."""
     built: dict = {}
     keys = [(g.kind, g.qubits, tuple(evs)) for g, evs in zip(gates, events)]
     for g, key in zip(gates, keys):
