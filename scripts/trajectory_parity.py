@@ -1,8 +1,8 @@
 """Digest the trajectory engine's counts, to compare two source trees bit for bit.
 
 Each line names one group of `simulator.trajectory_counts` calls and prints
-the number of calls, one SHA-256 digest over all their count arrays and the
-wall time the group took. The groups:
+the number of calls, one SHA-256 digest over all their count arrays, the
+wall time the group took and the peak RSS. The groups:
 
 - infer-traj: `qnn.accuracy` on the trajectory backend of the noiseless
   optimum and of a seeded random model (2 and 3 entries -1), so four routed
@@ -15,18 +15,29 @@ wall time the group took. The groups:
   settings x 2 neurons on chain:4) at 10^4 shots;
 - all kinds: a width-4 logical circuit that uses every gate kind, under
   flip, phase and depol 0.05 and readout 0.02, 3 inputs x 150 shots, at
-  threads 1 and 2.
+  threads 1 and 2;
+- width 16: a width-16 logical circuit of 20 layers, each H then T on every
+  qubit and a brickwork of CX, under flip and phase 0.01, one input x 8
+  shots: a batch holds one shot, and each run goes over x in slices.
 
-Run it on two trees and diff the output (the times will differ):
+Run it on two trees and diff the output (the times and sizes will differ):
 
     PYTHONPATH=src python3 scripts/trajectory_parity.py > a.txt
     PYTHONPATH=/other/tree/src python3 scripts/trajectory_parity.py > b.txt
     diff a.txt b.txt
 
-Takes about 10 s on one core of a 2-vCPU VM.
+`--repeat N` runs each group N times (the digests must agree) and prints the
+median wall time; `--group` runs only the named groups. The peak RSS is the
+process's so far, so run one group per process to size it:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/trajectory_parity.py --group "width 16" --repeat 5
+
+Takes about 15 s on one core of a 2-vCPU VM.
 """
 import argparse
 import hashlib
+import resource
+import statistics
 import time
 
 import numpy as np
@@ -80,11 +91,11 @@ class Recorder:
         qnn.trajectory_counts = self.real
 
 
-def report(label: str, results, seconds: float) -> None:
+def digest(results) -> str:
     h = hashlib.sha256()
     for counts in results:
         h.update(np.ascontiguousarray(counts, dtype=np.int64).tobytes())
-    print(f"{label} calls {len(results)} {h.hexdigest()[:16]} time {seconds:.2f} s")
+    return h.hexdigest()[:16]
 
 
 def infer_traj(seed: int) -> list[np.ndarray]:
@@ -136,21 +147,44 @@ def all_kinds(seed: int) -> list[np.ndarray]:
             for threads in (1, 2)]
 
 
+def width_16(seed: int) -> list[np.ndarray]:
+    n = 16
+    gates = []
+    for layer in range(20):
+        gates += [Gate(K.H, (q,)) for q in range(n)] + [Gate(K.T, (q,)) for q in range(n)]
+        gates += [Gate(K.CX, (q, q + 1)) for q in range(layer % 2, n - 1, 2)]
+    bound = bind_gates(NoiseModel(flip_p=0.01, phase_p=0.01), gates)
+    return [simulator.trajectory_counts(gates, n, bound, [simulator.basis_state(n)], [seed], 8, [0, 1, 2, 3])]
+
+
 def weights_with_flips(rng: np.random.Generator, n: int, flips: int) -> tuple[int, ...]:
     w = np.ones(n, dtype=int)
     w[rng.choice(n, size=flips, replace=False)] = -1
     return tuple(int(v) for v in w)
 
 
+GROUPS = {"infer-traj": infer_traj, "eval-wide": eval_wide, "criterion 5": criterion_5,
+          "all kinds": all_kinds, "width 16": width_16}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=17)
-    seed = parser.parse_args().seed
-    for label, group in (("infer-traj", infer_traj), ("eval-wide", eval_wide),
-                         ("criterion 5", criterion_5), ("all kinds", all_kinds)):
-        t0 = time.perf_counter()
-        results = group(seed)
-        report(label, results, time.perf_counter() - t0)
+    parser.add_argument("--repeat", type=int, default=1, help="runs of each group; the median time is printed")
+    parser.add_argument("--group", action="append", choices=sorted(GROUPS), help="run only these groups")
+    args = parser.parse_args()
+    for label in args.group or GROUPS:
+        seconds, digests = [], set()
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            results = GROUPS[label](args.seed)
+            seconds.append(time.perf_counter() - t0)
+            digests.add(digest(results))
+        if len(digests) > 1:
+            raise SystemExit(f"{label}: repeats disagree: {sorted(digests)}")
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{label} calls {len(results)} {digests.pop()} time {statistics.median(seconds):.2f} s"
+              f" peak {rss:.1f} MB")
 
 
 if __name__ == "__main__":

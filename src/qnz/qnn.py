@@ -363,7 +363,7 @@ def score_run(code: int, plan: MappedPlan, scoring: Scoring) -> np.ndarray:
     # both draw the shots of the sign whose entry 0 is +1
     code = min(code, code ^ ((1 << (1 << plan.num_computing)) - 1))
     counts = trajectory_counts(
-        plan.gates, plan.n, plan.bound, [plan.embed(x) for x in np.asarray(xs, dtype=complex)],
+        plan.gates, plan.n, plan.bound, plan.embed(xs),
         [derive_seed(scoring.seed, i, code) for i in range(len(xs))],
         scoring.shots, list(plan.measured), threads=scoring.threads,
     )
@@ -546,7 +546,7 @@ class Evaluator:
         for i, f in enumerate(flips):
             j = bisect.bisect_left(f, s)
             groups.setdefault((f[:j], f[j] if j < len(f) else None), []).append((f[j:], i))
-        tables = {(): density_coeffs([frame.embed(x) for x in xs], n)}
+        tables = {(): density_coeffs(frame.embed(xs), n)}
         tables.update(self._halves(  # R(p) from R(p[:-1]), each stored as it is yielded
             push_forward, {p[:h] for p, _ in groups for h in range(1, len(p) + 1)},
             lambda p: ((None,) + p)[-2:], lambda p: tables[p[:-1]]))

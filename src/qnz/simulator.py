@@ -26,9 +26,12 @@ C-contiguous state, and draw each block of TRAJ_BLOCK shots from its own
 counter-based Philox stream keyed by (seed, block), so results are
 bit-identical no matter how blocks are batched or spread across threads.
 Sampled Paulis never enter the batch: each shot carries them as X and Z bits
-of a Pauli frame, which Clifford gates update, diagonal gates read (a shot
-with an X bit on the qubit gets the reversed diagonal) and CCX and CNZ write
-into the batch first; the final probabilities are permuted by the X bits.
+of a Pauli frame, walked once per gate list over GF(2) (`trajectory_program`),
+so a shot's frame reads are A hits mod 2. The gates between H, CCX and CNZ
+form runs, each one gather and one phase multiply by eighth roots of unity
+(`evolve`), with the phases that reads switch: a T, TDG or S on a qubit with
+an X bit acts as its reversed diagonal. CCX and CNZ write the frame's bits
+on their qubits into the batch first; the final X bits permute the outcomes.
 """
 from __future__ import annotations
 
@@ -524,6 +527,9 @@ TRAJ_BLOCK = 64
 # (or one shot, where a single state is larger).
 _TRAJ_CHUNK = 1 << 14
 _U64 = 0xFFFFFFFFFFFFFFFF
+# A fresh Philox's state but for its counter and key: its buffer empty.
+_PHILOX_START = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
 
 
 def derive_seed(*parts: int) -> int:
@@ -531,13 +537,15 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _block_draws(seed: int, block: int, size: int, rates, fixed, space, m: int):
-    """All randomness of one shot block, from a fresh Philox(key=[seed, block]).
+def _block_draws(gen: np.random.Generator, seed: int, block: int, size: int, rates, fixed, space, m: int):
+    """All randomness of one shot block, from `gen`'s Philox re-keyed to the
+    start of Philox(key=[seed, block]): counter 0, its buffer emptied.
 
     Returns (hit shot, hit event, Pauli code) per hit, outcome uniforms and
     readout uniforms; see trajectory_counts for the draw order.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed & _U64, block], dtype=np.uint64)))
+    key = np.array([seed & _U64, block], dtype=np.uint64)
+    gen.bit_generator.state = dict(_PHILOX_START, state={"counter": np.zeros(4, np.uint64), "key": key})
     shot, ev = np.nonzero(gen.random((size, rates.size)) < rates)
     code = fixed[ev]
     depol = code == 0
@@ -546,86 +554,160 @@ def _block_draws(seed: int, block: int, size: int, rates, fixed, space, m: int):
     return shot, ev, code, gen.random(size), gen.random((size, m))
 
 
-def _frame_gate(arr: np.ndarray, kind: GateKind, axes, fx: list, fz: list) -> np.ndarray:
-    """One gate on a state batch whose true rows are X^fx Z^fz times them
-    (bits per qubit, then per row); returns the batch (may be new).
+# Phase on |1> of each diagonal kind in eighths of a turn (Y's after its exchange, up to a global phase).
+_EIGHTHS = {GateKind.Z: 4, GateKind.S: 2, GateKind.T: 1, GateKind.TDG: 7, GateKind.Y: 4}
+_OMEGA = np.exp(0.25j * np.pi * np.arange(8))
 
-    Clifford kinds act on the batch as they are and carry the frame through:
-    H swaps a qubit's X and Z bits, CX, CZ, SWAP and BRIDGE3 propagate them,
-    and X and Y leave them alone (up to a sign of the row). A diagonal kind
-    diag(1, phi) on rows with an X bit on its qubit acts as diag(phi, 1),
-    since X diag(a, b) X = diag(b, a): one multiply by a per-row phase table.
-    CCX and CNZ first write the frame's bits on their qubits into the batch.
-    `arr` is C-contiguous ([2]*n + [batch]), so the reshapes here are views.
+
+def trajectory_program(gates, n: int, events) -> tuple:
+    """`gates` and their `events` ((gate index, kind, qubits, p), in gate
+    order) compiled for `evolve`: (n, steps, table, width, reads, final).
+
+    A frame bit is the XOR of a set of hit slots (event, qubit position, X or
+    Z part), a Python int. A run's src bits and phases are terms: Z bits put
+    on their qubits and carried with the frame's (X and Y flip their sign, in
+    fz[n]), parities of x at the run's end. Bit q of src is the term put on q
+    at the run's start; a diagonal kind puts its phase on its |1> (CZ's 4ab
+    as 2a + 2b + 6(a xor b)), and a T, TDG or S on a qubit with an X bit
+    reads it and puts -2k more there: X diag(1, w^k) X = w^k diag(1, w^-k).
     """
-    if kind in _PHASE_1Q and fx[axes[0]].any():
-        phase, q = _PHASE_1Q[kind], axes[0]
-        table = np.where(fx[q], np.array([[phase], [1.0]]), np.array([[1.0], [phase]]))
-        arr.reshape(math.prod(arr.shape[:q]), 2, -1, arr.shape[-1])[...] *= table[:, None, :]
-        return arr
-    if kind in (GateKind.CCX, GateKind.CNZ):  # Z, then X, of the frame into the batch
-        for q in axes:
-            v = arr.reshape(math.prod(arr.shape[:q]), 2, -1, arr.shape[-1])
-            v[:, 1] *= np.where(fz[q], -1.0, 1.0)
-            v[...] = np.where(fx[q], v[:, ::-1], v)
-            fx[q], fz[q] = np.zeros_like(fx[q]), np.zeros_like(fz[q])
-    elif kind is GateKind.H:
-        q = axes[0]
-        fx[q], fz[q] = fz[q], fx[q]
-    elif kind is GateKind.SWAP:
-        a, b = axes
-        fx[a], fx[b], fz[a], fz[b] = fx[b], fx[a], fz[b], fz[a]
-    elif kind is GateKind.CZ:
-        a, b = axes
-        fz[a] ^= fx[b]
-        fz[b] ^= fx[a]
-    elif kind in (GateKind.CX, GateKind.BRIDGE3):
-        a, m, b = axes[0], axes[1], axes[-1]  # a bridge is CX(a, m) CX(m, b) CX(a, m)
-        for c, t in ((a, b),) if kind is GateKind.CX else ((a, m), (m, b), (a, m)):
-            fx[t] ^= fx[c]
-            fz[c] ^= fz[t]
-    return apply_kind(arr, kind, axes)
+    width = max((len(e[2]) for e in events), default=1)
+    top = 2 * len(events) * width  # fz bits from here on are the current run's terms
+    hits = {i: [(e, ev[1], ev[2]) for e, ev in grp]
+            for i, grp in itertools.groupby(enumerate(events), lambda t: t[1][0])}
+    pow2 = 1 << np.arange(n - 1, -1, -1)
+    fx, fz, rows, steps, terms = [0] * n, [0] * (n + 1), [], [], []
+
+    def read(bits: int) -> int:  # its column in evolve's reads
+        rows.append(bits)
+        return len(rows)
+
+    def term(qubits, weight: int, switch: int = 0) -> None:  # switch: the read that turns it on, 0 none
+        for p in qubits:
+            fz[p] ^= 1 << (top + len(terms))
+        terms.append((weight, switch))
+
+    def close() -> None:
+        if terms:
+            bits = np.array([[(b >> (top + i)) & 1 for b in fz] for i in range(len(terms))])
+            masks = bits[:, :n] @ pow2  # each term's parity mask over x; its sign is bits[:, n]
+            phased, switches = sorted(set(masks[n:].tolist())), sorted({s for _, s in terms[n:]})
+            weights = np.zeros((len(phased), len(switches)), dtype=np.float32)
+            for m, sign, (w, s) in zip(masks[n:].tolist(), bits[n:, n].tolist(), terms[n:]):
+                weights[phased.index(m), switches.index(s)] += -w if sign else w  # up to a global phase
+            low, phased = np.arange(1 << min(n, 8))[:, None], np.array(phased, dtype=np.int64)
+            src = ((np.bitwise_count(low & masks[:n]) & 1) ^ bits[:n, n]) @ pow2  # over x's low bits
+            block = (np.bitwise_count(low & phased) & 1).astype(np.uint8)
+            steps.append((masks[:n], src, phased, block, np.array(switches, dtype=np.intp), weights % 8))
+            terms.clear()
+        fz[:] = [b & ((1 << top) - 1) for b in fz]
+
+    for i, g in enumerate(gates):
+        kind, axes, q = g.kind, g.qubits, g.qubits[0]
+        if kind in (GateKind.H, GateKind.CCX, GateKind.CNZ):
+            close()
+            flush = [] if kind is GateKind.H else [(p, read(fz[p]), read(fx[p])) for p in axes]
+            for p in axes:
+                fx[p], fz[p] = (fz[p], fx[p]) if kind is GateKind.H else (0, 0)
+            steps.append((kind, axes, flush))
+        else:
+            for p in () if terms else range(n):  # a run's first gate: one term per bit of src
+                term((p,), 0)
+            if kind in (GateKind.X, GateKind.Y):
+                fz[n] ^= fz[q]
+            if kind in _EIGHTHS:
+                term((q,), _EIGHTHS[kind])
+                if kind in (GateKind.S, GateKind.T, GateKind.TDG) and fx[q]:
+                    term((q,), -2 * _EIGHTHS[kind], read(fx[q]))
+            elif kind is GateKind.CZ:
+                a, b = axes
+                for qubits, w in (((a,), 2), ((b,), 2), ((a, b), 6)):
+                    term(qubits, w)
+                fz[a], fz[b] = fz[a] ^ fx[b], fz[b] ^ fx[a]
+            elif kind is GateKind.SWAP:
+                a, b = axes
+                fx[a], fx[b], fz[a], fz[b] = fx[b], fx[a], fz[b], fz[a]
+            elif kind in (GateKind.CX, GateKind.BRIDGE3):
+                a, m, b = axes[0], axes[1], axes[-1]  # a bridge is CX(a, m) CX(m, b) CX(a, m)
+                for c, t in ((a, b),) if kind is GateKind.CX else ((a, m), (m, b), (a, m)):
+                    fx[t] ^= fx[c]
+                    fz[c] ^= fz[t]
+        for e, kind, qubits in hits.get(i, ()):
+            for pos, p in enumerate(qubits):
+                fx[p] ^= (kind != "phase") << (2 * (e * width + pos))  # flip is X, phase Z, depol either
+                fz[p] ^= (kind != "flip") << (2 * (e * width + pos) + 1)
+    close()
+    final, reads, nb = [read(b) for b in fx], len(rows), -(-top // 8)
+    rows += [0] * (-reads % 64)  # A's columns, packed over reads into 64-bit words
+    a = np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows), dtype=np.uint8).reshape(len(rows), nb)
+    cols = np.packbits(np.unpackbits(a, axis=1, count=top, bitorder="little").T, axis=1, bitorder="little")
+    cols = np.ascontiguousarray(cols).view("<u8").reshape(len(events), width, 2, len(rows) // 64)
+    x, z = cols[:, :, 0], cols[:, :, 1]
+    table = np.stack([np.zeros_like(x), x, x ^ z, z], axis=2)  # per (event, position, code digit I X Y Z)
+    return n, tuple(steps), table.reshape(-1, table.shape[-1]), width, reads, final
 
 
-def evolve(gates, n: int, events, measured, rows_init: np.ndarray,
+def _apply_run(step, arr: np.ndarray, out: np.ndarray, phase: np.ndarray, f: np.ndarray, pow2) -> None:
+    """out[x] = w^e(x) arr[src(x)] in each row, in slices of len(phase) rows."""
+    lin, src, phased, block, switches, weights = step  # lin: src's bits as parity masks
+    span = len(phase)
+    src, block = src[:span], block[:span]
+    g = weights @ f[:, switches].T  # (phases, batch): each phase's weight in each row
+    while len(src) < span:  # the tables over x from those over x without its next bit
+        b = len(src).bit_length() - 1
+        src = np.concatenate([src, src ^ (((lin >> b) & 1) @ pow2)])
+        block = np.concatenate([block, block ^ ((phased >> b) & 1).astype(np.uint8)])
+    pf = block.astype(np.float32)
+    for lo in range(0, len(arr), span):  # x = lo + y: the parities of lo flip those of y
+        o = (np.bitwise_count(phased & lo) & 1).astype(np.float32)
+        e = (pf @ (g - 2 * o[:, None] * g) + o @ g).astype(np.intp)
+        lo_src = (np.bitwise_count(lin & lo) & 1) @ pow2
+        np.take(arr, src ^ lo_src, axis=0, out=out[lo:lo + span], mode="clip")
+        np.take(_OMEGA, np.bitwise_and(e, 7, out=e), out=phase, mode="clip")
+        out[lo:lo + span] *= phase
+
+
+def evolve(prog: tuple, measured, rows_init: np.ndarray,
            hit_row: np.ndarray, hit_ev: np.ndarray, hit_code: np.ndarray) -> np.ndarray:
     """Evolve a batch of shots, one per row of `rows_init` (batch, 2^n), each
-    with its Pauli hits; returns their (rows, 2^m) outcome CDFs over `measured`.
+    with its Pauli hits, through `prog` (`trajectory_program`); returns their
+    (rows, 2^m) outcome CDFs over `measured`.
 
-    `events[e]` is (gate index, kind, qubits, p) in gate order, as
-    trajectory_counts lists them. Hit h puts the Pauli string hit_code[h] on
-    the qubits of event hit_ev[h] of row hit_row[h], right after its gate:
-    digit pos of a code, (code >> 2 pos) & 3, acts on qubits[pos] as 1 = X,
-    2 = Y, 3 = Z. Hits go into a Pauli frame, X and Z bits per qubit and row
-    (`_frame_gate`), not into the batch; at the end each row's basis
-    probabilities are permuted by its X bits before they are marginalised.
+    Hit h puts the Pauli string hit_code[h] on the qubits of event hit_ev[h]
+    of row hit_row[h] (non-decreasing) right after its gate: digit pos of a
+    code, (code >> 2 pos) & 3, acts on qubits[pos] as 1 = X, 2 = Y, 3 = Z.
     """
-    batch = len(rows_init)
-    arr = np.ascontiguousarray(rows_init.T).reshape([2] * n + [batch])
-    fx = [np.zeros(batch, dtype=bool) for _ in range(n)]
-    fz = [np.zeros(batch, dtype=bool) for _ in range(n)]
-    order = np.argsort(hit_ev, kind="stable")
-    hit_row, hit_ev, hit_code = hit_row[order], hit_ev[order], hit_code[order]
-    starts = np.flatnonzero(np.diff(hit_ev, prepend=-1))
-    bounds = list(zip(hit_ev[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), hit_ev.size]))
-    digits = [(hit_code >> (2 * pos)) & 3 for pos in range(max((len(e[2]) for e in events), default=0))]
-    hit_x = [(d == 1) | (d == 2) for d in digits]
-    hit_z = [d >= 2 for d in digits]
-    k = 0
-    for i, g in enumerate(gates):
-        arr = _frame_gate(arr, g.kind, g.qubits, fx, fz)
-        while k < len(bounds) and events[bounds[k][0]][0] == i:
-            e, lo, hi = bounds[k]
-            _, kind, qubits, _ = events[e]
-            rows = hit_row[lo:hi]
-            for pos, q in enumerate(qubits):
-                if kind != "phase":  # flip is X, depol any of X, Y, Z
-                    fx[q][rows] ^= hit_x[pos][lo:hi]
-                if kind != "flip":
-                    fz[q][rows] ^= hit_z[pos][lo:hi]
-            k += 1
-    probs = np.abs(arr.reshape(1 << n, batch)) ** 2
-    xmask = sum(fx[q].astype(np.int64) << (n - 1 - q) for q in range(n))
+    n, steps, table, width, reads, final = prog
+    batch, at = len(rows_init), 4 * width * hit_ev
+    cols = table.take(at + (hit_code & 3), axis=0)  # each hit's column of A: its digits' entries XORed
+    for pos in range(1, width):
+        cols ^= table.take(at + 4 * pos + ((hit_code >> 2 * pos) & 3), axis=0)
+    packed = np.zeros((batch, table.shape[1]), dtype="<u8")  # each row's reads: its hits' columns XORed
+    starts = np.flatnonzero(hit_row != np.r_[-1, hit_row[:-1]])
+    packed[hit_row[starts]] = np.bitwise_xor.reduceat(cols, starts)
+    f = np.ones((batch, 1 + reads), dtype=np.uint8)  # column 0: the terms no read switches
+    f[:, 1:] = np.unpackbits(packed.view(np.uint8), axis=1, count=reads, bitorder="little")
+    pow2 = 1 << np.arange(n - 1, -1, -1)
+    span = 1 << min(n, max(1, _TRAJ_CHUNK // batch).bit_length() - 1)  # at most _TRAJ_CHUNK amplitudes
+    arr = np.ascontiguousarray(rows_init.T)
+    spare, phase = np.empty_like(arr), np.empty((span, batch), dtype=complex)
+    for step in steps:
+        if len(step) > 3:
+            _apply_run(step, arr, spare, phase, f, pow2)
+            arr, spare = spare, arr
+            continue
+        kind, axes, flush = step
+        for q, zc, xc in flush:  # the frame's Z, then X, bits into the batch
+            v = arr.reshape(1 << q, 2, -1, batch)
+            v[:, 1] *= np.where(f[:, zc], -1.0, 1.0)
+            v[...] = np.where(f[:, xc], v[:, ::-1], v)
+        if kind is GateKind.H:  # apply_kind's matmul, into the other buffer
+            np.matmul(_H, arr.reshape(1 << axes[0], 2, -1), out=spare.reshape(1 << axes[0], 2, -1))
+            arr, spare = spare, arr
+        else:
+            apply_kind(arr.reshape([2] * n + [batch]), kind, axes)
+    probs = np.abs(arr) ** 2
+    xmask = f[:, final].astype(np.int64) @ pow2
     if np.any(xmask):
         probs = np.take_along_axis(probs, np.arange(1 << n)[:, None] ^ xmask, axis=0)
     return np.cumsum(_marginal_distribution(probs, n, measured), axis=1)
@@ -655,8 +737,8 @@ def trajectory_counts(
       4. a (block shots, measured) array of readout uniforms (noise.apply_readout).
     So a row's counts do not depend on the other rows or on `threads`, which
     split whole blocks. The shots of up to _TRAJ_CHUNK amplitudes evolve
-    together as one state batch, gate by gate (`evolve`); their Pauli hits
-    are carried as a per-shot Pauli frame beside the batch.
+    together as one state batch (`evolve`) through a program built once per
+    call (`trajectory_program`); their hits are a per-shot Pauli frame.
     """
     if n > SV_WIDTH_CAP:
         raise ValueError(f"width {n} exceeds the state-vector cap of {SV_WIDTH_CAP}")
@@ -678,24 +760,22 @@ def trajectory_counts(
     per_batch = max(1, _TRAJ_CHUNK >> n)
     per_group = max(1, min(per_batch // TRAJ_BLOCK, -(-len(blocks) // max(threads, 1))))
     shifts = np.arange(m - 1, -1, -1)
+    prog = trajectory_program(gates, n, events)
 
     def run_group(group) -> np.ndarray:
         sizes = [min(TRAJ_BLOCK, shots - b * TRAJ_BLOCK) for _, b in group]
-        draws = [_block_draws(seeds[s], b, size, rates, fixed, space, m)
+        gen = np.random.Generator(np.random.Philox(0))  # re-keyed for each block
+        draws = [_block_draws(gen, seeds[s], b, size, rates, fixed, space, m)
                  for (s, b), size in zip(group, sizes)]
         offsets = np.cumsum([0, *sizes])
-        hit_row = np.concatenate([d[0] + off for d, off in zip(draws, offsets)])
-        hit_ev = np.concatenate([d[1] for d in draws])
-        hit_code = np.concatenate([d[2] for d in draws])
-        u_out = np.concatenate([d[3] for d in draws])
-        u_read = np.concatenate([d[4] for d in draws])
+        hit_row, hit_ev, hit_code, u_out, u_read = map(np.concatenate, zip(*draws))
+        hit_row += np.repeat(offsets[:-1], [len(d[0]) for d in draws])  # non-decreasing shot in the group
         source = np.repeat([s for s, _ in group], sizes)
         outcome = np.empty(offsets[-1], dtype=np.int64)
         for lo in range(0, offsets[-1], per_batch):
             hi = min(lo + per_batch, offsets[-1])
-            sel = (hit_row >= lo) & (hit_row < hi)
-            cdf = evolve(gates, n, events, measured, psis[source[lo:hi]],
-                         hit_row[sel] - lo, hit_ev[sel], hit_code[sel])
+            a, b = np.searchsorted(hit_row, [lo, hi])
+            cdf = evolve(prog, measured, psis[source[lo:hi]], hit_row[a:b] - lo, hit_ev[a:b], hit_code[a:b])
             below = cdf <= u_out[lo:hi, None] * cdf[:, -1:]
             outcome[lo:hi] = np.minimum(below.sum(axis=1), (1 << m) - 1)
         bits = apply_readout((outcome[:, None] >> shifts) & 1, readout_pairs, u_read)
@@ -770,14 +850,15 @@ class MappedPlan:
         return bits @ (1 << (self.n - 1 - np.array(self.init_positions[:k], dtype=np.int64)))
 
     def embed(self, logical_init: np.ndarray | None = None) -> np.ndarray:
-        """Initial dense state from a state over the computing qubits only
-        (auxiliaries and unoccupied device qubits start in |0>)."""
+        """Initial dense state from a state over the computing qubits only, or
+        one per row of a (samples, 2^k) array of them (auxiliaries and
+        unoccupied device qubits start in |0>)."""
         k = self.num_computing
         comp = basis_state(k) if logical_init is None else np.asarray(logical_init, dtype=complex)
-        if comp.size != 2**k:
+        if comp.ndim not in (1, 2) or comp.shape[-1] != 2**k:
             raise ValueError("logical_init must cover exactly the computing qubits")
-        psi = np.zeros(1 << self.n, dtype=complex)
-        psi[self.computing_index] = comp.reshape(-1)
+        psi = np.zeros(comp.shape[:-1] + (1 << self.n,), dtype=complex)
+        psi[..., self.computing_index] = comp
         return psi
 
 

@@ -544,6 +544,18 @@ class TestComputingIndex:
         got = score_run(code_from_weights(w), plan, Scoring(samples(xs), "density"))
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("on_grid", [False, True])
+    def test_embed_rows_equal_one_by_one(self, on_grid):
+        # a (samples, 2^k) array embeds row by row, bit for bit; a wrong width raises
+        w = weights_from_code(0b10010100, 8)
+        mapped = compile(neuron_circuit(w), GRID if on_grid else linear_chain(4))
+        plan = plan_mapped_run(mapped)
+        xs = np.random.default_rng(5).normal(size=(6, 8)) + 1j
+        assert np.array_equal(plan.embed(xs), np.array([plan.embed(x) for x in xs]))
+        assert np.array_equal(plan.embed(xs[:1])[0], plan.embed(xs[0]))
+        with pytest.raises(ValueError):
+            plan.embed(xs[:, :4])
+
 
 class TestBundledDataset:
     def test_fixture_matches_generator(self):

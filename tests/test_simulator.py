@@ -892,7 +892,8 @@ class TestTrajectoryEngine:
         rows += 4
         inits = np.array([random_state(n, rng) for _ in range(rows)])
         hit_row, hit_ev, hit_code = (np.array(v, dtype=np.int64) for v in zip(*hits))
-        cdf = simulator.evolve(gates, n, events, measured, inits.copy(), hit_row, hit_ev, hit_code)
+        prog = simulator.trajectory_program(gates, n, events)
+        cdf = simulator.evolve(prog, measured, inits.copy(), hit_row, hit_ev, hit_code)
         got = np.diff(cdf, axis=1, prepend=0.0)
 
         m = len(measured)
@@ -907,6 +908,83 @@ class TestTrajectoryEngine:
             for x, a in enumerate(psi):
                 want[sum(bit_of(x, q, n) << (m - 1 - j) for j, q in enumerate(measured))] += abs(a) ** 2
             assert np.max(np.abs(got[r] - want)) <= 1e-12, r
+
+    def test_rekeyed_draws_match_fresh_streams(self):
+        # one generator, re-keyed for each block, draws what a fresh
+        # Philox(key=[seed, block]) does: two full blocks, then a partial one
+        rates, fixed, space = np.array([0.3, 0.2, 0.25]), np.array([1, 3, 0]), np.array([4, 4, 16])
+        seed, gen = 2**64 - 5, np.random.Generator(np.random.Philox(0))
+        for block, size in ((0, TRAJ_BLOCK), (1, TRAJ_BLOCK), (2, 23)):
+            got = simulator._block_draws(gen, seed, block, size, rates, fixed, space, 2)
+            fresh = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+            shot, ev = np.nonzero(fresh.random((size, 3)) < rates)
+            code = fixed[ev]
+            code[code == 0] = 1 + (fresh.random(np.count_nonzero(code == 0)) * 15).astype(np.int64)
+            want = (shot, ev, code, fresh.random(size), fresh.random((size, 2)))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), block
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), shape=st.sampled_from(["any", "h ends", "flush", "no phase"]))
+    def test_runs_match_the_oracle(self, data, n, shape):
+        # random gate lists over every kind, with random events and hits; the
+        # shapes force lists that start and end on H, hits on the gate just
+        # before a CCX or CNZ, and runs without a phase gate
+        kinds = [k for k in K if (ARITY[k] or 2) <= n]
+        if shape == "no phase":
+            kinds = [k for k in kinds if k not in (K.Z, K.S, K.T, K.TDG, K.CZ, K.CCX, K.CNZ)]
+        gates = []
+        for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=12)):
+            arity = ARITY[kind] or data.draw(st.integers(2, n))
+            gates.append(Gate(kind, tuple(data.draw(st.permutations(range(n)))[:arity])))
+        if shape == "h ends":
+            gates = [Gate(K.H, (data.draw(st.integers(0, n - 1)),))] + gates + [Gate(K.H, (n - 1,))]
+        if shape == "flush" and n >= 2:
+            gates += [Gate(K.X, (0,)), Gate(K.CCX, (0, 1, 2)) if n >= 3 else Gate(K.CNZ, (1, 0))]
+        events = []
+        for i, g in enumerate(gates):
+            for kind in data.draw(st.lists(st.sampled_from(["flip", "phase", "depol"]), max_size=2)):
+                qubits = g.qubits if kind == "depol" else (data.draw(st.sampled_from(g.qubits)),)
+                events.append((i, kind, qubits, 0.0))
+        if shape == "flush" and n >= 2:  # a depol on the X just before the CCX or CNZ, in gate order
+            events = sorted(events + [(len(gates) - 2, "depol", (0,), 0.0)], key=lambda e: e[0])
+        rows = data.draw(st.integers(1, 4))
+        hits = sorted((r, e, {"flip": 1, "phase": 3}.get(events[e][1]) or data.draw(
+            st.integers(1, 4 ** len(events[e][2]) - 1))) for r in range(rows) for e in range(len(events))
+            if data.draw(st.booleans()) or (shape == "flush" and events[e][0] == len(gates) - 2))
+        hit_row, hit_ev, hit_code = (np.array(v, dtype=np.int64).reshape(-1) for v in zip(*hits or [((), (), ())]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        inits = np.array([random_state(n, rng) for _ in range(rows)])
+        measured = [int(q) for q in rng.permutation(n)]
+        cdf = simulator.evolve(simulator.trajectory_program(gates, n, events), measured, inits.copy(),
+                               hit_row, hit_ev, hit_code)
+        got = np.diff(cdf, axis=1, prepend=0.0)
+        for r in range(rows):
+            psi = inits[r]
+            for i, g in enumerate(gates):
+                psi = gate_unitary(g, n) @ psi
+                for row, e, code in hits:
+                    if row == r and events[e][0] == i:
+                        qubits = events[e][2]
+                        psi = pauli_string([(code >> (2 * pos)) & 3 for pos in range(len(qubits))], qubits, n) @ psi
+            want = np.zeros(2**n)
+            for x, a in enumerate(psi):
+                want[sum(bit_of(x, q, n) << (n - 1 - j) for j, q in enumerate(measured))] += abs(a) ** 2
+            assert np.max(np.abs(got[r] - want)) <= 1e-12, r
+
+    def test_one_shot_batches_change_no_count(self, monkeypatch):
+        # width 10: by default a batch holds 16 shots and a run doubles its
+        # tables from the low 8 bits of x; with _TRAJ_CHUNK at 2^8 a batch
+        # holds one shot and a run goes over x in four slices. Phases on
+        # every qubit, so the high bits of x matter in each run
+        n = 10
+        gates = [Gate(k, (q,)) for k in (K.H, K.T) for q in range(n)]
+        gates += [Gate(K.CX, (q, q + 1)) for q in range(n - 1)] + [Gate(K.S, (q,)) for q in range(n)]
+        gates += [Gate(K.CCX, (0, 5, 9)), Gate(K.CZ, (1, 8))] + [Gate(k, (q,)) for k in (K.H, K.TDG) for q in range(n)]
+        bound = bind_gates(parse_noise_shorthand("flip:0.05,phase:0.05,depol:0.05"), gates)
+        inits = np.array([random_state(n, np.random.default_rng(s)) for s in (1, 2)])
+        want = trajectory_counts(gates, n, bound, inits, [3, 4], 70, [0, 9, 4])
+        monkeypatch.setattr(simulator, "_TRAJ_CHUNK", 1 << 8)
+        assert np.array_equal(trajectory_counts(gates, n, bound, inits, [3, 4], 70, [0, 9, 4]), want)
 
     def test_width_and_shots_validated(self):
         with pytest.raises(ValueError):
