@@ -546,7 +546,7 @@ def _block_draws(gen: np.random.Generator, seed: int, block: int, size: int, rat
     """
     key = np.array([seed & _U64, block], dtype=np.uint64)
     gen.bit_generator.state = dict(_PHILOX_START, state={"counter": np.zeros(4, np.uint64), "key": key})
-    shot, ev = np.nonzero(gen.random((size, rates.size)) < rates)
+    shot, ev = np.divmod(np.flatnonzero(gen.random((size, rates.size)) < rates), rates.size)
     code = fixed[ev]
     depol = code == 0
     u = gen.random(np.count_nonzero(depol))
@@ -660,9 +660,9 @@ def _apply_run(step, arr: np.ndarray, out: np.ndarray, phase: np.ndarray, f: np.
     pf = block.astype(np.float32)
     for lo in range(0, len(arr), span):  # x = lo + y: the parities of lo flip those of y
         o = (np.bitwise_count(phased & lo) & 1).astype(np.float32)
-        e = (pf @ (g - 2 * o[:, None] * g) + o @ g).astype(np.intp)
-        lo_src = (np.bitwise_count(lin & lo) & 1) @ pow2
-        np.take(arr, src ^ lo_src, axis=0, out=out[lo:lo + span], mode="clip")
+        e = (pf @ (g - 2 * o[:, None] * g) + o @ g if lo else pf @ g).astype(np.intp)
+        at = src ^ ((np.bitwise_count(lin & lo) & 1) @ pow2) if lo else src
+        np.take(arr, at, axis=0, out=out[lo:lo + span], mode="clip")
         np.take(_OMEGA, np.bitwise_and(e, 7, out=e), out=phase, mode="clip")
         out[lo:lo + span] *= phase
 
@@ -708,8 +708,8 @@ def evolve(prog: tuple, measured, rows_init: np.ndarray,
             apply_kind(arr.reshape([2] * n + [batch]), kind, axes)
     probs = np.abs(arr) ** 2
     xmask = f[:, final].astype(np.int64) @ pow2
-    if np.any(xmask):
-        probs = np.take_along_axis(probs, np.arange(1 << n)[:, None] ^ xmask, axis=0)
+    if np.any(xmask):  # row r's probability of x is that of x ^ xmask[r], flat
+        probs = probs.ravel().take((np.arange(1 << n)[:, None] ^ xmask) * batch + np.arange(batch))
     return np.cumsum(_marginal_distribution(probs, n, measured), axis=1)
 
 
